@@ -93,18 +93,6 @@ def tarjan_scc(n, adj):
     return comp, count
 
 
-def condensation_edges(n, adj, comp):
-    """Edges of the condensation DAG as a set of (cfrom, cto) pairs."""
-    out = set()
-    for v in range(n):
-        cv = comp[v]
-        for w in adj[v]:
-            cw = comp[w]
-            if cv != cw:
-                out.add((cv, cw))
-    return out
-
-
 def nontrivial_components(n, adj, comp, count):
     """Component indices that contain a cycle (an edge within themselves)."""
     alive = set()
@@ -157,16 +145,6 @@ class SubsetOps:
     def step_any(self, mask):
         out = 0
         for table in self.fwd:
-            m = mask
-            while m:
-                low = m & -m
-                out |= table[low.bit_length() - 1]
-                m ^= low
-        return out
-
-    def costep_any(self, mask):
-        out = 0
-        for table in self.bwd:
             m = mask
             while m:
                 low = m & -m

@@ -113,12 +113,6 @@ def identity_code(x):
     return SlidingBlockCode.make(x, 0, 0, table, x.alphabet)
 
 
-def relabel_code(x, mapping):
-    """One-block code applying a symbol substitution."""
-    table = {(s,): mapping[s] for s in x.alphabet}
-    return SlidingBlockCode.make(x, 0, 0, table)
-
-
 # -- arrow graphs ----------------------------------------------------------
 
 
@@ -868,23 +862,27 @@ def _lift_search(f, g1, g2, mem, ant, budget):
                 return False
         return True
 
-    def solve(i):
-        if i == len(order):
-            return True
-        var = order[i]
-        for val in domains[var]:
+    # depth-first backtracking on an explicit stack of value iterators,
+    # one per assigned variable, so that the number of variables is not
+    # bounded by the recursion limit
+    stack = [iter(domains[order[0]])]
+    while stack:
+        var = order[len(stack) - 1]
+        for val in stack[-1]:
             budget.spend()
             if consistent(var, val):
                 assignment[var] = val
-                if solve(i + 1):
-                    return True
-                del assignment[var]
-        return False
-
-    if not solve(0):
-        return None
-    return {tuple(e.id for e in path_of[var]): assignment[var]
-            for var in variables}
+                break
+        else:
+            stack.pop()
+            if stack:
+                del assignment[order[len(stack) - 1]]
+            continue
+        if len(stack) == len(order):
+            return {tuple(e.id for e in path_of[v]): assignment[v]
+                    for v in variables}
+        stack.append(iter(domains[order[len(stack)]]))
+    return None
 
 
 def _verify_lift(f, code, g1, g2):

@@ -38,10 +38,6 @@ class ReducibleShift(ShiftLabError):
     """The operation needs an irreducible shift and got a reducible one."""
 
 
-class Reducible(ShiftLabError):
-    """The operation needs an irreducible (strongly connected) graph."""
-
-
 class NotRightResolving(ShiftLabError):
     def __init__(self, vertex, symbol):
         super().__init__(
@@ -62,12 +58,6 @@ class NotMagic(ShiftLabError):
         )
         self.word = word
         self.reached = reached
-
-
-class WordNotInLanguage(ShiftLabError):
-    def __init__(self, word):
-        super().__init__(f"word not in the language: {''.join(word)!r}")
-        self.word = word
 
 
 class WordTooShort(ShiftLabError):

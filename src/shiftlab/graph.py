@@ -252,26 +252,6 @@ def disjoint_union(graphs):
     return LabeledGraph.make(alphabet, vertices, edges)
 
 
-def label_product(g1, g2):
-    """Fiber product over labels: paths are pairs of equally labeled paths.
-
-    Result is trimmed, so it presents the intersection of the two shifts.
-    """
-    common = sorted(set(g1.alphabet) & set(g2.alphabet))
-    vertices = [f"{u}|{v}" for u in g1.vertices for v in g2.vertices]
-    edges = []
-    by_label = {}
-    for e in g2.edges:
-        by_label.setdefault(e.label, []).append(e)
-    for e1 in g1.edges:
-        for e2 in by_label.get(e1.label, ()):
-            edges.append(
-                Edge(f"{e1.id}|{e2.id}", f"{e1.src}|{e2.src}",
-                     f"{e1.dst}|{e2.dst}", e1.label)
-            )
-    return trim(LabeledGraph.make(common, vertices, edges))
-
-
 # -- subset construction -------------------------------------------------
 
 
@@ -443,73 +423,6 @@ def is_sublanguage(g1, g2, budget=None):
 def shift_equal(g1, g2):
     """Do the two graphs present the same shift space?"""
     return is_sublanguage(g1, g2) and is_sublanguage(g2, g1)
-
-
-def are_isomorphic(g1, g2):
-    """Labeled-graph isomorphism over matching alphabets (small graphs).
-
-    Parallel edges count with multiplicity; edge ids are ignored.
-    """
-    if sorted(g1.alphabet) != sorted(g2.alphabet):
-        return False
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-
-    def sig(g, v):
-        outs = sorted((e.label, e.dst == v) for e in g.out[v])
-        ins = sorted((e.label, e.src == v) for e in g.inn[v])
-        return (tuple(outs), tuple(ins))
-
-    s1 = {v: sig(g1, v) for v in g1.vertices}
-    s2 = {v: sig(g2, v) for v in g2.vertices}
-    if sorted(s1.values()) != sorted(s2.values()):
-        return False
-
-    def counts(g):
-        c = {}
-        for e in g.edges:
-            k = (e.src, e.dst, e.label)
-            c[k] = c.get(k, 0) + 1
-        return c
-
-    c1, c2 = counts(g1), counts(g2)
-    order = sorted(g1.vertices, key=lambda v: (s1[v], v))
-    cands = {
-        v: [w for w in g2.vertices if s2[w] == s1[v]] for v in g1.vertices
-    }
-
-    def extend(i, mapping, used):
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in cands[v]:
-            if w in used:
-                continue
-            ok = True
-            for (a, b, lab), k in c1.items():
-                if a == v and b in mapping:
-                    if c2.get((w, mapping[b], lab), 0) != k:
-                        ok = False
-                        break
-                if b == v and a in mapping and a != v:
-                    if c2.get((mapping[a], w, lab), 0) != k:
-                        ok = False
-                        break
-                if a == v and b == v:
-                    if c2.get((w, w, lab), 0) != k:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1, mapping, used):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return extend(0, {}, set())
 
 
 # -- spectral radius ------------------------------------------------------

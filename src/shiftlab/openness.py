@@ -345,64 +345,66 @@ def _escape_samples(space, u, limit=2):
     return samples
 
 
-# -- level sweeps with transfer-profile saturation ----------------------------
+# -- level sweeps over transfer profiles --------------------------------------
 
 
 def _compose(t1, t2):
     return tuple(_apply(t2, m) for m in t1)
 
 
-def _word_profile(space, word, cache):
-    """The transfer profile of a zone word: the set of joint (image,
-    zone-thread) transfer tables over all same-length image words, plus
-    the zone-only admissibility table. Profiles compose, so equal
-    profiles guarantee identical downstream verdicts."""
-    if word in cache:
-        return cache[word]
-    if len(word) == 1:
-        xi = word[0]
-        pairs = frozenset(
-            (space.ut[s], space.zt.get((s, xi), space._zero))
-            for s in space.symbols)
-        prof = (pairs, space.xt[xi])
-    else:
-        head, tail = word[:-1], word[-1]
-        pairs0, xt0 = _word_profile(space, head, cache)
-        pairs = set()
-        for tu, ts in pairs0:
-            for s in space.symbols:
-                space.budget.spend()
-                pairs.add((_compose(tu, space.ut[s]),
-                           _compose(ts, space.zt.get((s, tail),
-                                                     space._zero))))
-        prof = (frozenset(pairs), _compose(xt0, space.xt[tail]))
-    cache[word] = prof
-    return prof
+def _join(space, p1, p2):
+    """Transfer profile of a concatenation of zone words with profiles p1
+    and p2: joint tables compose pairwise, admissibility tables compose."""
+    pairs = set()
+    for tu1, ts1 in p1[0]:
+        for tu2, ts2 in p2[0]:
+            space.budget.spend()
+            pairs.add((_compose(tu1, tu2), _compose(ts1, ts2)))
+    return (frozenset(pairs), _compose(p1[1], p2[1]))
 
 
-def _admissible_words(space, length):
-    """Admissible zone words of the given length over the arrow graph,
-    in lexicographic order."""
-    out = []
-    stack = [((), space.full)]
-    while stack:
-        word, mask = stack.pop()
-        if len(word) == length:
-            out.append(word)
-            continue
-        for xi in reversed(space.xsymbols):
-            m2 = _apply(space.xt[xi], mask)
-            if m2:
-                space.budget.spend()
-                stack.append((word + (xi,), m2))
-    return out
+def _profile_levels(space):
+    """The distinct transfer profiles of admissible zone words of length
+    1, 3, 5, ..., one level at a time.
+
+    A profile is the set of joint (image, zone-thread) transfer tables
+    over all same-length image words, plus the zone-only admissibility
+    table; a word is admissible when that table is nonzero. Equal
+    profiles give identical interior verdicts and witness offsets k - l.
+    Profiles compose, so level l+1 holds exactly the admissible joins
+    x.P.y of level-l profiles P with single symbols x, y. Each level is
+    a dict from profile to its lexicographically least zone word, in
+    order of those words: enumerating (x, P, y) lexicographically visits
+    x + rep(P) + y in word order, so a profile's first hit is its least
+    word.
+    """
+    sym = {xi: (frozenset((space.ut[s], space.zt.get((s, xi), space._zero))
+                          for s in space.symbols), space.xt[xi])
+           for xi in space.xsymbols}
+    level = {}
+    for xi in space.xsymbols:
+        level.setdefault(sym[xi], (xi,))
+    while True:
+        yield level
+        nxt = {}
+        for x in space.xsymbols:
+            for prof, word in level.items():
+                if not any(_compose(sym[x][1], prof[1])):
+                    continue
+                left = _join(space, sym[x], prof)
+                for y in space.xsymbols:
+                    if any(_compose(left[1], sym[y][1])):
+                        nxt.setdefault(_join(space, left, sym[y]),
+                                       (x,) + word + (y,))
+        level = nxt
 
 
 @dataclass(frozen=True)
 class LiftingTable:
     """Per-level summary of a sweep: the uniform witness half-length at
-    each zone level, per-word witness data, and whether the level
-    profiles saturated (no new transfer behavior can appear deeper)."""
+    each zone level, witness data per level profile keyed by its least
+    zone word, and whether the level profiles saturated (no new transfer
+    behavior can appear deeper)."""
 
     entries: tuple
     witnesses: dict
@@ -424,80 +426,94 @@ def _empty_table():
     return LiftingTable((), {}, None, False, None)
 
 
+def _level_sweep(space, l_max, visit):
+    """Visit the profiles of levels 0..l_max in order of least zone word.
+
+    visit(level, word, first) gets the profile's least word at this level
+    and, for a profile met at an earlier level, first = (that level, the
+    entry visit returned there), else None. It returns the profile's
+    witness entry, which carries its half-length "k", or a Decision that
+    ends the sweep. A level that brings no new profile proves saturation.
+    Returns (decision, table).
+    """
+    entries = []
+    witnesses = {}
+    firsts = {}
+    saturation_level = None
+    levels = _profile_levels(space)
+    try:
+        for level in range(l_max + 1):
+            k_level = 0
+            grew = False
+            for prof, word in next(levels).items():
+                first = firsts.get(prof)
+                entry = visit(level, word, first)
+                if isinstance(entry, Decision):
+                    return entry, LiftingTable(tuple(entries), witnesses,
+                                               None, False, None)
+                if first is None:
+                    firsts[prof] = (level, entry)
+                    grew = True
+                witnesses[",".join(word)] = entry
+                k_level = max(k_level, entry["k"])
+            entries.append((level, k_level))
+            if level > 0 and not grew:
+                saturation_level = level
+                break
+    except BudgetExceeded as exc:
+        table = LiftingTable(tuple(entries), witnesses, None, False, None)
+        return inconclusive({"reason": "budget", "detail": str(exc)}), table
+    uniform = max((k - l for l, k in entries), default=0)
+    if saturation_level is not None:
+        return proved({
+            "levels": len(entries),
+            "saturation_level": saturation_level,
+            "uniform_offset": uniform,
+        }), LiftingTable(tuple(entries), witnesses, uniform, True,
+                         saturation_level)
+    return inconclusive({
+        "reason": "level profiles did not saturate",
+        "levels_checked": l_max + 1,
+    }), LiftingTable(tuple(entries), witnesses, uniform, False, None)
+
+
 def check_semi_open(code, l_max=4, k_max=12, budget=None):
     """Is every central-cylinder image interior-nonempty in the image
     shift? Refuted exactly on the first failing zone word; proved when
     every level verdict is positive and the level profiles saturate
-    within l_max levels; inconclusive otherwise."""
+    within l_max levels; inconclusive otherwise.
+
+    A profile's interior is scanned once, on its least word at the level
+    it first appears; at later levels only the witness search runs, at
+    the recorded offset k - l.
+    """
     try:
         space = SweepSpace(code, budget)
     except BudgetExceeded as exc:
         return inconclusive({"reason": "budget", "detail": str(exc)}), \
             _empty_table()
-    entries = []
-    witnesses = {}
-    seen_profiles = set()
-    cache = {}
-    verdicts = {}
-    saturated = False
-    saturation_level = None
-    try:
-        for level in range(l_max + 1):
-            words = _admissible_words(space, 2 * level + 1)
-            level_profiles = set()
-            k_level = 0
-            for word in words:
-                prof = _word_profile(space, word, cache)
-                level_profiles.add(prof)
-                # witness cylinders are word-specific, so every word gets
-                # its own scan; profile-mates must still agree on the
-                # verdict or the saturation argument would be unsound
-                dec = interior_nonempty(
-                    space, CenteredWord.central(word), k_max)
-                if prof in verdicts:
-                    if verdicts[prof].verdict != dec.verdict:
-                        raise InvariantViolation(
-                            "profile-equal zones share interior verdicts",
-                            f"zone {','.join(word)}")
-                else:
-                    verdicts[prof] = dec
-                if dec.is_refuted:
-                    table = LiftingTable(tuple(entries), witnesses, None,
-                                         False, None)
-                    return refuted({
-                        "zone": list(word),
-                        "level": level,
-                        "interior": dec.payload,
-                    }), table
-                witnesses[",".join(word)] = {
-                    "k": dec.payload["k"],
-                    "cylinder": dec.payload["cylinder"],
-                    "beyond_k_max": dec.payload["beyond_k_max"],
-                }
-                k_level = max(k_level, dec.payload["k"])
-            entries.append((level, k_level))
-            if level > 0 and level_profiles <= seen_profiles:
-                saturated = True
-                saturation_level = level
-                seen_profiles |= level_profiles
-                break
-            seen_profiles |= level_profiles
-    except BudgetExceeded as exc:
-        table = LiftingTable(tuple(entries), witnesses, None, False, None)
-        return inconclusive({"reason": "budget", "detail": str(exc)}), table
-    uniform = max((k - l for l, k in entries), default=0)
-    table = LiftingTable(tuple(entries), witnesses, uniform, saturated,
-                         saturation_level)
-    if saturated:
-        return proved({
-            "levels": len(entries),
-            "saturation_level": saturation_level,
-            "uniform_offset": uniform,
-        }), table
-    return inconclusive({
-        "reason": "level profiles did not saturate",
-        "levels_checked": l_max + 1,
-    }), table
+
+    def visit(level, word, first):
+        zone = CenteredWord.central(word)
+        if first is None:
+            dec = interior_nonempty(space, zone, k_max)
+            if dec.is_refuted:
+                return refuted({"zone": list(word), "level": level,
+                                "interior": dec.payload})
+            k = dec.payload["k"]
+            cylinder = dec.payload["cylinder"]
+        else:
+            first_level, entry = first
+            k = level + entry["k"] - first_level
+            found = _witness_search(space, zone, k)
+            if found is None:
+                raise InvariantViolation(
+                    "profile-equal zones share interior verdicts",
+                    f"zone {','.join(word)}")
+            cylinder = CenteredWord(found, k).to_json()
+        return {"k": k, "cylinder": cylinder, "beyond_k_max": k > k_max}
+
+    return _level_sweep(space, l_max, visit)
 
 
 # -- openness ------------------------------------------------------------
@@ -729,59 +745,21 @@ def check_open(code, l_max=4, k_max=12, budget=None):
         return inconclusive({"reason": "budget", "detail": str(exc)}), \
             _empty_table()
 
-    entries = []
-    witnesses = {}
-    seen_profiles = set()
-    cache = {}
-    verdicts = {}
-    saturated = False
-    saturation_level = None
     y = space.image
-    try:
-        for level in range(l_max + 1):
-            words = _admissible_words(space, 2 * level + 1)
-            level_profiles = set()
-            k_level = 0
-            for word in words:
-                prof = _word_profile(space, word, cache)
-                level_profiles.add(prof)
-                if prof in verdicts:
-                    k_u = verdicts[prof]
-                else:
-                    k_u = _uniform_open_bound(code, y, word, k_max, space)
-                    verdicts[prof] = k_u
-                if k_u is None:
-                    table = LiftingTable(tuple(entries), witnesses, None,
-                                         False, None)
-                    return inconclusive({
-                        "reason": "no uniform witness length within bound",
-                        "zone": list(word),
-                        "k_max": k_max,
-                    }), table
-                witnesses[",".join(word)] = {"k": k_u}
-                k_level = max(k_level, k_u)
-            entries.append((level, k_level))
-            if level > 0 and level_profiles <= seen_profiles:
-                saturated = True
-                saturation_level = level
-                break
-            seen_profiles |= level_profiles
-    except BudgetExceeded as exc:
-        table = LiftingTable(tuple(entries), witnesses, None, False, None)
-        return inconclusive({"reason": "budget", "detail": str(exc)}), table
-    uniform = max((k - l for l, k in entries), default=0)
-    table = LiftingTable(tuple(entries), witnesses, uniform, saturated,
-                         saturation_level)
-    if saturated:
-        return proved({
-            "levels": len(entries),
-            "saturation_level": saturation_level,
-            "uniform_offset": uniform,
-        }), table
-    return inconclusive({
-        "reason": "level profiles did not saturate",
-        "levels_checked": l_max + 1,
-    }), table
+
+    def visit(level, word, first):
+        if first is not None:
+            return {"k": first[1]["k"]}
+        k_u = _uniform_open_bound(code, y, word, k_max, space)
+        if k_u is None:
+            return inconclusive({
+                "reason": "no uniform witness length within bound",
+                "zone": list(word),
+                "k_max": k_max,
+            })
+        return {"k": k_u}
+
+    return _level_sweep(space, l_max, visit)
 
 
 def _uniform_open_bound(code, y, word, k_max, space):
@@ -874,7 +852,13 @@ def _retract_verdict(code, retract, side):
         return Decision(dec.verdict, payload, dec.provenance)
     if side != "right":
         raise InvariantViolation("side in right|left|bi", side)
+    try:
+        return _right_retract_verdict(code, retract)
+    except BudgetExceeded as exc:
+        return inconclusive({"reason": "budget", "detail": str(exc)})
 
+
+def _right_retract_verdict(code, retract):
     a = arrow_graph(code)
     g = a.graph
     xs = a.x_sym

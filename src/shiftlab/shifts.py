@@ -19,7 +19,6 @@ from .errors import (
     InvariantViolation,
     PeriodicPointNotInShift,
     ReducibleShift,
-    WordNotInLanguage,
 )
 from .graph import Edge, LabeledGraph
 
@@ -180,21 +179,6 @@ def is_irreducible_shift(x):
 def find_magic_word(x):
     """Shortest focusing word of the minimal cover (empty tuple allowed)."""
     return gr.find_magic_word(fischer_cover(x))
-
-
-def is_synchronizing_word(x, word):
-    """Does every occurrence of the word pin down the same follower set?
-
-    Checked on the minimal cover: the word must focus the full vertex
-    set to a singleton. Raises WordNotInLanguage on inadmissible input.
-    """
-    if not x.accepts(word):
-        raise WordNotInLanguage(word)
-    f = fischer_cover(x)
-    mask = f.full_mask
-    for s in word:
-        mask = f.ops.step(mask, f.sym_index[s])
-    return mask & (mask - 1) == 0
 
 
 # -- periodic points -------------------------------------------------------

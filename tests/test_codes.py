@@ -1,6 +1,7 @@
 import pytest
 
 from shiftlab import fixtures
+from shiftlab.automata import Budget
 from shiftlab.codes import (
     SlidingBlockCode,
     code_equal,
@@ -20,6 +21,7 @@ from shiftlab.codes import (
     lift_code,
 )
 from shiftlab.errors import DomainMismatch, NotFiniteToOne
+from shiftlab.io import graph_from_json
 from shiftlab.shifts import full_shift, shift_equal
 
 
@@ -128,3 +130,28 @@ def test_lift_identity_to_covers():
     assert lifted is not None
     # the lift's codomain alphabet is the cover's edge set
     assert all(len(s) > 0 for s in lifted.codomain_alphabet)
+
+
+# a cover code whose lift search has more path variables than Python's
+# default recursion limit
+DEEP_LIFT_GRAPH = {
+    "alphabet": ["0", "1", "2"],
+    "vertices": ["v0", "v1", "v2"],
+    "edges": [
+        {"id": "e0", "src": "v0", "dst": "v0", "label": "2"},
+        {"id": "e1", "src": "v2", "dst": "v0", "label": "2"},
+        {"id": "e2", "src": "v0", "dst": "v1", "label": "2"},
+        {"id": "e3", "src": "v0", "dst": "v1", "label": "0"},
+        {"id": "e4", "src": "v0", "dst": "v2", "label": "2"},
+        {"id": "e5", "src": "v1", "dst": "v0", "label": "0"},
+        {"id": "e6", "src": "v1", "dst": "v0", "label": "1"},
+        {"id": "e8", "src": "v2", "dst": "v1", "label": "1"},
+    ],
+}
+
+
+def test_lift_search_deeper_than_the_recursion_limit():
+    code = cover_code(graph_from_json(DEEP_LIFT_GRAPH))
+    lifted = lift_code(code, code.domain, image_presentation(code),
+                       budget=Budget(150_000, "lift"))
+    assert lifted is None

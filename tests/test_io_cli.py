@@ -174,6 +174,22 @@ def test_cli_budget_env_var(capsys, monkeypatch):
     assert json.loads(out)["payload"]["reason"] == "budget"
 
 
+def test_cli_retract_budget_exhaustion_writes_report(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "2")
+    report = tmp_path / "report.json"
+    rc, out = _run(capsys, "check", "right-continuing",
+                   "-x", str(FIXTURE_DIR / "golden_cover_shift.json"),
+                   "-c", str(FIXTURE_DIR / "golden_cover_code.json"),
+                   "--retract", "1", "--side", "bi",
+                   "--report", str(report))
+    assert rc == 2
+    written = json.loads(report.read_text())
+    assert written == json.loads(out)
+    assert written["verdict"] == "Inconclusive"
+    assert written["payload"]["right"]["payload"]["reason"] == "budget"
+
+
 def test_cli_fiber_and_lift(tmp_path, capsys):
     c1 = tmp_path / "c1.json"
     io.save_json(c1, io.code_to_json(fixtures.golden_cover(),

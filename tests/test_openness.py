@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
 from shiftlab import fixtures
 from shiftlab.automata import Budget
-from shiftlab.codes import image_presentation
+from shiftlab.codes import SlidingBlockCode, cover_code, image_presentation
+from shiftlab.decision import inconclusive, refuted
 from shiftlab.errors import InvariantViolation
 from shiftlab.openness import (
     RetractDecision,
     SweepSpace,
+    _uniform_open_bound,
     check_open,
     check_right_continuing_retract,
     check_semi_open,
@@ -20,6 +24,8 @@ from shiftlab.pointed import (
     cylinder_image,
     window_language,
 )
+from shiftlab.properties import gen_labeled_graph
+from shiftlab.shifts import SoficShift
 
 
 def test_fig1_semi_open_refuted_on_the_isolated_loop():
@@ -163,3 +169,176 @@ def test_budget_exhaustion_is_inconclusive():
                                  budget=Budget(2, "test"))
     assert dec.is_inconclusive
     assert dec.payload["reason"] == "budget"
+
+
+def test_retract_budget_exhaustion_is_inconclusive(monkeypatch):
+    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "2")
+    rd = check_right_continuing_retract(fixtures.golden_cover(), 1, "bi")
+    assert rd.is_inconclusive
+    for side in ("right", "left"):
+        assert rd.verdict.payload[side]["payload"]["reason"] == "budget"
+
+
+# -- the profile sweep against a per-word reference sweep ---------------------
+
+
+def _image(table, mask):
+    out = 0
+    for i in range(len(table)):
+        if mask >> i & 1:
+            out |= table[i]
+    return out
+
+
+def _then(t1, t2):
+    return tuple(_image(t2, m) for m in t1)
+
+
+def _zone_words(space, length):
+    """Every admissible zone word of the given length, lexicographically."""
+    level = [((), space.full)]
+    for _ in range(length):
+        level = [(w + (xi,), _image(space.xt[xi], m))
+                 for w, m in level for xi in space.xsymbols
+                 if _image(space.xt[xi], m)]
+    return [w for w, _ in level]
+
+
+def _word_profile(space, word):
+    """Joint (image, zone-thread) transfer tables over all image words of
+    the zone's length, plus the zone-only admissibility table."""
+    ident = tuple(1 << i for i in range(space.g.n))
+    pairs = {(ident, ident)}
+    xt = ident
+    for xi in word:
+        pairs = {(_then(tu, space.ut[s]),
+                  _then(ts, space.zt.get((s, xi), space._zero)))
+                 for tu, ts in pairs for s in space.symbols}
+        xt = _then(xt, space.xt[xi])
+    return frozenset(pairs), xt
+
+
+def _per_word_sweep(space, l_max, verdict):
+    """The sweep one zone word at a time. verdict(level, word, profile)
+    runs on every admissible word and returns (a witness entry or a
+    Decision that ends the sweep, the word's summary that profile-equal
+    words must share). Returns (decision, entries, witnesses, saturation
+    level, per-word (level, word, profile, entry, summary) in visiting
+    order)."""
+    entries, witnesses, seen, visited = [], {}, set(), []
+    for level in range(l_max + 1):
+        level_profiles = set()
+        k_level = 0
+        for word in _zone_words(space, 2 * level + 1):
+            prof = _word_profile(space, word)
+            level_profiles.add(prof)
+            got, summary = verdict(level, word, prof)
+            visited.append((level, word, prof, got, summary))
+            if not isinstance(got, dict):
+                return got, entries, witnesses, None, visited
+            witnesses[",".join(word)] = got
+            k_level = max(k_level, got["k"])
+        entries.append((level, k_level))
+        if level > 0 and level_profiles <= seen:
+            return None, entries, witnesses, level, visited
+        seen |= level_profiles
+    return None, entries, witnesses, None, visited
+
+
+def _small_codes(count, seed=3):
+    """Seeded cover and one-block codes on graphs of at most 4 vertices,
+    reducible domains included. At the default seed every outcome of
+    both sweeps occurs among 60 codes."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        g = gen_labeled_graph(rng, 4, 3)
+        if i % 2 == 0:
+            out.append(cover_code(g))
+            continue
+        images = [str(j) for j in range(rng.randint(1, 3))]
+        table = {(s,): rng.choice(images)
+                 for s in sorted({e.label for e in g.edges})}
+        out.append(SlidingBlockCode.make(SoficShift.from_graph(g), 0, 0,
+                                         table))
+    return out
+
+
+def _assert_sweeps_agree(dec, table, reference):
+    stop, entries, witnesses, saturation_level, visited = reference
+    if stop is not None:
+        assert dec.to_json() == stop.to_json()
+    elif saturation_level is not None:
+        assert dec.is_proved
+    else:
+        assert dec.payload["reason"] == "level profiles did not saturate"
+    assert table.entries == tuple(entries)
+    assert table.saturated == (saturation_level is not None)
+    assert table.saturation_level == saturation_level
+    if stop is None:
+        assert table.uniform == max(k - l for l, k in entries)
+    # one witness entry per level profile, on its least word, equal to
+    # that word's entry in the per-word sweep
+    least = {}
+    for level, word, prof, got, _ in visited:
+        least.setdefault((level, prof), (word, got))
+    kept = {",".join(w): got for w, got in least.values()
+            if isinstance(got, dict)}
+    assert table.witnesses == kept
+    for key, entry in table.witnesses.items():
+        assert entry == witnesses[key]
+    # every word's verdict is its profile's verdict, at every level
+    shared = {}
+    for _, word, prof, _, summary in visited:
+        assert shared.setdefault(prof, summary) == summary, word
+
+
+def test_semi_open_profile_sweep_matches_per_word_sweep():
+    verdicts = set()
+    for code in _small_codes(60):
+        space = SweepSpace(code)
+
+        def verdict(level, word, prof):
+            dec = interior_nonempty(space, CenteredWord.central(word), 12)
+            if dec.is_refuted:
+                return refuted({"zone": list(word), "level": level,
+                                "interior": dec.payload}), dec.verdict
+            entry = {key: dec.payload[key]
+                     for key in ("k", "cylinder", "beyond_k_max")}
+            # the witness offset k - l is shared too
+            return entry, (dec.verdict, entry["k"] - level)
+
+        dec, table = check_semi_open(code, l_max=2)
+        _assert_sweeps_agree(dec, table, _per_word_sweep(space, 2, verdict))
+        verdicts.add(dec.verdict)
+    assert verdicts == {"Proved", "Refuted", "Inconclusive"}
+
+
+def test_open_profile_sweep_matches_per_word_sweep():
+    outcomes = set()
+    for code in _small_codes(60):
+        dec, table = check_open(code, l_max=2, k_max=4)
+        if "direction" in dec.payload:
+            continue  # refuted by a limit-escape pattern before any sweep
+        outcomes.add((dec.verdict, dec.payload.get("reason")))
+        space = SweepSpace(code)
+        bounds = {}
+
+        def verdict(level, word, prof):
+            # whether a uniform window half-length within k_max exists is
+            # shared by profile-equal words, but the least one is not: as
+            # check_open does, the entry takes the profile's first bound
+            k_word = _uniform_open_bound(code, space.image, word, 4, space)
+            k_u = bounds.setdefault(prof, k_word)
+            if k_u is None:
+                return inconclusive({
+                    "reason": "no uniform witness length within bound",
+                    "zone": list(word), "k_max": 4}), k_word is None
+            return {"k": k_u}, k_word is None
+
+        _assert_sweeps_agree(dec, table, _per_word_sweep(space, 2, verdict))
+    assert outcomes == {
+        ("Proved", None),
+        ("Inconclusive", "no uniform witness length within bound"),
+        ("Inconclusive", "level profiles did not saturate"),
+    }
