@@ -1,5 +1,6 @@
 """Low-level kernels: SCCs on integer adjacency, subset (bitmask) stepping,
-generic BFS closures, and the global exploration budget.
+breadth-first closures and search trees, shortest paths and cycles, and
+the global exploration budget.
 
 Everything here works on small integers so the graph layer can stay
 immutable and hashable while searches run on flat arrays.
@@ -93,7 +94,7 @@ def tarjan_scc(n, adj):
     return comp, count
 
 
-def nontrivial_components(n, adj, comp, count):
+def nontrivial_components(n, adj, comp):
     """Component indices that contain a cycle (an edge within themselves)."""
     alive = set()
     for v in range(n):
@@ -102,6 +103,23 @@ def nontrivial_components(n, adj, comp, count):
                 alive.add(comp[v])
                 break
     return alive
+
+
+def cycle_nodes(n, adj):
+    """Vertices of 0..n-1 that lie on a cycle."""
+    comp, _ = tarjan_scc(n, adj)
+    alive = nontrivial_components(n, adj, comp)
+    return {v for v in range(n) if comp[v] in alive}
+
+
+def apply_mask(table, mask):
+    """Union of table[v] over the vertices v in the bitmask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 class SubsetOps:
@@ -122,6 +140,8 @@ class SubsetOps:
             self.fwd[sym][src] |= 1 << dst
             self.bwd[sym][dst] |= 1 << src
 
+    # the loop is apply_mask's, inlined: these steps are the hottest calls
+    # of the language queries, and the extra call measurably slowed them
     def step(self, mask, sym):
         out = 0
         table = self.fwd[sym]
@@ -142,37 +162,93 @@ class SubsetOps:
             m ^= low
         return out
 
-    def step_any(self, mask):
-        out = 0
-        for table in self.fwd:
-            m = mask
-            while m:
-                low = m & -m
-                out |= table[low.bit_length() - 1]
-                m ^= low
-        return out
-
 
 def bfs_closure(seeds, expand, budget=None):
-    """Closure of seeds under expand, insertion ordered.
-
-    expand(x) yields successors; returns the dict node -> discovery index
-    so callers can use it both as a set and as a stable ordering.
-    """
+    """Closure of seeds under expand, as a dict whose keys are in
+    discovery order, so callers can use it both as a set and as a stable
+    ordering. expand(x) returns successors; each discovered node that is
+    not a seed spends one budget unit."""
     seen = {}
     queue = []
     for s in seeds:
         if s not in seen:
-            seen[s] = len(seen)
+            seen[s] = None
             queue.append(s)
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
+    spend = None if budget is None else budget.spend
+    # the queue grows while it is walked; list iteration sees appends
+    for x in queue:
         for y in expand(x):
             if y not in seen:
-                if budget is not None:
-                    budget.spend()
-                seen[y] = len(seen)
+                if spend is not None:
+                    spend()
+                seen[y] = None
                 queue.append(y)
     return seen
+
+
+def bfs_tree(seeds, expand, budget=None, is_goal=None):
+    """Breadth-first search tree from the seeds, in FIFO order.
+
+    expand(x) returns (successor, label) pairs. Returns (parent, goal):
+    parent maps every discovered node, in discovery order, to None for a
+    seed or to (predecessor, label); goal is the first dequeued node that
+    satisfies is_goal, at which the search stops, or None. Each discovered
+    node that is not a seed spends one budget unit. Over ordered rows the
+    tree path to each node is its lexicographically least shortest path.
+    """
+    parent = {}
+    queue = []
+    for s in seeds:
+        if s not in parent:
+            parent[s] = None
+            queue.append(s)
+    spend = None if budget is None else budget.spend
+    # the queue grows while it is walked; list iteration sees appends
+    for x in queue:
+        if is_goal is not None and is_goal(x):
+            return parent, x
+        for y, label in expand(x):
+            if y not in parent:
+                if spend is not None:
+                    spend()
+                parent[y] = (x, label)
+                queue.append(y)
+    return parent, None
+
+
+def tree_path(parent, node):
+    """(seed, labels): the seed a bfs_tree path to node starts from, and
+    the labels along it in forward order."""
+    labels = []
+    while parent[node] is not None:
+        node, label = parent[node]
+        labels.append(label)
+    labels.reverse()
+    return node, labels
+
+
+def shortest_path(rows, sources, is_goal):
+    """Lexicographically least shortest path from the sources to a goal
+    over rows[x] = [(successor, label), ...], as (source, goal, labels);
+    labels is empty when a source is a goal. None if no goal is
+    reachable."""
+    parent, goal = bfs_tree(sources, rows.__getitem__, is_goal=is_goal)
+    if goal is None:
+        return None
+    source, labels = tree_path(parent, goal)
+    return source, goal, labels
+
+
+def shortest_cycle(rows, entry):
+    """Labels of the lexicographically least shortest nonempty cycle
+    through entry over rows, or None. The search is seeded with entry's
+    successors, each remembering the first step that reaches it."""
+    first = {}
+    for succ, label in rows[entry]:
+        first.setdefault(succ, label)
+    parent, goal = bfs_tree(first, rows.__getitem__,
+                            is_goal=lambda x: x == entry)
+    if goal is None:
+        return None
+    seed, labels = tree_path(parent, goal)
+    return [first[seed]] + labels

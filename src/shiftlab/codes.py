@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 from . import graph as gr
 from . import shifts as sh
-from .automata import Budget, bfs_closure, nontrivial_components, tarjan_scc
+from .automata import (Budget, bfs_closure, bfs_tree, cycle_nodes,
+                       nontrivial_components, shortest_cycle, shortest_path,
+                       tarjan_scc, tree_path)
 from .decision import inconclusive, proved, refuted
 from .errors import (
     AlphabetMismatch,
@@ -106,6 +108,16 @@ class SlidingBlockCode:
                         for j in range(self.window))
             out.append(self.table[key])
         return tuple(out)
+
+
+def reversed_code(code):
+    """The same code read right to left: reversed domain presentation,
+    swapped memory and anticipation, reversed table keys."""
+    rg = gr.reverse(code.domain.presentation)
+    table = {tuple(reversed(k)): v for k, v in code.table.items()}
+    return SlidingBlockCode.make(
+        SoficShift.from_graph(rg), code.anticipation, code.memory, table,
+        codomain_alphabet=code.codomain_alphabet)
 
 
 def identity_code(x):
@@ -348,8 +360,8 @@ def _has_eda(g):
     adj = [[] for _ in nodes]
     for a, b, e, f in edges:
         adj[a].append(b)
-    comp, count = tarjan_scc(len(nodes), adj)
-    alive = nontrivial_components(len(nodes), adj, comp, count)
+    comp, _ = tarjan_scc(len(nodes), adj)
+    alive = nontrivial_components(len(nodes), adj, comp)
     diagonal_comps = set()
     for v in range(g.n):
         c = comp[v * g.n + v]
@@ -487,34 +499,20 @@ def degree(code):
     def middles(rel):
         return {t // n % len(g.edges) for t in rel}
 
-    seeds = []
-    for s in sorted(g.symbols):
+    symbols = sorted(g.symbols)
+    seeds = {}  # relation -> the symbol that first gives it
+    for s in symbols:
         rel = frozenset(
             encode(vx[e.src], eix[e.id], vx[e.dst])
             for e in g.edges if e.label == s
         )
         if rel:
-            seeds.append((rel, ((s,), 0)))
+            seeds.setdefault(rel, s)
 
-    budget = Budget(where="degree")
-    parent = {}
-    queue = []
-    for rel, meta in seeds:
-        if rel not in parent:
-            parent[rel] = (None, meta)
-            queue.append(rel)
-    best = None
-    head = 0
-    while head < len(queue):
-        rel = queue[head]
-        head += 1
-        word, idx = parent[rel][1]
-        size = len(middles(rel))
-        if best is None or size < best[0]:
-            best = (size, word, idx, rel)
-            if size == 1:
-                break
-        for s in sorted(g.symbols):
+    # one-symbol extensions, labeled (symbol, 0 for right or 1 for left)
+    def extensions(rel):
+        out = []
+        for s in symbols:
             right = set()
             left = set()
             for t in rel:
@@ -525,61 +523,32 @@ def degree(code):
                     right.add(encode(si, ek, vx[e.dst]))
                 for e in by_label_in.get((s, g.vertices[si]), ()):
                     left.add(encode(vx[e.src], ek, ti))
-            for rel2, meta in ((frozenset(right), (word + (s,), idx)),
-                               (frozenset(left), ((s,) + word, idx + 1))):
-                if rel2 and rel2 not in parent:
-                    budget.spend()
-                    parent[rel2] = (rel, meta)
-                    queue.append(rel2)
+            for rel2, side in ((right, 0), (left, 1)):
+                if rel2:
+                    out.append((frozenset(rel2), (s, side)))
+        return out
 
-    size, word, idx, rel = best
+    best = []  # [size, relation] of the least relation dequeued so far
+
+    def is_least_possible(rel):
+        size = len(middles(rel))
+        if not best or size < best[0]:
+            best[:] = [size, rel]
+        return size == 1
+
+    parent, _ = bfs_tree(seeds, extensions, Budget(where="degree"),
+                         is_least_possible)
+    size, rel = best
+    seed, steps = tree_path(parent, rel)
+    word, idx = (seeds[seed],), 0
+    for s, side in steps:
+        word = (s,) + word if side else word + (s,)
+        idx += side
     fiber = tuple(sorted(g.edges[k].id for k in middles(rel)))
     return DegreeResult(size, word, idx, fiber)
 
 
 # -- closing properties ------------------------------------------------------
-
-
-def _pair_bfs(adj, sources, is_goal):
-    """BFS over adjacency rows of (succ, e, f); returns (start, goal, steps)
-    with steps the (e, f) pairs in forward order, or None."""
-    parent = {}
-    queue = []
-    for s in sources:
-        if s not in parent:
-            parent[s] = None
-            queue.append(s)
-    head = 0
-    while head < len(queue):
-        i = queue[head]
-        head += 1
-        if is_goal(i):
-            steps = []
-            cur = i
-            while parent[cur] is not None:
-                cur, step = parent[cur]
-                steps.append(step)
-            return cur, i, steps[::-1]
-        for j, e, f in adj[i]:
-            if j not in parent:
-                parent[j] = (i, (e, f))
-                queue.append(j)
-    return None
-
-
-def _pair_cycle(adj, anchor):
-    """Shortest nonempty cycle of (e, f) steps through anchor, or None."""
-    best = None
-    for j0, e0, f0 in adj[anchor]:
-        if j0 == anchor:
-            return [(e0, f0)]
-    for j0, e0, f0 in adj[anchor]:
-        r = _pair_bfs(adj, [j0], lambda i: i == anchor)
-        if r is not None:
-            cand = [(e0, f0)] + r[2]
-            if best is None or len(cand) < len(best):
-                best = cand
-    return best
 
 
 def _closing_refutation(code, side):
@@ -593,11 +562,7 @@ def _closing_refutation(code, side):
     forward forever.
     """
     if side == "left":
-        g0 = gr.reverse(code.domain.presentation)
-        table = {tuple(reversed(k)): v for k, v in code.table.items()}
-        code = SlidingBlockCode.make(
-            SoficShift.from_graph(g0), code.anticipation, code.memory,
-            table, code.codomain_alphabet)
+        code = reversed_code(code)
     d = gr.determinize(code.domain.presentation)
     a = arrow_graph(code, d)
     g = a.graph
@@ -608,6 +573,7 @@ def _closing_refutation(code, side):
         by_label.setdefault(e.label, []).append(e)
     vx = g.vindex
     nn = g.n * g.n
+    # rows of (successor, (e, f)) steps of the pair graph
     diag_adj = [[] for _ in range(nn)]
     off_adj = [[] for _ in range(nn)]
     full_adj = [[] for _ in range(nn)]
@@ -615,38 +581,33 @@ def _closing_refutation(code, side):
         for e in es:
             for f in es:
                 aa = vx[e.src] * g.n + vx[f.src]
-                bb = vx[e.dst] * g.n + vx[f.dst]
-                full_adj[aa].append((bb, e, f))
+                step = (vx[e.dst] * g.n + vx[f.dst], (e, f))
+                full_adj[aa].append(step)
                 if x_of[e.id] == x_of[f.id]:
-                    diag_adj[aa].append((bb, e, f))
+                    diag_adj[aa].append(step)
                 else:
-                    off_adj[aa].append((bb, e, f))
+                    off_adj[aa].append(step)
 
-    bare = [[b for b, _, _ in row] for row in diag_adj]
-    comp, count = tarjan_scc(nn, bare)
-    alive = nontrivial_components(nn, bare, comp, count)
-    cyc = {i for i in range(nn) if comp[i] in alive}
+    bare = [[b for b, _ in row] for row in diag_adj]
+    cyc = cycle_nodes(nn, bare)
     if not cyc:
         return None
     reach = bfs_closure(sorted(cyc), lambda i: bare[i])
 
     # forward-viable pair nodes: can reach a cycle of the full pair graph
-    fbare = [[b for b, _, _ in row] for row in full_adj]
-    fcomp, fcount = tarjan_scc(nn, fbare)
-    falive = nontrivial_components(nn, fbare, fcomp, fcount)
+    fbare = [[b for b, _ in row] for row in full_adj]
     frev = [[] for _ in range(nn)]
     for i, row in enumerate(fbare):
         for j in row:
             frev[j].append(i)
-    fwd_ok = set(bfs_closure(
-        sorted(i for i in range(nn) if fcomp[i] in falive),
-        lambda i: frev[i]))
+    fwd_ok = set(bfs_closure(sorted(cycle_nodes(nn, fbare)),
+                             lambda i: frev[i]))
 
     for node in reach:
-        for b, e, f in off_adj[node]:
-            if b in fwd_ok:
+        for split in off_adj[node]:
+            if split[0] in fwd_ok:
                 return _closing_witness(
-                    x_of, node, (b, e, f), cyc, diag_adj, full_adj,
+                    x_of, node, split, cyc, diag_adj, full_adj,
                     fwd_ok, side)
     return None
 
@@ -659,22 +620,18 @@ def _closing_witness(x_of, node, split, cyc, diag_adj, full_adj, fwd_ok, side):
     """
     rev = [[] for _ in diag_adj]
     for i, row in enumerate(diag_adj):
-        for j, e, f in row:
-            rev[j].append((i, e, f))
-    back = _pair_bfs(rev, [node], lambda i: i in cyc)
-    anchor = back[1]
-    bridge = back[2][::-1]
-    past = _pair_cycle(diag_adj, anchor)
+        for j, step in row:
+            rev[j].append((i, step))
+    _, anchor, bridge = shortest_path(rev, [node], cyc.__contains__)
+    bridge.reverse()
+    past = shortest_cycle(diag_adj, anchor)
 
-    viable = [[(j, e, f) for j, e, f in row if j in fwd_ok]
+    viable = [[(j, step) for j, step in row if j in fwd_ok]
               for row in full_adj]
-    vbare = [[j for j, _, _ in row] for row in viable]
-    vcomp, vcount = tarjan_scc(len(viable), vbare)
-    valive = nontrivial_components(len(viable), vbare, vcomp, vcount)
-    fw = _pair_bfs(viable, [split[0]], lambda i: vcomp[i] in valive)
-    tail_anchor = fw[1]
-    tail = fw[2]
-    future = _pair_cycle(viable, tail_anchor)
+    vcyc = cycle_nodes(len(viable), [[j for j, _ in row] for row in viable])
+    after, (e, f) = split
+    _, tail_anchor, tail = shortest_path(viable, [after], vcyc.__contains__)
+    future = shortest_cycle(viable, tail_anchor)
 
     def xs(steps, k):
         return [x_of[step[k].id] for step in steps]
@@ -683,7 +640,7 @@ def _closing_witness(x_of, node, split, cyc, diag_adj, full_adj, fwd_ok, side):
         "side": side,
         "past_cycle": xs(past, 0),
         "bridge": xs(bridge, 0),
-        "split": [x_of[split[1].id], x_of[split[2].id]],
+        "split": [x_of[e.id], x_of[f.id]],
         "tail": [xs(tail, 0), xs(tail, 1)],
         "future_cycle": [xs(future, 0), xs(future, 1)],
         "note": "two image-equal points agreeing on the periodic past "

@@ -19,8 +19,10 @@ from .automata import (
     Budget,
     SubsetOps,
     bfs_closure,
+    bfs_tree,
     nontrivial_components,
     tarjan_scc,
+    tree_path,
 )
 from .errors import (
     AlphabetMismatch,
@@ -170,7 +172,7 @@ def subgraph(g, keep):
 def scc_components(g):
     """All strongly connected components, each tagged trivial or not."""
     comp, count = tarjan_scc(g.n, g.adj)
-    alive = nontrivial_components(g.n, g.adj, comp, count)
+    alive = nontrivial_components(g.n, g.adj, comp)
     members = [[] for _ in range(count)]
     for i, v in enumerate(g.vertices):
         members[comp[i]].append(v)
@@ -195,8 +197,8 @@ def trim(g):
     A vertex survives iff it is reachable from some cycle and can reach
     some cycle; the induced subgraph presents the same shift.
     """
-    comp, count = tarjan_scc(g.n, g.adj)
-    alive = nontrivial_components(g.n, g.adj, comp, count)
+    comp, _ = tarjan_scc(g.n, g.adj)
+    alive = nontrivial_components(g.n, g.adj, comp)
     if not alive:
         return LabeledGraph.make(g.alphabet, (), ())
     seeds = [i for i in range(g.n) if comp[i] in alive]
@@ -303,30 +305,21 @@ def find_magic_word(g):
     check_right_resolving(t)
     if t.n == 0:
         return None
-    full = t.full_mask
-    if full & (full - 1) == 0:
-        return ()
     ops = t.ops
-    parent = {full: None}
-    queue = [full]
-    head = 0
-    while head < len(queue):
-        mask = queue[head]
-        head += 1
+
+    def expand(mask):
+        out = []
         for i, s in enumerate(t.symbols):
             m2 = ops.step(mask, i)
-            if not m2 or m2 in parent:
-                continue
-            parent[m2] = (mask, s)
-            if m2 & (m2 - 1) == 0:
-                word = []
-                cur = m2
-                while parent[cur] is not None:
-                    cur, sym = parent[cur]
-                    word.append(sym)
-                return tuple(reversed(word))
-            queue.append(m2)
-    return None
+            if m2:
+                out.append((m2, s))
+        return out
+
+    parent, goal = bfs_tree([t.full_mask], expand,
+                            is_goal=lambda m: m & (m - 1) == 0)
+    if goal is None:
+        return None
+    return tuple(tree_path(parent, goal)[1])
 
 
 # -- language queries -----------------------------------------------------

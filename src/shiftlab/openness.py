@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graph as gr
-from .automata import Budget, tarjan_scc
-from .codes import SlidingBlockCode, arrow_graph
+from .automata import (Budget, apply_mask, bfs_closure, bfs_tree, cycle_nodes,
+                       shortest_cycle, shortest_path, tree_path)
+from .codes import arrow_graph, reversed_code
 from .decision import Decision, inconclusive, proved, refuted
 from .errors import (BudgetExceeded, InvariantViolation, NotIrreducible,
                      NotMagic, WordNotAdmissible)
@@ -23,24 +24,23 @@ from .pointed import (CenteredWord, contains_cylinder, cylinder_escape,
 from .shifts import SoficShift
 
 
-def _apply(tbl, mask):
-    out = 0
-    m = mask
-    while m:
-        low = m & -m
-        out |= tbl[low.bit_length() - 1]
-        m ^= low
-    return out
-
-
-def reversed_code(code):
-    """The same code read right to left: reversed domain presentation,
-    swapped memory and anticipation, reversed table keys."""
-    rg = gr.reverse(code.domain.presentation)
-    table = {tuple(reversed(k)): v for k, v in code.table.items()}
-    return SlidingBlockCode.make(
-        SoficShift.from_graph(rg), code.anticipation, code.memory, table,
-        codomain_alphabet=code.codomain_alphabet)
+def _step_tables(g, x_sym):
+    """Successor bitmask tables of an arrow graph, one per produced symbol
+    (ut), per (produced, consumed) symbol pair (zt) and per consumed
+    symbol (xt)."""
+    n = g.n
+    vx = g.vindex
+    ut = {s: [0] * n for s in g.symbols}
+    zt = {}
+    xt = {}
+    for e in g.edges:
+        si, di = vx[e.src], vx[e.dst]
+        ut[e.label][si] |= 1 << di
+        xi = x_sym[e.id]
+        zt.setdefault((e.label, xi), [0] * n)[si] |= 1 << di
+        xt.setdefault(xi, [0] * n)[si] |= 1 << di
+    return tuple({k: tuple(t) for k, t in tables.items()}
+                 for tables in (ut, zt, xt))
 
 
 class SweepSpace:
@@ -57,108 +57,76 @@ class SweepSpace:
         self.image = SoficShift.from_graph(g)
         self.budget = budget if budget is not None else Budget(
             where="openness sweep")
-        n = g.n
-        vx = g.vindex
         self.full = g.full_mask
         self.symbols = g.symbols
-        ut = {s: [0] * n for s in g.symbols}
-        zt = {}
-        xt = {}
-        for e in g.edges:
-            si, di = vx[e.src], vx[e.dst]
-            ut[e.label][si] |= 1 << di
-            xi = self.x_sym[e.id]
-            zt.setdefault((e.label, xi), [0] * n)[si] |= 1 << di
-            xt.setdefault(xi, [0] * n)[si] |= 1 << di
-        self.ut = {s: tuple(t) for s, t in ut.items()}
-        self.zt = {k: tuple(t) for k, t in zt.items()}
-        self.xt = {k: tuple(t) for k, t in xt.items()}
+        self.ut, self.zt, self.xt = _step_tables(g, self.x_sym)
         self.xsymbols = sorted(self.xt)
-        self._zero = (0,) * n
+        self._zero = (0,) * g.n
         self.p0 = (self.full, self.full)
         self._build_universe()
 
     def free_step(self, p, s):
-        u = _apply(self.ut[s], p[0])
+        u = apply_mask(self.ut[s], p[0])
         if not u:
             return None
-        return (u, _apply(self.ut[s], p[1]))
+        return (u, apply_mask(self.ut[s], p[1]))
 
     def zone_step(self, p, s, xi):
-        u = _apply(self.ut[s], p[0])
+        u = apply_mask(self.ut[s], p[0])
         if not u:
             return None
-        return (u, _apply(self.zt.get((s, xi), self._zero), p[1]))
+        return (u, apply_mask(self.zt.get((s, xi), self._zero), p[1]))
+
+    def free_moves(self, p):
+        out = []
+        for s in self.symbols:
+            t = self.ut[s]
+            u = apply_mask(t, p[0])
+            if u:
+                out.append(((u, apply_mask(t, p[1])), s))
+        return out
+
+    def all_steps(self, p):
+        """The free step, then every zone step, per live symbol."""
+        out = []
+        for s in self.symbols:
+            u = apply_mask(self.ut[s], p[0])
+            if u:
+                out.append((u, apply_mask(self.ut[s], p[1])))
+                for xi in self.xsymbols:
+                    out.append((u, apply_mask(
+                        self.zt.get((s, xi), self._zero), p[1])))
+        return out
 
     def _build_universe(self):
         # left-context pairs, with parent chains for witness words
-        parent = {self.p0: None}
-        queue = [self.p0]
-        head = 0
-        while head < len(queue):
-            p = queue[head]
-            head += 1
-            for s in self.symbols:
-                q = self.free_step(p, s)
-                if q is not None and q not in parent:
-                    self.budget.spend()
-                    parent[q] = (p, s)
-                    queue.append(q)
-        self.left_pairs = frozenset(parent)
-        self._left_parent = parent
+        self._left_parent, _ = bfs_tree([self.p0], self.free_moves,
+                                        self.budget)
+        self.left_pairs = frozenset(self._left_parent)
         # full universe: close under free and every zone step
-        seen = set(parent)
-        queue = list(parent)
-        head = 0
-        while head < len(queue):
-            p = queue[head]
-            head += 1
-            for s in self.symbols:
-                cands = [self.free_step(p, s)]
-                for xi in self.xsymbols:
-                    cands.append(self.zone_step(p, s, xi))
-                for q in cands:
-                    if q is not None and q not in seen:
-                        self.budget.spend()
-                        seen.add(q)
-                        queue.append(q)
+        full = bfs_closure(self._left_parent, self.all_steps, self.budget)
+        # the doom search below breaks ties in this set's iteration order,
+        # which depends on insertion history: left context first, then one
+        # pair at a time in discovery order
+        seen = set(self._left_parent)
+        seen.update(list(full)[len(seen):])
         self.universe = frozenset(seen)
         # doomed: can reach a live-U dead-S pair by free steps
-        back = {}
+        back = {p: [] for p in self.universe}
         for p in self.universe:
-            for s in self.symbols:
-                q = self.free_step(p, s)
-                if q is not None and q in self.universe:
-                    back.setdefault(q, []).append((p, s))
-        doom_next = {}
-        queue = [p for p in self.universe if p[0] and not p[1]]
-        doomed = set(queue)
-        head = 0
-        while head < len(queue):
-            q = queue[head]
-            head += 1
-            for p, s in back.get(q, ()):
-                if p not in doomed:
-                    doomed.add(p)
-                    doom_next[p] = (s, q)
-                    queue.append(p)
-        self.doomed = frozenset(doomed)
-        self._doom_next = doom_next
+            for q, s in self.free_moves(p):
+                back[q].append((p, s))
+        self._doom_parent, _ = bfs_tree(
+            [p for p in self.universe if p[0] and not p[1]],
+            back.__getitem__)
+        self.doomed = frozenset(self._doom_parent)
 
     def left_word(self, p):
-        out = []
-        while self._left_parent[p] is not None:
-            p, s = self._left_parent[p]
-            out.append(s)
-        out.reverse()
-        return tuple(out)
+        return tuple(tree_path(self._left_parent, p)[1])
 
     def doom_word(self, p):
-        out = []
-        while p in self._doom_next:
-            s, p = self._doom_next[p]
-            out.append(s)
-        return tuple(out)
+        # the doom tree grows backwards from its seeds
+        return tuple(reversed(tree_path(self._doom_parent, p)[1]))
 
 
 # -- interior of a cylinder image ---------------------------------------------
@@ -190,7 +158,7 @@ def interior_nonempty(space, u, k_max=12):
         mode, j, qset, du = state
         out = []
         for s in space.symbols:
-            du2 = _apply(space.ut[s], du)
+            du2 = apply_mask(space.ut[s], du)
             if mode == 0:
                 q2 = frozenset(q for q in
                                (space.free_step(p, s) for p in qset)
@@ -273,7 +241,7 @@ def _witness_search(space, u, k):
         if key in dead:
             return None
         for s in space.symbols:
-            du2 = _apply(space.ut[s], du)
+            du2 = apply_mask(space.ut[s], du)
             if not du2:
                 continue
             if mode == 0 and rem_pre > 0:
@@ -334,7 +302,7 @@ def _escape_samples(space, u, limit=2):
             continue
         xi = u.word[j]
         for s in reversed(space.symbols):
-            du2 = _apply(space.ut[s], du)
+            du2 = apply_mask(space.ut[s], du)
             nxt = {}
             for q, src in origin.items():
                 q2 = space.zone_step(q, s, xi)
@@ -349,7 +317,7 @@ def _escape_samples(space, u, limit=2):
 
 
 def _compose(t1, t2):
-    return tuple(_apply(t2, m) for m in t1)
+    return tuple(apply_mask(t2, m) for m in t1)
 
 
 def _join(space, p1, p2):
@@ -519,57 +487,6 @@ def check_semi_open(code, l_max=4, k_max=12, budget=None):
 # -- openness ------------------------------------------------------------
 
 
-def _cycle_nodes(n, adj):
-    comp, _count = tarjan_scc(n, adj)
-    sizes = {}
-    for i in range(n):
-        sizes[comp[i]] = sizes.get(comp[i], 0) + 1
-    nontrivial = set()
-    for i in range(n):
-        for t in adj[i]:
-            if comp[t] == comp[i] and (sizes[comp[i]] > 1 or t == i):
-                nontrivial.add(comp[i])
-    return {i for i in range(n) if comp[i] in nontrivial}
-
-
-def _node_cycle(start, eadj, members):
-    """A shortest cycle through start staying inside members; returns
-    the edge payload list."""
-    frontier = [(start, [])]
-    seen = {start}
-    while frontier:
-        nxt = []
-        for node, path in frontier:
-            for t, e in eadj[node]:
-                if t == start:
-                    return path + [e]
-                if t in members and t not in seen:
-                    seen.add(t)
-                    nxt.append((t, path + [e]))
-        frontier = nxt
-    raise InvariantViolation("cycle exists through cycle node")
-
-
-def _edge_bridge(eadj, src, dst):
-    """Shortest edge path src -> dst, possibly empty; None if there is
-    no path."""
-    if src == dst:
-        return []
-    frontier = [(src, [])]
-    seen = {src}
-    while frontier:
-        nxt = []
-        for node, path in frontier:
-            for t, e in eadj[node]:
-                if t == dst:
-                    return path + [e]
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append((t, path + [e]))
-        frontier = nxt
-    return None
-
-
 def _orbit_tail(start, step):
     """Recurrent values of the orbit start, step(start), ... of a
     deterministic map on hashable values."""
@@ -624,11 +541,9 @@ def _skeleton_pattern(space, c1, b1, anchor, b2, c2, h):
         space.budget.spend()
         q2 = free_scan(q, free_left)
         for e in zone_left + [anchor] + zone_right:
-            u2 = _apply(space.ut[rho[e.id]], q2[0])
-            if not u2:
+            q2 = space.zone_step(q2, rho[e.id], space.x_sym[e.id])
+            if q2 is None:
                 raise InvariantViolation("admissible scan stays live", e.id)
-            q2 = (u2, _apply(space.zt.get((rho[e.id], space.x_sym[e.id]),
-                                          space._zero), q2[1]))
         q2 = free_scan(q2, free_right)
         # recurrent pair values along the future cycle, all phases
         tail = _orbit_tail((q2, 0),
@@ -656,18 +571,22 @@ def _limit_escape_pattern(space, h_max=2):
     eadj = [[] for _ in range(n)]
     for e in sorted(g.edges, key=lambda e: e.id):
         eadj[vx[e.src]].append((vx[e.dst], e))
-    adj = [[t for t, _ in eadj[i]] for i in range(n)]
-    cyc = _cycle_nodes(n, adj)
-    cycles = {i: _node_cycle(i, eadj, cyc) for i in sorted(cyc)}
+    cycles = {}
+    for i in sorted(cycle_nodes(n, g.adj)):
+        cycles[i] = shortest_cycle(eadj, i)
+        if cycles[i] is None:
+            raise InvariantViolation("cycle exists through cycle node")
+    # a search tree's path to a node is its shortest path from the root,
+    # so one tree per vertex gives every bridge
+    trees = [bfs_tree([v], eadj.__getitem__)[0] for v in range(n)]
     for anchor in sorted(g.edges, key=lambda e: e.id):
-        for i in sorted(cycles):
-            b1 = _edge_bridge(eadj, i, vx[anchor.src])
-            if b1 is None:
+        after = trees[vx[anchor.dst]]
+        ends = [(j, tree_path(after, j)[1]) for j in cycles if j in after]
+        for i in cycles:
+            if vx[anchor.src] not in trees[i]:
                 continue
-            for j in sorted(cycles):
-                b2 = _edge_bridge(eadj, vx[anchor.dst], j)
-                if b2 is None:
-                    continue
+            b1 = tree_path(trees[i], vx[anchor.src])[1]
+            for j, b2 in ends:
                 for h in range(h_max + 1):
                     space.budget.spend()
                     pat = _skeleton_pattern(space, cycles[i], b1, anchor,
@@ -862,77 +781,49 @@ def _right_retract_verdict(code, retract):
     a = arrow_graph(code)
     g = a.graph
     xs = a.x_sym
-    n = g.n
-    vx = g.vindex
     budget = Budget(where="retract check")
-    ut = {s: [0] * n for s in g.symbols}
-    zt = {}
-    for e in g.edges:
-        si, di = vx[e.src], vx[e.dst]
-        ut[e.label][si] |= 1 << di
-        zt.setdefault((e.label, xs[e.id]), [0] * n)[si] |= 1 << di
-    ut = {s: tuple(t) for s, t in ut.items()}
-    zt = {k: tuple(t) for k, t in zt.items()}
-    zero = (0,) * n
+    ut, zt, _ = _step_tables(g, xs)
+    zero = (0,) * g.n
     full = g.full_mask
     out_edges = {v: sorted(g.out[v], key=lambda e: e.id) for v in g.vertices}
 
     def locked_step(t, e):
-        return (e.dst, _apply(ut[e.label], t[1]),
-                _apply(zt.get((e.label, xs[e.id]), zero), t[2]))
+        return (e.dst, apply_mask(ut[e.label], t[1]),
+                apply_mask(zt.get((e.label, xs[e.id]), zero), t[2]))
 
     def free_lift_step(t, e):
-        return (e.dst, _apply(ut[e.label], t[1]),
-                _apply(ut[e.label], t[2]))
+        return (e.dst, apply_mask(ut[e.label], t[1]),
+                apply_mask(ut[e.label], t[2]))
 
     # locked-phase closure from full restarts
-    seeds = [(v, full, full) for v in g.vertices]
-    seen = set(seeds)
-    queue = list(seeds)
-    head = 0
     succ = {}
-    while head < len(queue):
-        t = queue[head]
-        head += 1
-        outs = []
-        for e in out_edges[t[0]]:
-            t2 = locked_step(t, e)
-            outs.append(t2)
-            if t2 not in seen:
-                budget.spend()
-                seen.add(t2)
-                queue.append(t2)
-        succ[t] = outs
 
-    order = sorted(seen)
+    def locked_moves(t):
+        succ[t] = [locked_step(t, e) for e in out_edges[t[0]]]
+        return succ[t]
+
+    order = sorted(bfs_closure([(v, full, full) for v in g.vertices],
+                               locked_moves, budget))
     index = {t: i for i, t in enumerate(order)}
-    adj = [[index[t2] for t2 in succ[t]] for t in order]
-    cyc = _cycle_nodes(len(order), adj)
+    eadj = [[(index[t2], e) for t2, e in zip(succ[t], out_edges[t[0]])]
+            for t in order]
+    adj = [[j for j, _ in row] for row in eadj]
+    cyc = cycle_nodes(len(order), adj)
 
     # every true limit triple is reachable from a cycle of the restart
     # closure, so this overapproximates them
-    upper = {order[i] for i in cyc}
-    queue = sorted(upper)
-    head = 0
-    while head < len(queue):
-        t = queue[head]
-        head += 1
-        for t2 in succ[t]:
-            if t2 not in upper:
-                upper.add(t2)
-                queue.append(t2)
+    upper = [order[i] for i in bfs_closure(sorted(cyc), adj.__getitem__)]
 
     # stabilized cycle scans are genuine limits, and so is anything
     # they reach: an underapproximation with realizable witnesses
-    eadj = [[] for _ in range(len(order))]
-    for t in order:
-        for e in out_edges[t[0]]:
-            eadj[index[t]].append((index[locked_step(t, e)], e))
     lower = set()
+    # a cycle through i stays inside its strongly connected component
+    cyc_rows = [[(j, e) for j, e in row if j in cyc] for row in eadj]
     for i in sorted(cyc):
-        t = order[i]
-        cyc_edges = _node_cycle(i, eadj, cyc)
-        cur = (t[0], full, full)
+        cyc_edges = shortest_cycle(cyc_rows, i)
+        if cyc_edges is None:
+            raise InvariantViolation("cycle exists through cycle node")
+        cur = (order[i][0], full, full)
         while True:
             nxt = cur
             for e in cyc_edges:
@@ -940,20 +831,19 @@ def _right_retract_verdict(code, retract):
             if nxt == cur:
                 break
             cur = nxt
-        lower.add(cur)
-    queue = sorted(lower)
-    head = 0
-    while head < len(queue):
-        t = queue[head]
-        head += 1
-        for e in out_edges[t[0]]:
-            t2 = locked_step(t, e)
-            if t2 not in lower:
-                budget.spend()
-                lower.add(t2)
-                queue.append(t2)
+        lower.add(index[cur])
+    lower = [order[i]
+             for i in bfs_closure(sorted(lower), adj.__getitem__, budget)]
 
     symbols = g.symbols
+
+    def free_moves(p):
+        out = []
+        for s in symbols:
+            u2 = apply_mask(ut[s], p[0])
+            if u2:
+                out.append(((u2, apply_mask(ut[s], p[1])), s))
+        return out
 
     def hunt(triples):
         # retract window first: the lift may deviate, the image is
@@ -967,24 +857,10 @@ def _right_retract_verdict(code, retract):
             budget.spend()
             frontier = nxt
         # then a free hunt for an admissible continuation with no lift
-        seenp = {(t[1], t[2]) for t in frontier}
-        queue = sorted(seenp)
-        head = 0
-        while head < len(queue):
-            u, b = queue[head]
-            head += 1
-            if u and not b:
-                return True, len(seenp)
-            for s in symbols:
-                u2 = _apply(ut[s], u)
-                if not u2:
-                    continue
-                q = (u2, _apply(ut[s], b))
-                if q not in seenp:
-                    budget.spend()
-                    seenp.add(q)
-                    queue.append(q)
-        return False, len(seenp)
+        seen, bad = bfs_tree(sorted({(t[1], t[2]) for t in frontier}),
+                             free_moves, budget,
+                             lambda p: p[0] and not p[1])
+        return bad is not None, len(seen)
 
     escaped, states = hunt(lower)
     if escaped:
@@ -1039,11 +915,19 @@ def witness_from_magic(g, alpha, pi):
             raise InvariantViolation("path is consecutive",
                                      f"{e1.id} then {e2.id}")
 
+    rows = {v: [(e.dst, e) for e in sorted(g.out[v], key=lambda e: e.id)]
+            for v in g.vertices}
+
+    def edge_path(src, dst):
+        found = shortest_path(rows, [src], lambda v: v == dst)
+        if found is None:
+            raise NotIrreducible()
+        return found[2]
+
     lam = _first_presenting_path(g, alpha)
     lam_end = lam[-1].dst if lam else _least_alpha_start(g, alpha)
-    xi = _shortest_edge_path(g, lam_end, edges[0].src)
-    gam = _shortest_edge_path(g, edges[-1].dst,
-                              lam[0].src if lam else lam_end)
+    xi = edge_path(lam_end, edges[0].src)
+    gam = edge_path(edges[-1].dst, lam[0].src if lam else lam_end)
     word = (alpha + tuple(e.label for e in xi) + tuple(e.label for e in edges)
             + tuple(e.label for e in gam) + alpha)
     center = len(alpha) + len(xi) + (len(edges) - 1) // 2
@@ -1085,21 +969,3 @@ def _first_presenting_path(g, alpha):
         path.append(nxt)
         cur = nxt.dst
     return path
-
-
-def _shortest_edge_path(g, src, dst):
-    if src == dst:
-        return []
-    frontier = [(src, [])]
-    seen = {src}
-    while frontier:
-        nxt = []
-        for v, path in frontier:
-            for e in sorted(g.out[v], key=lambda e: e.id):
-                if e.dst == dst:
-                    return path + [e]
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    nxt.append((e.dst, path + [e]))
-        frontier = nxt
-    raise NotIrreducible()

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import graph as gr
 from . import shifts as sh
-from .automata import Budget
+from .automata import Budget, bfs_tree, tree_path
 from .errors import (InvariantViolation, PeriodicPointNotInShift,
                      WordNotAdmissible)
 from .graph import Edge, LabeledGraph
@@ -221,24 +221,22 @@ def cylinder_escape(a, y, w, budget=None):
         s2 = _step_threads(smask, moves.get(s, ()), trigger)
         return (u2, s2)
 
-    # phase one: arbitrary left context
     symbols = yg.symbols
-    parent = {start: None}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        p = queue[head]
-        head += 1
+
+    def free_moves(p):
+        u, smask = p
+        out = []
         for s in symbols:
-            q = stepped(p, s, None)
-            if q is not None and q not in parent:
-                budget.spend()
-                parent[q] = (p, s)
-                queue.append(q)
-    left_pairs = list(parent)
+            u2 = yg.ops.step(u, sx[s])
+            if u2:
+                out.append(((u2, _step_threads(smask, moves.get(s, ()))), s))
+        return out
+
+    # phase one: arbitrary left context
+    parent, _ = bfs_tree([start], free_moves, budget)
 
     # phase two: the word itself, with the origin trigger at its center
-    level = {p: p for p in left_pairs}  # current pair -> entry pair
+    level = {p: p for p in parent}  # current pair -> entry pair
     for j, s in enumerate(w.word):
         trigger = anchor if j == w.center else None
         nxt = {}
@@ -254,41 +252,14 @@ def cylinder_escape(a, y, w, budget=None):
         marked_mask |= 1 << (i * 2 + 1)
 
     # phase three: arbitrary right context, hunting a live unmarked pair
-    seen = dict(level)
-    queue = list(level)
-    rparent = {p: None for p in level}
-    head = 0
-    while head < len(queue):
-        p = queue[head]
-        head += 1
-        u, smask = p
-        if u and not (smask & marked_mask):
-            return _escape_window(w, parent, seen[p], rparent, p)
-        for s in symbols:
-            q = stepped(p, s, None)
-            if q is not None and q not in seen:
-                budget.spend()
-                seen[q] = seen[p]
-                rparent[q] = (p, s)
-                queue.append(q)
-    return None
-
-
-def _escape_window(w, parent, entry, rparent, bad):
-    left = []
-    cur = entry
-    while parent[cur] is not None:
-        cur, s = parent[cur]
-        left.append(s)
-    left.reverse()
-    right = []
-    cur = bad
-    while rparent[cur] is not None:
-        cur, s = rparent[cur]
-        right.append(s)
-    right.reverse()
-    word = tuple(left) + tuple(w.word) + tuple(right)
-    return CenteredWord(word, len(left) + w.center)
+    rparent, bad = bfs_tree(level, free_moves, budget,
+                            lambda p: p[0] and not (p[1] & marked_mask))
+    if bad is None:
+        return None
+    exit_pair, right = tree_path(rparent, bad)
+    _, left = tree_path(parent, level[exit_pair])
+    return CenteredWord(tuple(left) + tuple(w.word) + tuple(right),
+                        len(left) + w.center)
 
 
 def contains_cylinder(a, y, w, budget=None):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import graph as gr
-from .automata import Budget, bfs_closure, nontrivial_components, tarjan_scc
+from .automata import (Budget, bfs_closure, nontrivial_components,
+                       shortest_cycle, shortest_path, tarjan_scc)
 from .decision import inconclusive, proved, refuted
 from .errors import (
     BudgetExceeded,
@@ -286,8 +287,8 @@ def is_sft(x, m_max=32):
     bad = {i for i in differ if order[i][0] != 0}
 
     adj = [[j for j, _ in row] for row in succ]
-    comp, count = tarjan_scc(len(order), adj)
-    alive = nontrivial_components(len(order), adj, comp, count)
+    comp, _ = tarjan_scc(len(order), adj)
+    alive = nontrivial_components(len(order), adj, comp)
     cyclic = {i for i in range(len(order)) if comp[i] in alive}
     after_cycle = set(bfs_closure(sorted(cyclic), lambda i: adj[i]))
 
@@ -295,7 +296,7 @@ def is_sft(x, m_max=32):
     if pumped:
         target = pumped[0]
         into_target = set(bfs_closure([target], lambda i: pred[i]))
-        payload = _sft_refutation(order, succ, seeds, nodes, lethal,
+        payload = _sft_refutation(succ, seeds, nodes, lethal,
                                   cyclic & into_target, target)
         return refuted(payload)
 
@@ -322,64 +323,7 @@ def is_sft(x, m_max=32):
     return proved({"memory": memory, "pairs": len(order)})
 
 
-def _sft_path(succ, sources, goals):
-    """BFS in the pair graph; returns (source hit, goal hit, symbol word)."""
-    parent = {}
-    queue = []
-    for s in sources:
-        if s not in parent:
-            parent[s] = None
-            queue.append(s)
-    head = 0
-    while head < len(queue):
-        i = queue[head]
-        head += 1
-        if i in goals:
-            word = []
-            cur = i
-            while parent[cur] is not None:
-                cur, sym = parent[cur]
-                word.append(sym)
-            return cur, i, tuple(reversed(word))
-        for j, sym in succ[i]:
-            if j not in parent:
-                parent[j] = (i, sym)
-                queue.append(j)
-    raise InvariantViolation("sft witness path", "goal unreachable")
-
-
-def _sft_cycle(succ, entry):
-    """Shortest nonempty symbol word around a cycle through entry."""
-    parent = {}
-    queue = []
-    for j, sym in succ[entry]:
-        if j == entry:
-            return (sym,)
-        if j not in parent:
-            parent[j] = (None, sym)
-            queue.append(j)
-    head = 0
-    while head < len(queue):
-        i = queue[head]
-        head += 1
-        for j, sym in succ[i]:
-            if j == entry:
-                word = [sym]
-                cur = i
-                while True:
-                    prev, s2 = parent[cur]
-                    word.append(s2)
-                    if prev is None:
-                        break
-                    cur = prev
-                return tuple(reversed(word))
-            if j not in parent:
-                parent[j] = (i, sym)
-                queue.append(j)
-    raise InvariantViolation("sft witness cycle", "no cycle at entry")
-
-
-def _sft_refutation(order, succ, seeds, nodes, lethal, cyclic, target):
+def _sft_refutation(succ, seeds, nodes, lethal, cyclic, target):
     """Assemble a pumpable witness.
 
     With u(t) = stem cycle^t tail: u(t) extension and symbol u(t) are
@@ -394,17 +338,24 @@ def _sft_refutation(order, succ, seeds, nodes, lethal, cyclic, target):
             seed_sym[i] = s
             seed_ids.append(i)
 
-    seed0, entry, stem = _sft_path(succ, seed_ids, cyclic)
-    cycle = _sft_cycle(succ, entry)
-    _, _, tail = _sft_path(succ, [entry], {target})
-    _, end, ext = _sft_path(succ, [target], set(lethal))
-    ext = ext + (lethal[end],)
+    def path(sources, goals):
+        found = shortest_path(succ, sources, goals.__contains__)
+        if found is None:
+            raise InvariantViolation("sft witness path", "goal unreachable")
+        return found
+
+    seed0, entry, stem = path(seed_ids, cyclic)
+    cycle = shortest_cycle(succ, entry)
+    if cycle is None:
+        raise InvariantViolation("sft witness cycle", "no cycle at entry")
+    _, _, tail = path([entry], {target})
+    _, end, ext = path([target], lethal)
     return {
         "symbol": seed_sym[seed0],
-        "stem": list(stem),
-        "cycle": list(cycle),
-        "tail": list(tail),
-        "extension": list(ext),
+        "stem": stem,
+        "cycle": cycle,
+        "tail": tail,
+        "extension": ext + [lethal[end]],
         "note": "with u(t) = stem cycle^t tail: u(t)+extension and "
                 "symbol+u(t) are admissible for every t, but "
                 "symbol+u(t)+extension never is",

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from shiftlab import fixtures
@@ -22,7 +24,8 @@ from shiftlab.codes import (
 )
 from shiftlab.errors import DomainMismatch, NotFiniteToOne
 from shiftlab.io import graph_from_json
-from shiftlab.shifts import full_shift, shift_equal
+from shiftlab.properties import gen_labeled_graph
+from shiftlab.shifts import SoficShift, full_shift, shift_equal
 
 
 def test_table_must_cover_admissible_windows():
@@ -93,6 +96,52 @@ def test_closing_fixtures():
     # the doubling map identifies the two loops only after one step
     pd = fixtures.phase_doubling_code()
     assert is_right_closing(pd).is_proved
+
+
+def _random_code(rng):
+    """A cover code, or a random block code of window 1 or 2 on the shift
+    of a random graph (reducible domains included)."""
+    g = gen_labeled_graph(rng, 5, 3)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return cover_code(g)
+    x = SoficShift.from_graph(g)
+    outs = [str(i) for i in range(rng.randint(1, 3))]
+    table = {w: rng.choice(outs) for w in x.language(kind)}
+    return SlidingBlockCode.make(x, kind - 1, 0, table)
+
+
+def test_closing_refutations_give_two_image_equal_points():
+    # a refutation is (past)^inf bridge split tail (future)^inf on two
+    # domain points; every truncation with r periods on each side must be
+    # admissible on both, have equal images and differ at the split
+    rng = random.Random(11)
+    refuted = 0
+    for trial in range(150):
+        code = _random_code(rng)
+        for check in (is_right_closing, is_left_closing):
+            dec = check(code)
+            if not dec.is_refuted:
+                continue
+            refuted += 1
+            p = dec.payload
+            at = len(p["bridge"])
+            for r in (1, 2, 3):
+                words = []
+                for k in (0, 1):
+                    w = (p["past_cycle"] * r + p["bridge"] + [p["split"][k]]
+                         + p["tail"][k] + p["future_cycle"][k] * r)
+                    words.append(tuple(w if p["side"] == "right"
+                                       else w[::-1]))
+                split = len(p["past_cycle"]) * r + at
+                if p["side"] == "left":
+                    split = len(words[0]) - 1 - split
+                where = f"trial {trial} {p['side']} r={r}"
+                assert all(code.domain.accepts(w) for w in words), where
+                assert code.apply_block(words[0]) == \
+                    code.apply_block(words[1]), where
+                assert words[0][split] != words[1][split], where
+    assert refuted >= 20
 
 
 def test_periodic_preimage_counts():

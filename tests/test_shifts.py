@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 
 from shiftlab import fixtures
 from shiftlab.errors import ReducibleShift
 from shiftlab.graph import is_irreducible, is_right_resolving, shift_equal
+from shiftlab.properties import gen_labeled_graph
 from shiftlab.shifts import (
     SoficShift,
     edge_shift,
@@ -73,6 +75,28 @@ def test_sft_decisions():
     even = is_sft(fixtures.even_shift())
     assert even.is_refuted
     assert is_sft(full_shift(["0", "1"])).is_proved
+
+
+def test_sft_refutations_pump():
+    # with u(t) = stem cycle^t tail: u(t)+ext and symbol+u(t) are
+    # admissible, symbol+u(t)+ext is not, for every t
+    rng = random.Random(5)
+    refuted = 0
+    for trial in range(300):
+        x = SoficShift.from_graph(gen_labeled_graph(rng, 5, 3))
+        dec = is_sft(x)
+        if not dec.is_refuted:
+            continue
+        refuted += 1
+        p = dec.payload
+        sym = (p["symbol"],)
+        ext = tuple(p["extension"])
+        for t in range(4):
+            u = tuple(p["stem"] + p["cycle"] * t + p["tail"])
+            assert x.accepts(u + ext), f"trial {trial} t={t}"
+            assert x.accepts(sym + u), f"trial {trial} t={t}"
+            assert not x.accepts(sym + u + ext), f"trial {trial} t={t}"
+    assert refuted >= 10
 
 
 def test_edge_shift_full_language():
