@@ -306,13 +306,22 @@ def find_magic_word(g):
     if t.n == 0:
         return None
     ops = t.ops
+    focused = False
 
+    # in FIFO order the first singleton discovered is the first dequeued,
+    # so nothing needs expanding once one is queued
     def expand(mask):
+        nonlocal focused
         out = []
+        if focused:
+            return out
         for i, s in enumerate(t.symbols):
             m2 = ops.step(mask, i)
             if m2:
                 out.append((m2, s))
+                if m2 & (m2 - 1) == 0:
+                    focused = True
+                    break
         return out
 
     parent, goal = bfs_tree([t.full_mask], expand,

@@ -19,8 +19,8 @@ from .codes import arrow_graph, reversed_code
 from .decision import Decision, inconclusive, proved, refuted
 from .errors import (BudgetExceeded, InvariantViolation, NotIrreducible,
                      NotMagic, WordNotAdmissible)
-from .pointed import (CenteredWord, contains_cylinder, cylinder_escape,
-                      cylinder_image, window_language)
+from .pointed import (CenteredWord, cylinder_escape, cylinder_image,
+                      uniform_window_bound)
 from .shifts import SoficShift
 
 
@@ -619,7 +619,8 @@ def _pattern_payload(code, space, pat, direction):
     probes = []
     for t in (u.center + 1, u.center + 3):
         window = tuple(rho_at(anchor + d) for d in range(-t, t + 1))
-        esc = cylinder_escape(au, y, CenteredWord(window, t))
+        esc = cylinder_escape(au, y, CenteredWord(window, t),
+                              space.budget)
         if esc is None:
             raise InvariantViolation(
                 "pattern escape at every scale",
@@ -686,16 +687,7 @@ def _uniform_open_bound(code, y, word, k_max, space):
     cylinder image spans a cylinder inside it, or None. Such a k exists
     for some (possibly larger) bound iff the image set is open."""
     au = cylinder_image(code, CenteredWord.central(word))
-    for k in range(k_max + 1):
-        ok = True
-        for win in window_language(au, k):
-            if not contains_cylinder(au, y, CenteredWord.central(win),
-                                     budget=space.budget):
-                ok = False
-                break
-        if ok:
-            return k
-    return None
+    return uniform_window_bound(au, y, k_max, space.budget)
 
 
 # -- right/left continuing with retract ---------------------------------------

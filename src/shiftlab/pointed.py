@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import graph as gr
 from . import shifts as sh
-from .automata import Budget, bfs_tree, tree_path
+from .automata import Budget, apply_mask, bfs_tree, tree_path
 from .errors import (InvariantViolation, PeriodicPointNotInShift,
                      WordNotAdmissible)
 from .graph import Edge, LabeledGraph
@@ -158,26 +158,45 @@ def contains_periodic_point(a, block):
 # -- containment of cylinders -------------------------------------------------
 
 
-def _thread_tables(g):
-    """Per-symbol thread moves over (vertex, marked-bit) atoms."""
+def _thread_tables(a, symbols):
+    """apply_mask tables over (vertex, marked-bit) threads, atom 2v + bit,
+    per symbol: plain[s] keeps the bit, origin[s] sets it on a thread
+    crossing a marked edge (the move at the origin). Also the masks of
+    every unmarked and of every marked atom."""
+    g = a.graph
+    anchor = a.origin_edge_ids()
     vx = g.vindex
-    plain = {}
+    plain = {s: [0] * (2 * g.n) for s in symbols}
+    origin = {s: [0] * (2 * g.n) for s in symbols}
     for e in g.edges:
-        plain.setdefault(e.label, []).append((vx[e.src], vx[e.dst], e.id))
-    return plain
-
-
-def _step_threads(smask, moves, trigger=None):
-    """Advance all (vertex, bit) threads along the given moves; threads
-    crossing a trigger edge come out with the bit set."""
-    out = 0
-    for src, dst, eid in moves:
-        hit = trigger is not None and eid in trigger
+        if e.label not in plain:
+            continue
+        src, dst = 2 * vx[e.src], 2 * vx[e.dst]
+        hit = e.id in anchor
         for b in (0, 1):
-            if smask >> (src * 2 + b) & 1:
-                nb = 1 if (b or hit) else 0
-                out |= 1 << (dst * 2 + nb)
-    return out
+            plain[e.label][src + b] |= 1 << (dst + b)
+            origin[e.label][src + b] |= 1 << (dst + (1 if b or hit else 0))
+    unmarked = 0
+    for i in range(g.n):
+        unmarked |= 1 << (i * 2)
+    return plain, origin, unmarked, unmarked << 1
+
+
+def _free_moves(yg, plain):
+    """bfs_tree expand over (y-subset, threads) pairs: every symbol that
+    keeps the y-side live, with the threads moved off the origin."""
+    step = yg.ops.step
+    rows = [(i, s, plain[s]) for i, s in enumerate(yg.symbols)]
+
+    def expand(pair):
+        u, threads = pair
+        out = []
+        for i, s, table in rows:
+            u2 = step(u, i)
+            if u2:
+                out.append(((u2, apply_mask(table, threads)), s))
+        return out
+    return expand
 
 
 def cylinder_escape(a, y, w, budget=None):
@@ -199,61 +218,32 @@ def cylinder_escape(a, y, w, budget=None):
     if a.is_empty:
         # nonempty cylinder against an empty denotation always escapes
         return w
-    anchor = a.origin_edge_ids()
-    g = a.graph
-    moves = _thread_tables(g)
     if budget is None:
         budget = Budget(where="cylinder containment")
-
-    sx = yg.sym_index
-    all_threads = 0
-    for i in range(g.n):
-        all_threads |= 1 << (i * 2)
-    start = (yg.full_mask, all_threads)
-
-    def stepped(pair, s, trigger):
-        u, smask = pair
-        if s not in sx:
-            return None
-        u2 = yg.ops.step(u, sx[s])
-        if not u2:
-            return None
-        s2 = _step_threads(smask, moves.get(s, ()), trigger)
-        return (u2, s2)
-
-    symbols = yg.symbols
-
-    def free_moves(p):
-        u, smask = p
-        out = []
-        for s in symbols:
-            u2 = yg.ops.step(u, sx[s])
-            if u2:
-                out.append(((u2, _step_threads(smask, moves.get(s, ()))), s))
-        return out
+    plain, origin, unmarked, marked = _thread_tables(a, yg.symbols)
+    free = _free_moves(yg, plain)
+    step = yg.ops.step
 
     # phase one: arbitrary left context
-    parent, _ = bfs_tree([start], free_moves, budget)
+    parent, _ = bfs_tree([(yg.full_mask, unmarked)], free, budget)
 
     # phase two: the word itself, with the origin trigger at its center
     level = {p: p for p in parent}  # current pair -> entry pair
     for j, s in enumerate(w.word):
-        trigger = anchor if j == w.center else None
+        i = yg.sym_index[s]
+        table = (origin if j == w.center else plain)[s]
         nxt = {}
-        for p, src in level.items():
-            q = stepped(p, s, trigger)
-            if q is not None and q not in nxt:
-                nxt[q] = src
+        for (u, threads), src in level.items():
+            u2 = step(u, i)
+            if u2:
+                nxt.setdefault((u2, apply_mask(table, threads)), src)
         level = nxt
         if not level:
             return None  # no y-point carries w here at all; vacuous
-    marked_mask = 0
-    for i in range(g.n):
-        marked_mask |= 1 << (i * 2 + 1)
 
     # phase three: arbitrary right context, hunting a live unmarked pair
-    rparent, bad = bfs_tree(level, free_moves, budget,
-                            lambda p: p[0] and not (p[1] & marked_mask))
+    rparent, bad = bfs_tree(level, free, budget,
+                            lambda p: not p[1] & marked)
     if bad is None:
         return None
     exit_pair, right = tree_path(rparent, bad)
@@ -268,35 +258,88 @@ def contains_cylinder(a, y, w, budget=None):
     return cylinder_escape(a, y, w, budget) is None
 
 
+def uniform_window_bound(a, y, k_max, budget):
+    """Least k <= k_max such that every central (2k+1)-window of the
+    denotation of a spans a cylinder of y inside the denotation, or None.
+
+    The answer of cylinder_escape on every window of window_language,
+    from one subset-product scan per k. A state (U, S, T) holds the
+    y-states that can read the word so far, the threads of
+    cylinder_escape after an arbitrary left context, and the window
+    threads of window_language, started at every vertex at coordinate -k.
+    Phase one is the left-context closure of (U, S). Phase two reads the
+    2k+1 window symbols, dropping a state whose U or T empties; the layer
+    of the k symbols left of the origin grows by one symbol per k, so
+    phase one and those layers are built once for every k. Phase three
+    hunts, from the final (U, S) pairs, a right context that keeps U live
+    and leaves no marked thread: some window escapes exactly when the
+    hunt succeeds. Every discovered state spends one budget unit.
+    """
+    if a.is_empty:
+        return 0  # no windows at all
+    yg = y.presentation
+    plain, origin, unmarked, marked = _thread_tables(a, yg.symbols)
+    free = _free_moves(yg, plain)
+    step = yg.ops.step
+    left, _ = bfs_tree([(yg.full_mask, unmarked)], free, budget)
+    spend = budget.spend
+
+    def advance(layer, tables, keep):
+        moves = [(i, tables[sym]) for i, sym in enumerate(yg.symbols)]
+        nxt = {}
+        for u, s, t in layer:
+            for i, table in moves:
+                u2 = step(u, i)
+                if not u2:
+                    continue
+                t2 = apply_mask(table, t) & keep
+                if t2:
+                    q = (u2, apply_mask(table, s), t2)
+                    if q not in nxt:
+                        spend()
+                        nxt[q] = None
+        return nxt
+
+    # the k symbols left of the origin, extended by one symbol per k
+    before = [(u, s, unmarked) for u, s in left]
+    for k in range(k_max + 1):
+        if k:
+            before = advance(before, plain, -1)
+        # from the origin on only marked threads can still witness
+        layer = advance(before, origin, marked)
+        for _ in range(k):
+            layer = advance(layer, plain, marked)
+        seeds = {(u, s): None for u, s, _ in layer}
+        _, bad = bfs_tree(seeds, free, budget, lambda p: not p[1] & marked)
+        if bad is None:
+            return k
+    return None
+
+
 def window_language(a, k):
     """All central (2k+1)-windows of points in the denotation, in
-    lexicographic order."""
-    g = a.graph
+    lexicographic order. The list grows exponentially in k: this is a
+    reference and exploration helper; uniform_window_bound decides the
+    windows' containment without listing them."""
     if a.is_empty:
         return []
-    anchor = a.origin_edge_ids()
-    moves = _thread_tables(g)
-    all_threads = 0
-    for i in range(g.n):
-        all_threads |= 1 << (i * 2)
-    marked_mask = 0
-    for i in range(g.n):
-        marked_mask |= 1 << (i * 2 + 1)
+    g = a.graph
+    plain, origin, unmarked, marked = _thread_tables(a, g.symbols)
     length = 2 * k + 1
     out = []
-    stack = [((), all_threads)]
+    stack = [((), unmarked)]
     while stack:
-        word, smask = stack.pop()
+        word, threads = stack.pop()
         if len(word) == length:
             out.append(word)
             continue
         j = len(word)
-        trigger = anchor if j == k else None
+        tables = origin if j == k else plain
         for s in reversed(g.symbols):
-            s2 = _step_threads(smask, moves.get(s, ()), trigger)
+            t2 = apply_mask(tables[s], threads)
             if j >= k:
                 # past the origin only marked threads can still witness
-                s2 &= marked_mask
-            if s2:
-                stack.append((word + (s,), s2))
+                t2 &= marked
+            if t2:
+                stack.append((word + (s,), t2))
     return out

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from shiftlab import fixtures
@@ -24,6 +27,7 @@ from shiftlab.graph import (
     trim,
     words_of_length,
 )
+from shiftlab.properties import gen_right_resolving_graph
 
 
 def test_make_validates_edges():
@@ -84,6 +88,37 @@ def test_magic_words_on_fixtures():
     assert find_magic_word(fixtures.even_graph()) == ("1",)
     assert find_magic_word(fixtures.phase_doubling_graph()) is None
     assert find_magic_word(fixtures.full_graph(2)) == ()
+
+
+def _least_focusing_word(g):
+    """Brute force: every word in order of length, then lexicographically,
+    up to 2^n - n - 1 symbols, the most a shortest focusing word can take
+    (its proper prefixes focus to distinct sets of two or more vertices)."""
+    t = trim(g)
+    if t.n == 0:
+        return None
+    for length in range(2 ** t.n - t.n):
+        for word in itertools.product(t.symbols, repeat=length):
+            reached = set(t.vertices)
+            for s in word:
+                reached = {e.dst for e in t.edges
+                           if e.src in reached and e.label == s}
+            if len(reached) == 1:
+                return word
+    return None
+
+
+@pytest.mark.parametrize("max_vertices, max_alphabet", [(3, 3), (4, 2)])
+def test_magic_words_match_brute_force(max_vertices, max_alphabet):
+    rng = random.Random(11)
+    lengths = set()
+    for _ in range(150):
+        g = gen_right_resolving_graph(rng, max_vertices, max_alphabet,
+                                      accept=lambda t: t.n >= 2)
+        word = find_magic_word(g)
+        assert word == _least_focusing_word(g), g
+        lengths.add(None if word is None else len(word))
+    assert None in lengths and {1, 2} <= lengths
 
 
 def test_words_and_acceptance():

@@ -7,6 +7,7 @@ from shiftlab.automata import Budget
 from shiftlab.codes import SlidingBlockCode, cover_code, image_presentation
 from shiftlab.decision import inconclusive, refuted
 from shiftlab.errors import InvariantViolation
+from shiftlab.io import graph_from_json
 from shiftlab.openness import (
     RetractDecision,
     SweepSpace,
@@ -342,3 +343,55 @@ def test_open_profile_sweep_matches_per_word_sweep():
         ("Inconclusive", "no uniform witness length within bound"),
         ("Inconclusive", "level profiles did not saturate"),
     }
+
+
+def _per_window_bound(code, y, word, k_max):
+    """The uniform bound one window at a time: the containment scan on
+    every central window of the cylinder image, radius by radius."""
+    au = cylinder_image(code, CenteredWord.central(word))
+    for k in range(k_max + 1):
+        if all(contains_cylinder(au, y, CenteredWord.central(win))
+               for win in window_language(au, k)):
+            return k
+    return None
+
+
+def test_uniform_bound_matches_per_window_reference():
+    bounds = set()
+    for code in _small_codes(60):
+        space = SweepSpace(code, Budget(10**8))
+        for level in range(3):
+            for word in _zone_words(space, 2 * level + 1):
+                got = _uniform_open_bound(code, space.image, word, 4, space)
+                assert got == _per_window_bound(code, space.image, word, 4), \
+                    word
+                bounds.add(got)
+    assert {None, 0, 1, 2, 3} <= bounds
+
+
+# a two-vertex cover code whose window lists grow fast with the radius:
+# listing the windows of every radius up to the default k_max takes minutes
+STALLING_GRAPH = {
+    "alphabet": ["0", "1", "2"],
+    "vertices": ["v0", "v2"],
+    "edges": [
+        {"id": "e0", "src": "v2", "dst": "v0", "label": "2"},
+        {"id": "e1", "src": "v0", "dst": "v2", "label": "2"},
+        {"id": "e3", "src": "v2", "dst": "v0", "label": "0"},
+        {"id": "e4", "src": "v0", "dst": "v0", "label": "1"},
+        {"id": "e5", "src": "v2", "dst": "v2", "label": "0"},
+    ],
+}
+
+
+def test_stalling_cover_is_decided_within_the_budget():
+    code = cover_code(graph_from_json(STALLING_GRAPH))
+    dec, _ = check_open(code, budget=Budget(150_000))
+    assert dec.to_json()["payload"] == {
+        "reason": "no uniform witness length within bound",
+        "zone": ["e0"], "k_max": 12}
+    # the sweep spends about 250 states before the window scan, the scan
+    # about 650 more
+    dec, _ = check_open(code, budget=Budget(500))
+    assert dec.is_inconclusive
+    assert dec.payload["reason"] == "budget"

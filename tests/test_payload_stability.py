@@ -35,8 +35,8 @@ CODES = 100
 MAX_VERTICES = 5
 MAX_ALPHABET = 3
 SWEEP_BUDGET = 50_000
-# check_open's uniform-bound scan enumerates every window up to k_max with
-# no budget; small bounds keep it to seconds on this corpus
+# check_open is pinned at the bounds its digests were taken at; other
+# bounds give other tables
 OPEN_BOUNDS = {"l_max": 2, "k_max": 4}
 
 
