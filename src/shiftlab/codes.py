@@ -335,33 +335,32 @@ def preimage_count_of_code(code, block):
 
 
 def _equal_label_pairs(g):
-    """Ordered pair product over equal labels; nodes and edge pairs by index."""
+    """Ordered pair product over equal labels: edge pairs (a, b, e, f)
+    between pair nodes a, b, where node i * n + j is the vertex pair
+    (i, j)."""
     vx = g.vindex
-    nodes = {}
-    for i in range(g.n):
-        for j in range(g.n):
-            nodes[(i, j)] = len(nodes)
+    n = g.n
     edges = []
     by_label = {}
     for e in g.edges:
         by_label.setdefault(e.label, []).append(e)
-    for label, es in by_label.items():
+    for es in by_label.values():
         for e in es:
             for f in es:
-                edges.append((nodes[(vx[e.src], vx[f.src])],
-                              nodes[(vx[e.dst], vx[f.dst])],
-                              e, f))
-    return nodes, edges
+                edges.append((vx[e.src] * n + vx[f.src],
+                              vx[e.dst] * n + vx[f.dst], e, f))
+    return edges
 
 
 def _has_eda(g):
     """Two distinct equally-labeled cycles at one vertex (pumpable doubling)."""
-    nodes, edges = _equal_label_pairs(g)
-    adj = [[] for _ in nodes]
+    nn = g.n * g.n
+    edges = _equal_label_pairs(g)
+    adj = [[] for _ in range(nn)]
     for a, b, e, f in edges:
         adj[a].append(b)
-    comp, _ = tarjan_scc(len(nodes), adj)
-    alive = nontrivial_components(len(nodes), adj, comp)
+    comp, _ = tarjan_scc(nn, adj)
+    alive = nontrivial_components(nn, adj, comp)
     diagonal_comps = set()
     for v in range(g.n):
         c = comp[v * g.n + v]
@@ -378,11 +377,10 @@ def _has_ida(g, budget=None):
     n = g.n
     vx = g.vindex
     # cheap word-free prefilter on the ordered pair graph
-    nodes, edges = _equal_label_pairs(g)
-    padj = [[] for _ in nodes]
-    for a, b, _, _ in edges:
+    padj = [[] for _ in range(n * n)]
+    for a, b, _, _ in _equal_label_pairs(g):
         padj[a].append(b)
-    preach = [set(bfs_closure([i], lambda k: padj[k])) for i in range(len(nodes))]
+    preach = [set(bfs_closure([i], lambda k: padj[k])) for i in range(n * n)]
 
     by_start = {}
     for e in g.edges:
@@ -568,25 +566,18 @@ def _closing_refutation(code, side):
     g = a.graph
     x_of = a.x_sym
 
-    by_label = {}
-    for e in g.edges:
-        by_label.setdefault(e.label, []).append(e)
-    vx = g.vindex
     nn = g.n * g.n
     # rows of (successor, (e, f)) steps of the pair graph
     diag_adj = [[] for _ in range(nn)]
     off_adj = [[] for _ in range(nn)]
     full_adj = [[] for _ in range(nn)]
-    for label, es in by_label.items():
-        for e in es:
-            for f in es:
-                aa = vx[e.src] * g.n + vx[f.src]
-                step = (vx[e.dst] * g.n + vx[f.dst], (e, f))
-                full_adj[aa].append(step)
-                if x_of[e.id] == x_of[f.id]:
-                    diag_adj[aa].append(step)
-                else:
-                    off_adj[aa].append(step)
+    for src, dst, e, f in _equal_label_pairs(g):
+        step = (dst, (e, f))
+        full_adj[src].append(step)
+        if x_of[e.id] == x_of[f.id]:
+            diag_adj[src].append(step)
+        else:
+            off_adj[src].append(step)
 
     bare = [[b for b, _ in row] for row in diag_adj]
     cyc = cycle_nodes(nn, bare)

@@ -11,6 +11,7 @@ turns the absence of such windows into genuine containment of points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import graph as gr
 from .automata import (Budget, apply_mask, bfs_closure, bfs_tree, cycle_nodes,
@@ -22,6 +23,21 @@ from .errors import (BudgetExceeded, InvariantViolation, NotIrreducible,
 from .pointed import (CenteredWord, cylinder_escape, cylinder_image,
                       uniform_window_bound)
 from .shifts import SoficShift
+
+
+def _free_moves(ut, symbols):
+    """bfs_tree expand over (U, S) pairs: every symbol that keeps U live,
+    stepping both sides by its successor table."""
+    rows = [(s, ut[s]) for s in symbols]
+
+    def expand(p):
+        out = []
+        for s, t in rows:
+            u = apply_mask(t, p[0])
+            if u:
+                out.append(((u, apply_mask(t, p[1])), s))
+        return out
+    return expand
 
 
 def _step_tables(g, x_sym):
@@ -63,6 +79,7 @@ class SweepSpace:
         self.xsymbols = sorted(self.xt)
         self._zero = (0,) * g.n
         self.p0 = (self.full, self.full)
+        self.free_moves = _free_moves(self.ut, self.symbols)
         self._build_universe()
 
     def free_step(self, p, s):
@@ -76,15 +93,6 @@ class SweepSpace:
         if not u:
             return None
         return (u, apply_mask(self.zt.get((s, xi), self._zero), p[1]))
-
-    def free_moves(self, p):
-        out = []
-        for s in self.symbols:
-            t = self.ut[s]
-            u = apply_mask(t, p[0])
-            if u:
-                out.append(((u, apply_mask(t, p[1])), s))
-        return out
 
     def all_steps(self, p):
         """The free step, then every zone step, per live symbol."""
@@ -121,6 +129,28 @@ class SweepSpace:
             back.__getitem__)
         self.doomed = frozenset(self._doom_parent)
 
+    @cached_property
+    def pair_masks(self):
+        """The universe pairs as bits of an int, for the interior scan:
+        (free, zone, left, doomed) with free[s] and zone[s, xi] the step
+        tables over pair indexes (0 where the image side dies) and the
+        masks of the left-context and doomed pairs. Built on first use,
+        so spaces that never scan interiors do not pay for them."""
+        index = {p: i for i, p in enumerate(self.universe)}
+
+        def table(step):
+            return tuple(0 if q is None else 1 << index[q]
+                         for q in map(step, index))
+
+        def mask(pairs):
+            return sum(1 << index[p] for p in pairs)
+
+        free = {s: table(lambda p: self.free_step(p, s))
+                for s in self.symbols}
+        zone = {(s, xi): table(lambda p: self.zone_step(p, s, xi))
+                for s in self.symbols for xi in self.xsymbols}
+        return free, zone, mask(self.left_pairs), mask(self.doomed)
+
     def left_word(self, p):
         return tuple(tree_path(self._left_parent, p)[1])
 
@@ -130,6 +160,34 @@ class SweepSpace:
 
 
 # -- interior of a cylinder image ---------------------------------------------
+
+
+def _interior_moves(space, u):
+    """bfs_tree expand of the interior scan over zone word u. A state is
+    (mode, j, q, du): mode 0 left of the zone, 1 inside it before
+    position j, 2 past it; q the mask of scan results over the universe
+    pairs; du the image states that can read the window. Moves are
+    ((mode, j, q, du), s) in symbol order, the free move before the zone
+    move, for every symbol that keeps du live."""
+    free, zone, _, _ = space.pair_masks
+    ut = space.ut
+    word = u.word
+    length = len(word)
+
+    def moves(state):
+        mode, j, q, du = state
+        out = []
+        for s in space.symbols:
+            du2 = apply_mask(ut[s], du)
+            if not du2:
+                continue
+            if mode != 1:
+                out.append(((mode, j, apply_mask(free[s], q), du2), s))
+            if mode != 2:
+                out.append(((2 if j + 1 == length else 1, j + 1,
+                             apply_mask(zone[s, word[j]], q), du2), s))
+        return out
+    return moves
 
 
 def interior_nonempty(space, u, k_max=12):
@@ -152,56 +210,14 @@ def interior_nonempty(space, u, k_max=12):
     if length != 2 * c + 1:
         raise InvariantViolation("central zone word",
                                  f"length {length} center {c}")
-    sigma0 = (0, 0, frozenset(space.left_pairs), space.full)
+    _, _, left, doomed = space.pair_masks
+    # moves keep du live, so every state past the zone reads an
+    # admissible window
+    seen, found = bfs_tree(
+        [(0, 0, left, space.full)], _interior_moves(space, u), space.budget,
+        lambda state: state[0] == 2 and not state[2] & doomed)
 
-    def successors(state):
-        mode, j, qset, du = state
-        out = []
-        for s in space.symbols:
-            du2 = apply_mask(space.ut[s], du)
-            if mode == 0:
-                q2 = frozenset(q for q in
-                               (space.free_step(p, s) for p in qset)
-                               if q is not None)
-                if du2:
-                    out.append(((0, 0, q2, du2), s))
-            if mode in (0, 1) and j < length:
-                xi = u.word[j]
-                q2 = frozenset(q for q in
-                               (space.zone_step(p, s, xi) for p in qset)
-                               if q is not None)
-                if du2:
-                    nm = 2 if j + 1 == length else 1
-                    out.append(((nm, j + 1, q2, du2), s))
-            if mode == 2:
-                q2 = frozenset(q for q in
-                               (space.free_step(p, s) for p in qset)
-                               if q is not None)
-                if du2:
-                    out.append(((2, length, q2, du2), s))
-        return out
-
-    def accepting(state):
-        mode, _, qset, du = state
-        return mode == 2 and du and not (qset & space.doomed)
-
-    seen = {sigma0}
-    queue = [sigma0]
-    head = 0
-    found = False
-    while head < len(queue):
-        st = queue[head]
-        head += 1
-        if accepting(st):
-            found = True
-            break
-        for st2, _ in successors(st):
-            if st2 not in seen:
-                space.budget.spend()
-                seen.add(st2)
-                queue.append(st2)
-
-    if not found:
+    if found is None:
         return refuted({
             "zone": u.to_json(),
             "states_examined": len(seen),
@@ -225,53 +241,37 @@ def interior_nonempty(space, u, k_max=12):
 
 def _witness_search(space, u, k):
     """Lexicographically least central witness of half-length exactly k,
-    or None. Depth-first with a fruitless-state memo."""
-    length = len(u.word)
-    c = u.center
-    pre = post = k - c
+    or None. Depth-first over the interior scan's moves, with pre and
+    post symbols left to read before and after the zone, and a
+    fruitless-state memo."""
+    moves = _interior_moves(space, u)
+    _, _, left, doomed = space.pair_masks
     dead = set()
 
-    def rec(state, rem_pre, rem_post):
-        mode, j, qset, du = state
-        if mode == 2 and j == length and rem_post == 0:
-            if du and not (qset & space.doomed):
-                return ()
-            return None
-        key = (state, rem_pre, rem_post)
+    def rec(state, pre, post):
+        mode, _, q, _ = state
+        if mode == 2 and post == 0:
+            return None if q & doomed else ()
+        key = (state, pre, post)
         if key in dead:
             return None
-        for s in space.symbols:
-            du2 = apply_mask(space.ut[s], du)
-            if not du2:
+        for nxt, s in moves(state):
+            if nxt[0] == 0:
+                if not pre:
+                    continue
+                sub = rec(nxt, pre - 1, post)
+            elif mode == 2:
+                sub = rec(nxt, 0, post - 1)
+            elif pre:
                 continue
-            if mode == 0 and rem_pre > 0:
-                q2 = frozenset(q for q in
-                               (space.free_step(p, s) for p in qset)
-                               if q is not None)
-                sub = rec((0, 0, q2, du2), rem_pre - 1, rem_post)
-                if sub is not None:
-                    return (s,) + sub
-            if mode in (0, 1) and rem_pre == 0 and j < length:
-                xi = u.word[j]
-                q2 = frozenset(q for q in
-                               (space.zone_step(p, s, xi) for p in qset)
-                               if q is not None)
-                nm = 2 if j + 1 == length else 1
-                sub = rec((nm, j + 1, q2, du2), 0, rem_post)
-                if sub is not None:
-                    return (s,) + sub
-            if mode == 2 and rem_post > 0:
-                q2 = frozenset(q for q in
-                               (space.free_step(p, s) for p in qset)
-                               if q is not None)
-                sub = rec((2, length, q2, du2), 0, rem_post - 1)
-                if sub is not None:
-                    return (s,) + sub
+            else:
+                sub = rec(nxt, 0, post)
+            if sub is not None:
+                return (s,) + sub
         dead.add(key)
         return None
 
-    sigma0 = (0, 0, frozenset(space.left_pairs), space.full)
-    return rec(sigma0, pre, post)
+    return rec((0, 0, left, space.full), k - u.center, k - u.center)
 
 
 def _escape_samples(space, u, limit=2):
@@ -322,12 +322,22 @@ def _compose(t1, t2):
 
 def _join(space, p1, p2):
     """Transfer profile of a concatenation of zone words with profiles p1
-    and p2: joint tables compose pairwise, admissibility tables compose."""
+    and p2: joint tables compose pairwise, admissibility tables compose.
+    Tables repeat across the pairs, so each distinct pair of tables is
+    composed once."""
+    done = {}
+
+    def compose(t1, t2):
+        t = done.get((t1, t2))
+        if t is None:
+            t = done[t1, t2] = _compose(t1, t2)
+        return t
+
     pairs = set()
     for tu1, ts1 in p1[0]:
         for tu2, ts2 in p2[0]:
             space.budget.spend()
-            pairs.add((_compose(tu1, tu2), _compose(ts1, ts2)))
+            pairs.add((compose(tu1, tu2), compose(ts1, ts2)))
     return (frozenset(pairs), _compose(p1[1], p2[1]))
 
 
@@ -827,16 +837,6 @@ def _right_retract_verdict(code, retract):
     lower = [order[i]
              for i in bfs_closure(sorted(lower), adj.__getitem__, budget)]
 
-    symbols = g.symbols
-
-    def free_moves(p):
-        out = []
-        for s in symbols:
-            u2 = apply_mask(ut[s], p[0])
-            if u2:
-                out.append(((u2, apply_mask(ut[s], p[1])), s))
-        return out
-
     def hunt(triples):
         # retract window first: the lift may deviate, the image is
         # still locked to the upstream point
@@ -850,7 +850,7 @@ def _right_retract_verdict(code, retract):
             frontier = nxt
         # then a free hunt for an admissible continuation with no lift
         seen, bad = bfs_tree(sorted({(t[1], t[2]) for t in frontier}),
-                             free_moves, budget,
+                             _free_moves(ut, g.symbols), budget,
                              lambda p: p[0] and not p[1])
         return bad is not None, len(seen)
 

@@ -7,6 +7,7 @@ from shiftlab.automata import Budget
 from shiftlab.codes import SlidingBlockCode, cover_code, image_presentation
 from shiftlab.decision import inconclusive, refuted
 from shiftlab.errors import InvariantViolation
+from shiftlab.graph import words_of_length
 from shiftlab.io import graph_from_json
 from shiftlab.openness import (
     RetractDecision,
@@ -246,14 +247,14 @@ def _per_word_sweep(space, l_max, verdict):
     return None, entries, witnesses, None, visited
 
 
-def _small_codes(count, seed=3):
-    """Seeded cover and one-block codes on graphs of at most 4 vertices,
-    reducible domains included. At the default seed every outcome of
-    both sweeps occurs among 60 codes."""
+def _small_codes(count, seed=3, vertices=4, alphabet=3):
+    """Seeded cover and one-block codes on graphs of at most `vertices`
+    vertices and `alphabet` symbols, reducible domains included. At the
+    default seed every outcome of both sweeps occurs among 60 codes."""
     rng = random.Random(seed)
     out = []
     for i in range(count):
-        g = gen_labeled_graph(rng, 4, 3)
+        g = gen_labeled_graph(rng, vertices, alphabet)
         if i % 2 == 0:
             out.append(cover_code(g))
             continue
@@ -343,6 +344,51 @@ def test_open_profile_sweep_matches_per_word_sweep():
         ("Inconclusive", "no uniform witness length within bound"),
         ("Inconclusive", "level profiles did not saturate"),
     }
+
+
+def _least_interior_window(code, zone, y, k_limit):
+    """The least half-length k >= the zone's center, then the
+    lexicographically least image word of length 2k + 1, whose central
+    cylinder lies inside the zone's cylinder image, by the containment
+    scanner on every image word; None if there is none with k <= k_limit."""
+    au = cylinder_image(code, zone)
+    for k in range(zone.center, k_limit + 1):
+        for word in words_of_length(y.presentation, 2 * k + 1):
+            if contains_cylinder(au, y, CenteredWord.central(word)):
+                return k, word
+    return None
+
+
+def test_interior_witnesses_match_containment_oracle():
+    # the containment scanner of pointed.py shares no code with the
+    # interior scan; witnesses far from the zone are skipped, because the
+    # oracle lists every image word up to their length
+    checked = refuted_zones = 0
+    for code in _small_codes(120, seed=8, vertices=3, alphabet=2):
+        space = SweepSpace(code)
+        y = image_presentation(code)
+        for word in _zone_words(space, 1) + _zone_words(space, 3):
+            zone = CenteredWord.central(word)
+            dec = interior_nonempty(space, zone)
+            if dec.is_refuted:
+                refuted_zones += 1
+                au = cylinder_image(code, zone)
+                assert dec.payload["escapes"], word
+                for sample in dec.payload["escapes"]:
+                    esc = sample["escape"]
+                    assert not contains_cylinder(
+                        au, y, CenteredWord(tuple(esc["word"]),
+                                            esc["center"])), word
+                continue
+            k = dec.payload["k"]
+            if k - zone.center > 4:
+                continue
+            cylinder = dec.payload["cylinder"]
+            assert cylinder["center"] == k
+            assert _least_interior_window(code, zone, y, k) == \
+                (k, tuple(cylinder["word"])), word
+            checked += 1
+    assert checked > 1000 and refuted_zones > 20
 
 
 def _per_window_bound(code, y, word, k_max):
