@@ -122,6 +122,21 @@ def apply_mask(table, mask):
     return out
 
 
+def pair_moves(rows):
+    """bfs_tree expand over (U, T) pairs of bitmasks, from rows of (label,
+    U table, T table): for every row in order whose U table keeps U live,
+    the pair moved by both tables, with the row's label."""
+    def expand(pair):
+        u, t = pair
+        out = []
+        for label, u_table, t_table in rows:
+            u2 = apply_mask(u_table, u)
+            if u2:
+                out.append(((u2, apply_mask(t_table, t)), label))
+        return out
+    return expand
+
+
 class SubsetOps:
     """Per-symbol forward/backward images of vertex subsets as bitmasks.
 

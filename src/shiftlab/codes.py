@@ -96,19 +96,6 @@ class SlidingBlockCode:
             out.append(self.table[key])
         return tuple(out)
 
-    def apply_periodic(self, block):
-        """Image of the periodic point block^infinity, as one period."""
-        block = tuple(block)
-        if not sh.has_periodic_point(self.domain, block):
-            raise PeriodicPointNotInShift(block)
-        p = len(block)
-        out = []
-        for i in range(p):
-            key = tuple(block[(i - self.memory + j) % p]
-                        for j in range(self.window))
-            out.append(self.table[key])
-        return tuple(out)
-
 
 def reversed_code(code):
     """The same code read right to left: reversed domain presentation,
@@ -290,45 +277,6 @@ def count_preimages_of_periodic(g, block):
         if len(pg.out[v]) != 1 or len(pg.inn[v]) != 1:
             return math.inf
     return sum(1 for v in pg.vertices if v.endswith("@0"))
-
-
-def preimage_count_of_code(code, block):
-    """Fiber size of the code over the periodic point block^infinity.
-
-    Counted on the arrow graph over a right-resolving domain
-    presentation, quotiented by runs: distinct domain points, not paths.
-    """
-    block = tuple(block)
-    d = gr.determinize(code.domain.presentation)
-    a = arrow_graph(code, d)
-    pg = sh.periodic_phase_graph(a.graph, block)
-    if pg.n == 0:
-        raise PeriodicPointNotInShift(block)
-    for v in pg.vertices:
-        if len(pg.out[v]) != 1 or len(pg.inn[v]) != 1:
-            return math.inf
-    # walk each cycle once; its anchorings at phase-zero vertices present
-    # the rotations of the consumed word by multiples of the period, and
-    # distinct points are exactly distinct rotations
-    p = len(block)
-    points = set()
-    seen = set()
-    for v in pg.vertices:
-        if v in seen or not v.endswith("@0"):
-            continue
-        cur = v
-        word = []
-        while True:
-            seen.add(cur)
-            e = pg.out[cur][0]
-            word.append(a.x_sym[e.id.rsplit("@", 1)[0]])
-            cur = e.dst
-            if cur == v:
-                break
-        word = tuple(word)
-        for r in range(0, len(word), p):
-            points.add(word[r:] + word[:r])
-    return len(points)
 
 
 # -- finite-to-one via ambiguity patterns -----------------------------------

@@ -146,15 +146,6 @@ class LabeledGraph:
     def full_mask(self):
         return (1 << self.n) - 1
 
-    def mask_of(self, names):
-        vx = self.vindex
-        m = 0
-        for v in names:
-            if v not in vx:
-                raise UnknownVertex(v)
-            m |= 1 << vx[v]
-        return m
-
     def names_of(self, mask):
         return tuple(v for i, v in enumerate(self.vertices) if mask >> i & 1)
 

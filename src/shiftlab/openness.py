@@ -11,11 +11,10 @@ turns the absence of such windows into genuine containment of points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import graph as gr
 from .automata import (Budget, apply_mask, bfs_closure, bfs_tree, cycle_nodes,
-                       shortest_cycle, shortest_path, tree_path)
+                       pair_moves, shortest_cycle, shortest_path, tree_path)
 from .codes import arrow_graph, reversed_code
 from .decision import Decision, inconclusive, proved, refuted
 from .errors import (BudgetExceeded, InvariantViolation, NotIrreducible,
@@ -23,21 +22,6 @@ from .errors import (BudgetExceeded, InvariantViolation, NotIrreducible,
 from .pointed import (CenteredWord, cylinder_escape, cylinder_image,
                       uniform_window_bound)
 from .shifts import SoficShift
-
-
-def _free_moves(ut, symbols):
-    """bfs_tree expand over (U, S) pairs: every symbol that keeps U live,
-    stepping both sides by its successor table."""
-    rows = [(s, ut[s]) for s in symbols]
-
-    def expand(p):
-        out = []
-        for s, t in rows:
-            u = apply_mask(t, p[0])
-            if u:
-                out.append(((u, apply_mask(t, p[1])), s))
-        return out
-    return expand
 
 
 def _step_tables(g, x_sym):
@@ -60,9 +44,14 @@ def _step_tables(g, x_sym):
 
 
 class SweepSpace:
-    """Subset-pair machinery for one code: step tables, the left-context
-    pair set, the full pair universe, and the doomed region from which a
-    free scan can reach a live-U dead-S pair."""
+    """Subset-pair machinery for one code: step tables and the pair
+    universe, whose (U, S) pairs are indexed in discovery order: the
+    left-context pairs first, the full restart (full, full) at index 0,
+    then the closure under free and zone steps. Over those indexes,
+    free[s] and zone[s, xi] map each pair to the bit of its successor (0
+    where the image side dies), and left and doomed are the masks of the
+    left-context pairs and of the pairs from which a free scan can reach
+    a live-U dead-S pair."""
 
     def __init__(self, code, budget=None):
         self.code = code
@@ -78,85 +67,57 @@ class SweepSpace:
         self.ut, self.zt, self.xt = _step_tables(g, self.x_sym)
         self.xsymbols = sorted(self.xt)
         self._zero = (0,) * g.n
-        self.p0 = (self.full, self.full)
-        self.free_moves = _free_moves(self.ut, self.symbols)
-        self._build_universe()
-
-    def free_step(self, p, s):
-        u = apply_mask(self.ut[s], p[0])
-        if not u:
-            return None
-        return (u, apply_mask(self.ut[s], p[1]))
-
-    def zone_step(self, p, s, xi):
-        u = apply_mask(self.ut[s], p[0])
-        if not u:
-            return None
-        return (u, apply_mask(self.zt.get((s, xi), self._zero), p[1]))
-
-    def all_steps(self, p):
-        """The free step, then every zone step, per live symbol."""
-        out = []
-        for s in self.symbols:
-            u = apply_mask(self.ut[s], p[0])
-            if u:
-                out.append((u, apply_mask(self.ut[s], p[1])))
-                for xi in self.xsymbols:
-                    out.append((u, apply_mask(
-                        self.zt.get((s, xi), self._zero), p[1])))
-        return out
-
-    def _build_universe(self):
         # left-context pairs, with parent chains for witness words
-        self._left_parent, _ = bfs_tree([self.p0], self.free_moves,
-                                        self.budget)
-        self.left_pairs = frozenset(self._left_parent)
-        # full universe: close under free and every zone step
-        full = bfs_closure(self._left_parent, self.all_steps, self.budget)
-        # the doom search below breaks ties in this set's iteration order,
-        # which depends on insertion history: left context first, then one
-        # pair at a time in discovery order
-        seen = set(self._left_parent)
-        seen.update(list(full)[len(seen):])
-        self.universe = frozenset(seen)
-        # doomed: can reach a live-U dead-S pair by free steps
-        back = {p: [] for p in self.universe}
-        for p in self.universe:
-            for q, s in self.free_moves(p):
-                back[q].append((p, s))
+        self._left_parent, _ = bfs_tree(
+            [(self.full, self.full)],
+            pair_moves([(s, self.ut[s], self.ut[s]) for s in self.symbols]),
+            self.budget)
+        self.left = (1 << len(self._left_parent)) - 1
+        # the universe: per live symbol, the free step, then every zone
+        # step. Pairs are expanded in index order, so each expansion
+        # appends the pair's entry to every table, and new successors are
+        # indexed in the order the closure discovers them
+        index = {p: i for i, p in enumerate(self._left_parent)}
+        self.free = {s: [] for s in self.symbols}
+        self.zone = {(s, xi): [] for s in self.symbols
+                     for xi in self.xsymbols}
+        moves = [(self.ut[s], [(self.ut[s], self.free[s])]
+                  + [(self.zt.get((s, xi), self._zero), self.zone[s, xi])
+                     for xi in self.xsymbols])
+                 for s in self.symbols]
+
+        def steps(p):
+            out = []
+            for u_table, row in moves:
+                u = apply_mask(u_table, p[0])
+                for s_table, table in row:
+                    if not u:
+                        table.append(0)
+                        continue
+                    q = (u, apply_mask(s_table, p[1]))
+                    out.append(q)
+                    table.append(1 << index.setdefault(q, len(index)))
+            return out
+        self.pairs = list(bfs_closure(self._left_parent, steps, self.budget))
+        # doomed: the doom tree grows backwards from the live-U dead-S
+        # pairs, seeds and predecessors in index order
+        back = [[] for _ in self.pairs]
+        for i in range(len(self.pairs)):
+            for s in self.symbols:
+                q = self.free[s][i]
+                if q:
+                    back[q.bit_length() - 1].append((i, s))
         self._doom_parent, _ = bfs_tree(
-            [p for p in self.universe if p[0] and not p[1]],
+            [i for i, (u, v) in enumerate(self.pairs) if u and not v],
             back.__getitem__)
-        self.doomed = frozenset(self._doom_parent)
+        self.doomed = sum(1 << i for i in self._doom_parent)
 
-    @cached_property
-    def pair_masks(self):
-        """The universe pairs as bits of an int, for the interior scan:
-        (free, zone, left, doomed) with free[s] and zone[s, xi] the step
-        tables over pair indexes (0 where the image side dies) and the
-        masks of the left-context and doomed pairs. Built on first use,
-        so spaces that never scan interiors do not pay for them."""
-        index = {p: i for i, p in enumerate(self.universe)}
+    def left_word(self, i):
+        return tuple(tree_path(self._left_parent, self.pairs[i])[1])
 
-        def table(step):
-            return tuple(0 if q is None else 1 << index[q]
-                         for q in map(step, index))
-
-        def mask(pairs):
-            return sum(1 << index[p] for p in pairs)
-
-        free = {s: table(lambda p: self.free_step(p, s))
-                for s in self.symbols}
-        zone = {(s, xi): table(lambda p: self.zone_step(p, s, xi))
-                for s in self.symbols for xi in self.xsymbols}
-        return free, zone, mask(self.left_pairs), mask(self.doomed)
-
-    def left_word(self, p):
-        return tuple(tree_path(self._left_parent, p)[1])
-
-    def doom_word(self, p):
+    def doom_word(self, i):
         # the doom tree grows backwards from its seeds
-        return tuple(reversed(tree_path(self._doom_parent, p)[1]))
+        return tuple(reversed(tree_path(self._doom_parent, i)[1]))
 
 
 # -- interior of a cylinder image ---------------------------------------------
@@ -169,8 +130,7 @@ def _interior_moves(space, u):
     pairs; du the image states that can read the window. Moves are
     ((mode, j, q, du), s) in symbol order, the free move before the zone
     move, for every symbol that keeps du live."""
-    free, zone, _, _ = space.pair_masks
-    ut = space.ut
+    free, zone, ut = space.free, space.zone, space.ut
     word = u.word
     length = len(word)
 
@@ -210,12 +170,12 @@ def interior_nonempty(space, u, k_max=12):
     if length != 2 * c + 1:
         raise InvariantViolation("central zone word",
                                  f"length {length} center {c}")
-    _, _, left, doomed = space.pair_masks
+    doomed = space.doomed
     # moves keep du live, so every state past the zone reads an
     # admissible window
     seen, found = bfs_tree(
-        [(0, 0, left, space.full)], _interior_moves(space, u), space.budget,
-        lambda state: state[0] == 2 and not state[2] & doomed)
+        [(0, 0, space.left, space.full)], _interior_moves(space, u),
+        space.budget, lambda state: state[0] == 2 and not state[2] & doomed)
 
     if found is None:
         return refuted({
@@ -245,7 +205,7 @@ def _witness_search(space, u, k):
     post symbols left to read before and after the zone, and a
     fruitless-state memo."""
     moves = _interior_moves(space, u)
-    _, _, left, doomed = space.pair_masks
+    doomed = space.doomed
     dead = set()
 
     def rec(state, pre, post):
@@ -271,45 +231,44 @@ def _witness_search(space, u, k):
         dead.add(key)
         return None
 
-    return rec((0, 0, left, space.full), k - u.center, k - u.center)
+    return rec((0, 0, space.left, space.full), k - u.center, k - u.center)
 
 
 def _escape_samples(space, u, limit=2):
     """For refuted interiors: sample candidate windows together with
     escape windows showing an admissible image word the cylinder image
-    misses."""
-    length = len(u.word)
-    c = u.center
+    misses. Candidates are the zone-width words in lexicographic order,
+    read by the interior scan's zone moves; a candidate escapes through
+    the least doomed pair its scan reaches, entered from the least
+    left-context pair whose zone scan reaches it."""
+    moves = _interior_moves(space, u)
     samples = []
-    # enumerate zone-width candidates lexicographically
-    stack = [((), {p: p for p in space.left_pairs}, space.full)]
+    stack = [((), (0, 0, space.left, space.full))]
     while stack and len(samples) < limit:
-        word, origin, du = stack.pop()
-        j = len(word)
-        if j == length:
-            if not du:
-                continue
-            hit = next((q for q in origin if q in space.doomed), None)
-            if hit is None:
-                continue
-            left = space.left_word(origin[hit])
-            doom = space.doom_word(hit)
-            window = CenteredWord(left + word + doom, len(left) + c)
-            samples.append({
-                "cylinder": CenteredWord(word, c).to_json(),
-                "escape": window.to_json(),
-            })
+        word, state = stack.pop()
+        mode, _, q, _ = state
+        if mode != 2:
+            stack.extend((word + (s,), nxt)
+                         for nxt, s in reversed(moves(state))
+                         if nxt[0] and nxt[2])
             continue
-        xi = u.word[j]
-        for s in reversed(space.symbols):
-            du2 = apply_mask(space.ut[s], du)
-            nxt = {}
-            for q, src in origin.items():
-                q2 = space.zone_step(q, s, xi)
-                if q2 is not None and q2 not in nxt:
-                    nxt[q2] = src
-            if nxt and du2:
-                stack.append((word + (s,), nxt, du2))
+        hit = q & space.doomed
+        if not hit:
+            continue
+        hit = (hit & -hit).bit_length() - 1
+        for src in range(space.left.bit_length()):
+            p = 1 << src
+            for s, xi in zip(word, u.word):
+                p = apply_mask(space.zone[s, xi], p)
+            if p >> hit & 1:
+                break
+        left = space.left_word(src)
+        window = CenteredWord(left + word + space.doom_word(hit),
+                              len(left) + u.center)
+        samples.append({
+            "cylinder": CenteredWord(word, u.center).to_json(),
+            "escape": window.to_json(),
+        })
     return samples
 
 
@@ -536,30 +495,34 @@ def _skeleton_pattern(space, c1, b1, anchor, b2, c2, h):
     u_word = tuple(space.x_sym[e.id]
                    for e in zone_left + [anchor] + zone_right)
 
-    def free_scan(p, elist):
+    # pair values are single bits over the universe indexes
+    def scan(p, elist, table):
         for e in elist:
-            p = space.free_step(p, rho[e.id])
-            if p is None:
+            p = apply_mask(table(e), p)
+            if not p:
                 raise InvariantViolation("admissible scan stays live", e.id)
         return p
 
+    def free_scan(p, elist):
+        return scan(p, elist, lambda e: space.free[rho[e.id]])
+
     deep = set()
     for phase in range(len(c1)):
-        seed = free_scan(space.p0, c1[len(c1) - phase:])
+        # bit 0 is the full restart pair
+        seed = free_scan(1, c1[len(c1) - phase:])
         deep.update(_orbit_tail(seed, lambda p: free_scan(p, c1)))
-    for q in sorted(deep):
+    # in order of the pairs themselves, so that the budget spent before a
+    # success does not depend on the indexing
+    for q in sorted(deep, key=lambda q: space.pairs[q.bit_length() - 1]):
         space.budget.spend()
-        q2 = free_scan(q, free_left)
-        for e in zone_left + [anchor] + zone_right:
-            q2 = space.zone_step(q2, rho[e.id], space.x_sym[e.id])
-            if q2 is None:
-                raise InvariantViolation("admissible scan stays live", e.id)
+        q2 = scan(free_scan(q, free_left), zone_left + [anchor] + zone_right,
+                  lambda e: space.zone[rho[e.id], space.x_sym[e.id]])
         q2 = free_scan(q2, free_right)
         # recurrent pair values along the future cycle, all phases
         tail = _orbit_tail((q2, 0),
                            lambda t: (free_scan(t[0], [c2[t[1]]]),
                                       (t[1] + 1) % len(c2)))
-        if any(p in space.doomed for p, _ in tail):
+        if any(p & space.doomed for p, _ in tail):
             return {
                 "past_cycle": [rho[e.id] for e in c1],
                 "chain": [rho[e.id] for e in b1 + [anchor] + b2],
@@ -837,6 +800,8 @@ def _right_retract_verdict(code, retract):
     lower = [order[i]
              for i in bfs_closure(sorted(lower), adj.__getitem__, budget)]
 
+    free_moves = pair_moves([(s, ut[s], ut[s]) for s in g.symbols])
+
     def hunt(triples):
         # retract window first: the lift may deviate, the image is
         # still locked to the upstream point
@@ -850,8 +815,7 @@ def _right_retract_verdict(code, retract):
             frontier = nxt
         # then a free hunt for an admissible continuation with no lift
         seen, bad = bfs_tree(sorted({(t[1], t[2]) for t in frontier}),
-                             _free_moves(ut, g.symbols), budget,
-                             lambda p: p[0] and not p[1])
+                             free_moves, budget, lambda p: p[0] and not p[1])
         return bad is not None, len(seen)
 
     escaped, states = hunt(lower)

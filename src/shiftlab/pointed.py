@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import graph as gr
 from . import shifts as sh
-from .automata import Budget, apply_mask, bfs_tree, tree_path
+from .automata import Budget, apply_mask, bfs_tree, pair_moves, tree_path
 from .errors import (InvariantViolation, PeriodicPointNotInShift,
                      WordNotAdmissible)
 from .graph import Edge, LabeledGraph
@@ -182,23 +182,6 @@ def _thread_tables(a, symbols):
     return plain, origin, unmarked, unmarked << 1
 
 
-def _free_moves(yg, plain):
-    """bfs_tree expand over (y-subset, threads) pairs: every symbol that
-    keeps the y-side live, with the threads moved off the origin."""
-    step = yg.ops.step
-    rows = [(i, s, plain[s]) for i, s in enumerate(yg.symbols)]
-
-    def expand(pair):
-        u, threads = pair
-        out = []
-        for i, s, table in rows:
-            u2 = step(u, i)
-            if u2:
-                out.append(((u2, apply_mask(table, threads)), s))
-        return out
-    return expand
-
-
 def cylinder_escape(a, y, w, budget=None):
     """None if every point of y matching w lies in the denotation of a;
     otherwise a witness window: a positioned word admissible in y,
@@ -221,7 +204,8 @@ def cylinder_escape(a, y, w, budget=None):
     if budget is None:
         budget = Budget(where="cylinder containment")
     plain, origin, unmarked, marked = _thread_tables(a, yg.symbols)
-    free = _free_moves(yg, plain)
+    free = pair_moves([(s, yg.ops.fwd[i], plain[s])
+                       for i, s in enumerate(yg.symbols)])
     step = yg.ops.step
 
     # phase one: arbitrary left context
@@ -279,7 +263,8 @@ def uniform_window_bound(a, y, k_max, budget):
         return 0  # no windows at all
     yg = y.presentation
     plain, origin, unmarked, marked = _thread_tables(a, yg.symbols)
-    free = _free_moves(yg, plain)
+    free = pair_moves([(s, yg.ops.fwd[i], plain[s])
+                       for i, s in enumerate(yg.symbols)])
     step = yg.ops.step
     left, _ = bfs_tree([(yg.full_mask, unmarked)], free, budget)
     spend = budget.spend

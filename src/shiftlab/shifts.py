@@ -203,10 +203,6 @@ def periodic_phase_graph(g, block):
     return gr.trim(LabeledGraph.make(g.alphabet, vertices, edges))
 
 
-def has_periodic_point(x, block):
-    return periodic_phase_graph(x.presentation, block).n > 0
-
-
 # -- SFT detection ---------------------------------------------------------
 
 
@@ -234,33 +230,22 @@ def is_sft(x, m_max=32):
         a = ops.step(full, i)
         if a:
             seeds.append(((a, full), s))
+    rows = {}
+
+    def moves(node):
+        a, b = node
+        row = rows[node] = []
+        for i, s in enumerate(d.symbols):
+            b2 = ops.step(b, i)
+            if b2:
+                row.append(((ops.step(a, i), b2), s))
+        return [nxt for nxt, _ in row]
     try:
-        nodes = {}
-        order = []
-        for node, _ in seeds:
-            if node not in nodes:
-                nodes[node] = len(nodes)
-                order.append(node)
-        succ = []
-        head = 0
-        while head < len(order):
-            a, b = order[head]
-            head += 1
-            row = []
-            for i, s in enumerate(d.symbols):
-                b2 = ops.step(b, i)
-                if not b2:
-                    continue
-                a2 = ops.step(a, i)
-                node = (a2, b2)
-                if node not in nodes:
-                    budget.spend()
-                    nodes[node] = len(nodes)
-                    order.append(node)
-                row.append((nodes[node], s))
-            succ.append(row)
+        order = list(bfs_closure([node for node, _ in seeds], moves, budget))
     except BudgetExceeded as exc:
         return inconclusive({"reason": str(exc)})
+    nodes = {node: idx for idx, node in enumerate(order)}
+    succ = [[(nodes[nxt], s) for nxt, s in rows[node]] for node in order]
 
     # the followers of (a, b) differ iff some continuation kills the small
     # side while the big side survives; close backwards over those deaths
@@ -274,14 +259,7 @@ def is_sft(x, m_max=32):
     for idx, row in enumerate(succ):
         for j, _ in row:
             pred[j].append(idx)
-    differ = set(lethal)
-    queue = list(differ)
-    while queue:
-        j = queue.pop()
-        for i in pred[j]:
-            if i not in differ:
-                differ.add(i)
-                queue.append(i)
+    differ = bfs_closure(lethal, pred.__getitem__)
     # a violation additionally needs the small side alive: dead small side
     # only says the longer word is inadmissible, which is no constraint
     bad = {i for i in differ if order[i][0] != 0}

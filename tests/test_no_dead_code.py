@@ -1,0 +1,54 @@
+"""Every function, class and method defined in src/shiftlab is named
+somewhere other than its own definition, in the Python files under src,
+tests, bench and demos. Exempt are dunder methods, which Python calls, and
+methods that override an attribute of a base class, which the base class
+calls (for example an argparse parser's error)."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "shiftlab"
+SEARCHED = ("src", "tests", "bench", "demos")
+
+
+def _definitions(node, module, owner=None):
+    """(module, enclosing class or None, name) of every def and class
+    under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            yield module, owner, child.name
+            inner = child.name if isinstance(child, ast.ClassDef) else None
+            yield from _definitions(child, module, inner)
+        else:
+            yield from _definitions(child, module, owner)
+
+
+def _exempt(module, owner, name):
+    if name.startswith("__") and name.endswith("__"):
+        return True
+    if owner is None:
+        return False
+    cls = getattr(importlib.import_module(f"shiftlab.{module}"), owner)
+    return any(hasattr(base, name) for base in cls.__mro__[1:])
+
+
+def test_every_definition_is_named_elsewhere():
+    defs = [d for path in sorted(PACKAGE.glob("*.py"))
+            for d in _definitions(ast.parse(path.read_text()), path.stem)]
+    text = "\n".join(path.read_text()
+                     for top in SEARCHED
+                     for path in sorted((ROOT / top).rglob("*.py")))
+    words = Counter(re.findall(r"\w+", text))
+    defined = Counter(name for _, _, name in defs)
+    dead = sorted(f"{module}.{owner + '.' if owner else ''}{name}"
+                  for module, owner, name in defs
+                  if words[name] <= defined[name]
+                  and not _exempt(module, owner, name))
+    assert not dead, "defined but never named: " + ", ".join(dead)

@@ -391,6 +391,84 @@ def test_interior_witnesses_match_containment_oracle():
     assert checked > 1000 and refuted_zones > 20
 
 
+# -- the pair universe and its doom tree against brute force --------------
+
+
+def _pair_step(space, p, s, thread_table):
+    """One step of a (U, S) pair: U by the image table of s, S by
+    thread_table; None where U dies."""
+    u = _image(space.ut[s], p[0])
+    return (u, _image(thread_table, p[1])) if u else None
+
+
+def _free_closure(space, seeds, zone_steps):
+    """Pairs reachable from the seeds by free steps, and by zone steps
+    too when zone_steps is set."""
+    seen = set(seeds)
+    todo = list(seeds)
+    while todo:
+        p = todo.pop()
+        for s in space.symbols:
+            tables = [space.ut[s]]
+            if zone_steps:
+                tables += [space.zt.get((s, xi), space._zero)
+                           for xi in space.xsymbols]
+            for table in tables:
+                q = _pair_step(space, p, s, table)
+                if q is not None and q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+    return seen
+
+
+def _escape_distance(space, p):
+    """Least number of free steps from p to a live-U dead-S pair, by a
+    forward breadth-first search, or None."""
+    level, seen, depth = {p}, {p}, 0
+    while level:
+        if any(u and not v for u, v in level):
+            return depth
+        level = {q for r in level for s in space.symbols
+                 if (q := _pair_step(space, r, s, space.ut[s])) is not None}
+        level -= seen
+        seen |= level
+        depth += 1
+    return None
+
+
+def test_pair_universe_and_doom_tree_match_brute_force():
+    walked = 0
+    for code in _small_codes(200, seed=8):
+        space = SweepSpace(code)
+        pairs = space.pairs
+        p0 = (space.full, space.full)
+        left = _free_closure(space, [p0], False)
+        # the left-context pairs come first, the full restart at index 0,
+        # and the universe is their closure under free and zone steps
+        assert pairs[0] == p0
+        assert set(pairs[:len(left)]) == left
+        assert space.left == (1 << len(left)) - 1
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == _free_closure(space, left, True)
+        for i in range(len(left)):
+            p = p0
+            for s in space.left_word(i):
+                p = _pair_step(space, p, s, space.ut[s])
+            assert p == pairs[i]
+        for i, p in enumerate(pairs):
+            dist = _escape_distance(space, p)
+            assert bool(space.doomed >> i & 1) == (dist is not None), p
+            if dist is None:
+                continue
+            word = space.doom_word(i)
+            assert len(word) == dist, p
+            walked += dist > 0
+            for s in word:
+                p = _pair_step(space, p, s, space.ut[s])
+            assert p[0] and not p[1]
+    assert walked > 100
+
+
 def _per_window_bound(code, y, word, k_max):
     """The uniform bound one window at a time: the containment scan on
     every central window of the cylinder image, radius by radius."""
