@@ -688,9 +688,12 @@ def lift_code(f, x1, x2, w_max=6, budget=None):
     and x2 with label2(F(xi)) = f(label1(xi)), by bounded window search.
 
     Variables are window paths of the first cover; each must pick a
-    target edge producing the right symbol, and choices on overlapping
-    windows must chain into paths. Returns the first code found in the
-    deterministic sweep, or None when every window up to w_max fails
+    target edge producing the right symbol, and a window's edge must end
+    where the edge of each other window beginning with its last w - 1
+    edges starts. The second cover is right-resolving, so one choice at
+    the least window forces every other window (forced propagation, no
+    backtracking). Returns the first code in (window, memory, window
+    name, edge id) order, or None when every window up to w_max fails
     (which proves nothing about larger windows).
     """
     if budget is None:
@@ -699,85 +702,71 @@ def lift_code(f, x1, x2, w_max=6, budget=None):
     g2 = sh.fischer_cover(x2)
     mf, nf = f.memory, f.anticipation
     for w in range(max(1, mf + nf + 1), w_max + 1):
+        windows = _windows(g1, w, budget)
         for mem in range(mf, w - nf):
-            ant = w - 1 - mem
-            sol = _lift_search(f, g1, g2, mem, ant, budget)
+            sol = _lift_search(f, windows, g2, mem, budget)
             if sol is not None:
                 dom = sh.edge_shift(g1)
-                code = SlidingBlockCode.make(dom, mem, ant, sol,
+                code = SlidingBlockCode.make(dom, mem, w - 1 - mem, sol,
                                              sorted(e.id for e in g2.edges))
                 _verify_lift(f, code, g1, g2)
                 return code
     return None
 
 
-def _lift_search(f, g1, g2, mem, ant, budget):
-    w = mem + ant + 1
+def _windows(g1, w, budget):
+    """The paths of w edges of g1 in name order, and for each the indexes
+    of the other paths that begin with its last w - 1 edges."""
     paths = [(e,) for e in g1.edges]
     for _ in range(w - 1):
         paths = [p + (q,) for p in paths for q in g1.out[p[-1].dst]]
         budget.spend(len(paths))
-    if not paths:
-        return None
-    mf = f.memory
-    variables = ["~".join(e.id for e in p) for p in paths]
-    path_of = dict(zip(variables, paths))
-    domains = {}
-    for var in variables:
-        p = path_of[var]
-        word = tuple(e.label for e in p)
-        target = f.table[word[mem - mf: mem - mf + f.window]]
-        options = sorted((e.id for e in g2.edges if e.label == target))
-        if not options:
-            return None
-        domains[var] = options
-    # consecutiveness: overlapping windows must map to consecutive edges
-    succ_pairs = []
+    paths.sort(key=lambda p: "~".join(e.id for e in p))
     by_prefix = {}
-    for var in variables:
-        by_prefix.setdefault(path_of[var][:-1], []).append(var)
-    for var in variables:
-        for var2 in by_prefix.get(path_of[var][1:], ()):
-            succ_pairs.append((var, var2))
-    e2 = g2.by_id
+    for i, p in enumerate(paths):
+        by_prefix.setdefault(p[:-1], []).append(i)
+    succ = [[j for j in by_prefix.get(p[1:], ()) if j != i]
+            for i, p in enumerate(paths)]
+    return paths, succ
 
-    assignment = {}
-    order = sorted(variables)
-    after = {}
-    before = {}
-    for a, b in succ_pairs:
-        after.setdefault(a, []).append(b)
-        before.setdefault(b, []).append(a)
 
-    def consistent(var, val):
-        for b in after.get(var, ()):
-            if b in assignment and e2[val].dst != e2[assignment[b]].src:
-                return False
-        for a in before.get(var, ()):
-            if a in assignment and e2[assignment[a]].dst != e2[val].src:
-                return False
-        return True
+def _lift_search(f, windows, g2, mem, budget):
+    """The least lift table at this memory, or None.
 
-    # depth-first backtracking on an explicit stack of value iterators,
-    # one per assigned variable, so that the number of variables is not
-    # bounded by the recursion limit
-    stack = [iter(domains[order[0]])]
-    while stack:
-        var = order[len(stack) - 1]
-        for val in stack[-1]:
+    Each candidate edge of the least window is walked over the window
+    graph in FIFO order: a window's edge is read off g2 by its start
+    vertex and target label, and its end vertex becomes the start vertex
+    of each successor. A missing edge or a disagreeing start vertex
+    rejects the candidate. g1 is irreducible, so the walk reaches every
+    window and the first surviving candidate is the least assignment in
+    (window name, edge id) order.
+    """
+    paths, succ = windows
+    lo = mem - f.memory
+    labels = [f.table[tuple(e.label for e in p[lo:lo + f.window])]
+              for p in paths]
+    edge_at = {(e.src, e.label): e for e in g2.edges}
+    for first in sorted(e.id for e in g2.edges if e.label == labels[0]):
+        start = [None] * len(paths)
+        start[0] = g2.by_id[first].src
+        walk = [0]
+        for i in walk:
             budget.spend()
-            if consistent(var, val):
-                assignment[var] = val
+            e = edge_at.get((start[i], labels[i]))
+            if e is None or any(start[j] not in (None, e.dst)
+                                for j in succ[i]):
                 break
+            for j in succ[i]:
+                if start[j] is None:
+                    start[j] = e.dst
+                    walk.append(j)
         else:
-            stack.pop()
-            if stack:
-                del assignment[order[len(stack) - 1]]
-            continue
-        if len(stack) == len(order):
-            return {tuple(e.id for e in path_of[v]): assignment[v]
-                    for v in variables}
-        stack.append(iter(domains[order[len(stack)]]))
+            if len(walk) < len(paths):
+                raise InvariantViolation(
+                    "lift walk reaches every window",
+                    f"{len(paths) - len(walk)} of {len(paths)} unassigned")
+            return {tuple(e.id for e in p): edge_at[start[i], labels[i]].id
+                    for i, p in enumerate(paths)}
     return None
 
 

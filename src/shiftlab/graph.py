@@ -186,7 +186,8 @@ def trim(g):
     """Restrict to vertices lying on bi-infinite paths.
 
     A vertex survives iff it is reachable from some cycle and can reach
-    some cycle; the induced subgraph presents the same shift.
+    some cycle; the induced subgraph presents the same shift. A graph
+    that loses no vertex is returned as it is.
     """
     comp, _ = tarjan_scc(g.n, g.adj)
     alive = nontrivial_components(g.n, g.adj, comp)
@@ -200,6 +201,8 @@ def trim(g):
             radj[w].append(v)
     bwd = set(bfs_closure(seeds, lambda v: radj[v]))
     keep = fwd & bwd
+    if len(keep) == g.n:
+        return g
     return subgraph(g, (g.vertices[i] for i in sorted(keep)))
 
 

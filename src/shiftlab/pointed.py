@@ -95,8 +95,7 @@ class PointedAutomaton:
 
 def everywhere_marked(graph):
     """The automaton denoting all points of the shift the graph presents."""
-    t = gr.trim(graph)
-    return PointedAutomaton.build(t, [(e.id, 0) for e in t.edges])
+    return PointedAutomaton.build(graph, [(e.id, 0) for e in graph.edges])
 
 
 def cylinder_image(code, u):

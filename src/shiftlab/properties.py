@@ -284,7 +284,7 @@ def _f_generate(rng, cfg):
     if mode == "same":
         g2 = g1
     elif mode == "determinized":
-        g2 = gr.trim(gr.determinize(g1))
+        g2 = gr.determinize(g1)
     else:
         g2 = fischer_cover(SoficShift.from_graph(g1))
     return {"graph1": io.graph_to_json(g1), "graph2": io.graph_to_json(g2)}

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from shiftlab import fixtures
+from shiftlab import graph as gr
 from shiftlab.automata import Budget
 from shiftlab.codes import (
     SlidingBlockCode,
@@ -21,11 +23,15 @@ from shiftlab.codes import (
     is_right_closing,
     is_surjective_onto,
     lift_code,
+    _lift_search,
+    _windows,
 )
 from shiftlab.errors import DomainMismatch, NotFiniteToOne
+from shiftlab.graph import Edge, LabeledGraph
 from shiftlab.io import graph_from_json
 from shiftlab.properties import gen_labeled_graph
-from shiftlab.shifts import SoficShift, full_shift, shift_equal
+from shiftlab.shifts import (SoficShift, fischer_cover, full_shift,
+                             shift_equal)
 
 
 def test_table_must_cover_admissible_windows():
@@ -181,8 +187,8 @@ def test_lift_identity_to_covers():
     assert all(len(s) > 0 for s in lifted.codomain_alphabet)
 
 
-# a cover code whose lift search has more path variables than Python's
-# default recursion limit
+# a cover code with more lift windows than Python's default recursion
+# limit; no window up to w_max = 6 lifts
 DEEP_LIFT_GRAPH = {
     "alphabet": ["0", "1", "2"],
     "vertices": ["v0", "v1", "v2"],
@@ -204,3 +210,91 @@ def test_lift_search_deeper_than_the_recursion_limit():
     lifted = lift_code(code, code.domain, image_presentation(code),
                        budget=Budget(150_000, "lift"))
     assert lifted is None
+
+
+# small-decisions pool unit small#38: a cover code whose lift at memory 4
+# a backtracking window search does not find within Budget(150_000)
+LONG_LIFT_GRAPH = {
+    "alphabet": ["0", "1"],
+    "vertices": ["v1", "v2", "v3", "v4"],
+    "edges": [
+        {"id": "e0", "src": "v3", "dst": "v2", "label": "1"},
+        {"id": "e1", "src": "v1", "dst": "v3", "label": "1"},
+        {"id": "e2", "src": "v4", "dst": "v1", "label": "1"},
+        {"id": "e3", "src": "v3", "dst": "v2", "label": "0"},
+        {"id": "e4", "src": "v1", "dst": "v4", "label": "1"},
+        {"id": "e5", "src": "v2", "dst": "v1", "label": "1"},
+    ],
+}
+
+
+def test_lift_at_memory_four_within_budget():
+    code = cover_code(graph_from_json(LONG_LIFT_GRAPH))
+    lifted = lift_code(code, code.domain, image_presentation(code),
+                       budget=Budget(150_000, "lift"))
+    assert lifted is not None
+    assert (lifted.memory, lifted.anticipation) == (4, 0)
+
+
+def _brute_force_lift(f, g1, g2, mem, ant):
+    """The least lift table in (window name, edge id) order by trying
+    every assignment: window paths of g1, each mapped to an edge of g2
+    with its target label, such that a window's edge ends where the edge
+    of every other window beginning with its last w - 1 edges starts."""
+    w = mem + ant + 1
+    paths = [(e,) for e in g1.edges]
+    for _ in range(w - 1):
+        paths = [p + (q,) for p in paths for q in g1.out[p[-1].dst]]
+    paths.sort(key=lambda p: "~".join(e.id for e in p))
+    lo = mem - f.memory
+    domains = []
+    for p in paths:
+        target = f.table[tuple(e.label for e in p)[lo:lo + f.window]]
+        domains.append(sorted(e.id for e in g2.edges if e.label == target))
+    pairs = [(a, b) for a, p in enumerate(paths)
+             for b, q in enumerate(paths) if a != b and q[:-1] == p[1:]]
+    e2 = g2.by_id
+    for choice in itertools.product(*domains):
+        if all(e2[choice[a]].dst == e2[choice[b]].src for a, b in pairs):
+            return {tuple(e.id for e in p): v for p, v in zip(paths, choice)}
+    return None
+
+
+def _two_copies(g, rng):
+    """A right-resolving graph with two copies of g's vertices: each edge
+    of g leaves both copies of its source and enters a random copy of its
+    target, so that a code can have several lifts into it."""
+    return LabeledGraph.make(
+        g.alphabet, [v + c for c in "ab" for v in g.vertices],
+        [Edge(e.id + c, e.src + c, e.dst + rng.choice("ab"), e.label)
+         for c in "ab" for e in g.edges])
+
+
+def test_lift_search_matches_brute_force():
+    # sources of at most 3 vertices and 4 edges keep the product small;
+    # targets are the image cover and a two-copy graph over it
+    rng = random.Random(7)
+    checked = found = 0
+    while checked < 200:
+        g = gen_labeled_graph(rng, 3, 3, accept=gr.is_irreducible)
+        if rng.randrange(2):
+            f = cover_code(g)
+        else:
+            x = SoficShift.from_graph(g)
+            outs = [str(i) for i in range(rng.randint(1, 2))]
+            table = {w: rng.choice(outs) for w in x.language(1)}
+            f = SlidingBlockCode.make(x, 0, 0, table)
+        g1 = fischer_cover(f.domain)
+        cover2 = fischer_cover(image_presentation(f))
+        if g1.n > 3 or cover2.n > 3 or len(g1.edges) > 4:
+            continue
+        for g2 in (cover2, _two_copies(cover2, rng)):
+            for w in (1, 2):
+                windows = _windows(g1, w, Budget(10**6))
+                for mem in range(w):
+                    want = _brute_force_lift(f, g1, g2, mem, w - 1 - mem)
+                    got = _lift_search(f, windows, g2, mem, Budget(10**6))
+                    assert got == want, (g.edges, g2.edges, w, mem)
+                    checked += 1
+                    found += want is not None
+    assert 0 < found < checked
