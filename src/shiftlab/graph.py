@@ -365,10 +365,12 @@ def words_of_length(g, n):
 
 
 def sublanguage_counterexample(g1, g2, budget=None):
-    """Shortest-ish word admissible in g1 but not in g2, or None.
+    """Shortest word admissible in g1 but not in g2, or None.
 
-    Walks the product of g1's trimmed graph with the subset automaton of
-    g2's trimmed graph, hunting for the empty subset.
+    Searches the product of g1's trimmed graph with the subset automaton
+    of g2's trimmed graph breadth first for a state with an out-edge into
+    the empty subset. The word is the search-tree path to the first such
+    state, then the label of its first such edge in (label, id) order.
     """
     t1, t2 = trim(g1), trim(g2)
     if t1.n == 0:
@@ -378,38 +380,33 @@ def sublanguage_counterexample(g1, g2, budget=None):
     if budget is None:
         budget = Budget(where="sublanguage")
     sx2 = t2.sym_index
-    full2 = t2.full_mask
-    parent = {}
-    queue = []
-    for i, v in enumerate(t1.vertices):
-        state = (i, full2)
-        if state not in parent:
-            parent[state] = None
-            queue.append(state)
-    head = 0
-    while head < len(queue):
-        state = queue[head]
-        head += 1
+    out = [sorted(t1.out[v], key=lambda e: (e.label, e.id))
+           for v in t1.vertices]
+
+    def step(mask, label):
+        return t2.ops.step(mask, sx2[label]) if label in sx2 else 0
+
+    moves = {}
+
+    def dead_end(state):
+        # runs on each state just before its expansion, so it also lays
+        # out the state's moves
         vi, mask = state
-        v = t1.vertices[vi]
-        for e in sorted(t1.out[v], key=lambda e: (e.label, e.id)):
-            if e.label not in sx2:
-                m2 = 0
-            else:
-                m2 = t2.ops.step(mask, sx2[e.label])
-            if m2 == 0:
-                word = [e.label]
-                cur = state
-                while parent[cur] is not None:
-                    cur, sym = parent[cur]
-                    word.append(sym)
-                return tuple(reversed(word))
-            nxt = (t1.vindex[e.dst], m2)
-            if nxt not in parent:
-                budget.spend()
-                parent[nxt] = (state, e.label)
-                queue.append(nxt)
-    return None
+        row = moves[state] = []
+        for e in out[vi]:
+            m2 = step(mask, e.label)
+            if not m2:
+                return True
+            row.append(((t1.vindex[e.dst], m2), e.label))
+        return False
+
+    parent, goal = bfs_tree([(i, t2.full_mask) for i in range(t1.n)],
+                            moves.__getitem__, budget, dead_end)
+    if goal is None:
+        return None
+    vi, mask = goal
+    last = next(e.label for e in out[vi] if not step(mask, e.label))
+    return tuple(tree_path(parent, goal)[1]) + (last,)
 
 
 def is_sublanguage(g1, g2, budget=None):

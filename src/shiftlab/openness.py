@@ -11,6 +11,7 @@ turns the absence of such windows into genuine containment of points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import graph as gr
 from .automata import (Budget, apply_mask, bfs_closure, bfs_tree, cycle_nodes,
@@ -51,7 +52,7 @@ class SweepSpace:
     free[s] and zone[s, xi] map each pair to the bit of its successor (0
     where the image side dies), and left and doomed are the masks of the
     left-context pairs and of the pairs from which a free scan can reach
-    a live-U dead-S pair."""
+    a live-U dead-S pair. The image shift is built on first use."""
 
     def __init__(self, code, budget=None):
         self.code = code
@@ -59,7 +60,6 @@ class SweepSpace:
         g = a.graph
         self.g = g
         self.x_sym = dict(a.x_sym)
-        self.image = SoficShift.from_graph(g)
         self.budget = budget if budget is not None else Budget(
             where="openness sweep")
         self.full = g.full_mask
@@ -111,6 +111,10 @@ class SweepSpace:
             [i for i, (u, v) in enumerate(self.pairs) if u and not v],
             back.__getitem__)
         self.doomed = sum(1 << i for i in self._doom_parent)
+
+    @cached_property
+    def image(self):
+        return SoficShift.from_graph(self.g)
 
     def left_word(self, i):
         return tuple(tree_path(self._left_parent, self.pairs[i])[1])
@@ -709,12 +713,16 @@ def check_right_continuing_retract(code, retract=0, side="right"):
 
 
 def _retract_verdict(code, retract, side):
-    """The machine tracks, along an adversarial upstream point, which image
-    states can read its image past and which arrow states can still
-    carry a lift locked to it outside the retract window. Limit states
-    arise from stabilized cycles, so refutations come with genuine
-    bi-infinite witnesses; a failed free hunt for a live-image dead-lift
-    pair proves liftability by a compactness argument on lift threads.
+    """Right side: along an upstream point, the locked phase scans the
+    sweep's (U, S) pairs by zone steps; a limit state is an upstream
+    vertex with its pair. After the retract window of free steps, a state
+    escapes when its pair is doomed. Refuted when a state reached from a
+    stabilized cycle scan (a genuine limit) escapes; Proved when none
+    reached from a cycle of the restart closure (an overapproximation)
+    does, by compactness on lift threads; Inconclusive otherwise or out
+    of budget. The payload holds side, retract and, when decided, the
+    count of limit states behind the verdict; no witness point. "left"
+    is the reversed code's right side; "bi" needs both sides.
     """
     if side == "bi":
         right = _retract_verdict(code, retract, "right")
@@ -743,39 +751,27 @@ def _retract_verdict(code, retract, side):
 
 
 def _right_retract_verdict(code, retract):
-    a = arrow_graph(code)
-    g = a.graph
-    xs = a.x_sym
     budget = Budget(where="retract check")
-    ut, zt, _ = _step_tables(g, xs)
-    zero = (0,) * g.n
-    full = g.full_mask
+    space = SweepSpace(code, budget)
+    g = space.g
     out_edges = {v: sorted(g.out[v], key=lambda e: e.id) for v in g.vertices}
+    lock = {e.id: space.zone[e.label, space.x_sym[e.id]] for e in g.edges}
 
-    def locked_step(t, e):
-        return (e.dst, apply_mask(ut[e.label], t[1]),
-                apply_mask(zt.get((e.label, xs[e.id]), zero), t[2]))
+    def locked_moves(state):
+        v, p = state
+        return [(e.dst, apply_mask(lock[e.id], p)) for e in out_edges[v]]
 
-    def free_lift_step(t, e):
-        return (e.dst, apply_mask(ut[e.label], t[1]),
-                apply_mask(ut[e.label], t[2]))
-
-    # locked-phase closure from full restarts
-    succ = {}
-
-    def locked_moves(t):
-        succ[t] = [locked_step(t, e) for e in out_edges[t[0]]]
-        return succ[t]
-
-    order = sorted(bfs_closure([(v, full, full) for v in g.vertices],
-                               locked_moves, budget))
+    # locked-phase closure of (upstream vertex, pair bit) from full
+    # restarts; bit 0 is the (full, full) pair
+    order = list(bfs_closure([(v, 1) for v in g.vertices], locked_moves,
+                             budget))
     index = {t: i for i, t in enumerate(order)}
-    eadj = [[(index[t2], e) for t2, e in zip(succ[t], out_edges[t[0]])]
-            for t in order]
+    eadj = [[(index[e.dst, apply_mask(lock[e.id], p)], e)
+             for e in out_edges[v]] for v, p in order]
     adj = [[j for j, _ in row] for row in eadj]
     cyc = cycle_nodes(len(order), adj)
 
-    # every true limit triple is reachable from a cycle of the restart
+    # every true limit state is reachable from a cycle of the restart
     # closure, so this overapproximates them
     upper = [order[i] for i in bfs_closure(sorted(cyc), adj.__getitem__)]
 
@@ -788,44 +784,36 @@ def _right_retract_verdict(code, retract):
         cyc_edges = shortest_cycle(cyc_rows, i)
         if cyc_edges is None:
             raise InvariantViolation("cycle exists through cycle node")
-        cur = (order[i][0], full, full)
-        while True:
-            nxt = cur
+
+        def scan(p):
             for e in cyc_edges:
-                nxt = locked_step(nxt, e)
-            if nxt == cur:
-                break
-            cur = nxt
-        lower.add(index[cur])
+                p = apply_mask(lock[e.id], p)
+            return p
+        # the scan is monotone and starts from the full pair, so its
+        # orbit tail is one fixed point
+        v = order[i][0]
+        lower.add(index[v, _orbit_tail(1, scan)[0]])
     lower = [order[i]
              for i in bfs_closure(sorted(lower), adj.__getitem__, budget)]
 
-    free_moves = pair_moves([(s, ut[s], ut[s]) for s in g.symbols])
-
-    def hunt(triples):
+    def escapes(states):
         # retract window first: the lift may deviate, the image is
         # still locked to the upstream point
-        frontier = set(triples)
+        frontier = set(states)
         for _ in range(retract):
-            nxt = set()
-            for t in frontier:
-                for e in out_edges[t[0]]:
-                    nxt.add(free_lift_step(t, e))
+            frontier = {(e.dst, apply_mask(space.free[e.label], p))
+                        for v, p in frontier for e in out_edges[v]}
             budget.spend()
-            frontier = nxt
-        # then a free hunt for an admissible continuation with no lift
-        seen, bad = bfs_tree(sorted({(t[1], t[2]) for t in frontier}),
-                             free_moves, budget, lambda p: p[0] and not p[1])
-        return bad is not None, len(seen)
+        # then a free scan reaches a live-U dead-S pair exactly from
+        # the doomed pairs
+        return any(p & space.doomed for _, p in frontier)
 
-    escaped, states = hunt(lower)
-    if escaped:
+    if escapes(lower):
         return refuted({"side": "right", "retract": retract,
-                        "limit_states": len(lower), "states": states})
-    escaped, states = hunt(upper)
-    if not escaped:
+                        "limit_states": len(lower)})
+    if not escapes(upper):
         return proved({"side": "right", "retract": retract,
-                       "limit_states": len(upper), "states": states})
+                       "limit_states": len(upper)})
     return inconclusive({
         "side": "right",
         "retract": retract,

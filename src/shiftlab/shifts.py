@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import graph as gr
-from .automata import (Budget, bfs_closure, nontrivial_components,
-                       shortest_cycle, shortest_path, tarjan_scc)
+from .automata import (Budget, bfs_closure, bfs_tree, nontrivial_components,
+                       shortest_cycle, shortest_path, tarjan_scc, tree_path)
 from .decision import inconclusive, proved, refuted
 from .errors import (
     BudgetExceeded,
@@ -366,18 +366,12 @@ def uniform_gap_bound(x):
     ends = closure(ops.step)
     starts = closure(ops.costep)
 
+    rows = [[(w, w) for w in f.adj[u]] for u in range(f.n)]
     dist = [[math.inf] * f.n for _ in range(f.n)]
     for v in range(f.n):
-        dist[v][v] = 0
-        queue = [v]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for w in f.adj[u]:
-                if dist[v][w] == math.inf:
-                    dist[v][w] = dist[v][u] + 1
-                    queue.append(w)
+        tree, _ = bfs_tree([v], rows.__getitem__)
+        for w in tree:
+            dist[v][w] = len(tree_path(tree, w)[1])
 
     worst = 0
     for e_mask in ends:

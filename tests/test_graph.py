@@ -27,7 +27,7 @@ from shiftlab.graph import (
     trim,
     words_of_length,
 )
-from shiftlab.properties import gen_right_resolving_graph
+from shiftlab.properties import gen_labeled_graph, gen_right_resolving_graph
 
 
 def test_make_validates_edges():
@@ -145,6 +145,32 @@ def test_sublanguage_and_shift_equality():
     w = sublanguage_counterexample(full2, golden)
     assert not accepts_word(golden, w)
     assert shift_equal(golden, determinize(golden))
+
+
+def test_sublanguage_counterexample_is_a_shortest_word():
+    # random pairs, and pairs where g2 is g1 less one edge
+    rng = random.Random(13)
+    found = 0
+    for i in range(150):
+        g1 = gen_labeled_graph(rng, 5, 2)
+        if i % 2:
+            g2 = gen_labeled_graph(rng, 5, 2)
+        else:
+            drop = rng.choice(g1.edges)
+            g2 = LabeledGraph.make(g1.alphabet, g1.vertices,
+                                   [tuple(e) for e in g1.edges if e != drop])
+        w = sublanguage_counterexample(g1, g2)
+        if w is None:
+            for n in range(1, 7):
+                assert set(words_of_length(g1, n)) <= set(
+                    words_of_length(g2, n))
+            continue
+        found += 1
+        assert accepts_word(g1, w) and not accepts_word(g2, w)
+        # no shorter word of g1 is missing from g2
+        for n in range(1, len(w)):
+            assert set(words_of_length(g1, n)) <= set(words_of_length(g2, n))
+    assert 30 < found < 150
 
 
 def test_disjoint_union_presents_both_pieces():

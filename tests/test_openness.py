@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from shiftlab import fixtures
-from shiftlab.automata import Budget
-from shiftlab.codes import SlidingBlockCode, cover_code, image_presentation
-from shiftlab.decision import inconclusive, refuted
+from shiftlab import fixtures, openness
+from shiftlab.automata import (Budget, bfs_closure, bfs_tree, cycle_nodes,
+                               pair_moves, shortest_cycle)
+from shiftlab.codes import (SlidingBlockCode, arrow_graph, cover_code,
+                            image_presentation)
+from shiftlab.decision import inconclusive, proved, refuted
 from shiftlab.errors import InvariantViolation
 from shiftlab.graph import words_of_length
 from shiftlab.io import graph_from_json
@@ -519,3 +521,131 @@ def test_stalling_cover_is_decided_within_the_budget():
     dec, _ = check_open(code, budget=Budget(500))
     assert dec.is_inconclusive
     assert dec.payload["reason"] == "budget"
+
+
+# -- the retract check against the triple machine -----------------------------
+
+
+def _triple_retract_verdict(code, retract):
+    """The right-side retract machine over (vertex, U, S) triples, with
+    its own locked and free steps, a fixed-point loop for stabilized
+    cycle scans and a breadth-first hunt for a live-U dead-S pair. Its
+    payload also counts the hunt's states."""
+    a = arrow_graph(code)
+    g = a.graph
+    budget = Budget(where="retract check")
+    ut = {s: [0] * g.n for s in g.symbols}
+    zt = {}
+    for e in g.edges:
+        si, di = g.vindex[e.src], g.vindex[e.dst]
+        ut[e.label][si] |= 1 << di
+        zt.setdefault((e.label, a.x_sym[e.id]), [0] * g.n)[si] |= 1 << di
+    full = g.full_mask
+    out_edges = {v: sorted(g.out[v], key=lambda e: e.id) for v in g.vertices}
+
+    def locked_step(t, e):
+        return (e.dst, _image(ut[e.label], t[1]),
+                _image(zt[e.label, a.x_sym[e.id]], t[2]))
+
+    def free_lift_step(t, e):
+        return (e.dst, _image(ut[e.label], t[1]), _image(ut[e.label], t[2]))
+
+    succ = {}
+
+    def locked_moves(t):
+        succ[t] = [locked_step(t, e) for e in out_edges[t[0]]]
+        return succ[t]
+
+    order = sorted(bfs_closure([(v, full, full) for v in g.vertices],
+                               locked_moves, budget))
+    index = {t: i for i, t in enumerate(order)}
+    eadj = [[(index[t2], e) for t2, e in zip(succ[t], out_edges[t[0]])]
+            for t in order]
+    adj = [[j for j, _ in row] for row in eadj]
+    cyc = cycle_nodes(len(order), adj)
+    upper = [order[i] for i in bfs_closure(sorted(cyc), adj.__getitem__)]
+    lower = set()
+    cyc_rows = [[(j, e) for j, e in row if j in cyc] for row in eadj]
+    for i in sorted(cyc):
+        cyc_edges = shortest_cycle(cyc_rows, i)
+        cur = (order[i][0], full, full)
+        while True:
+            nxt = cur
+            for e in cyc_edges:
+                nxt = locked_step(nxt, e)
+            if nxt == cur:
+                break
+            cur = nxt
+        lower.add(index[cur])
+    lower = [order[i]
+             for i in bfs_closure(sorted(lower), adj.__getitem__, budget)]
+    free_moves = pair_moves([(s, ut[s], ut[s]) for s in g.symbols])
+
+    def hunt(triples):
+        frontier = set(triples)
+        for _ in range(retract):
+            frontier = {free_lift_step(t, e)
+                        for t in frontier for e in out_edges[t[0]]}
+            budget.spend()
+        seen, bad = bfs_tree(sorted({(t[1], t[2]) for t in frontier}),
+                             free_moves, budget, lambda p: p[0] and not p[1])
+        return bad is not None, len(seen)
+
+    escaped, states = hunt(lower)
+    if escaped:
+        return refuted({"side": "right", "retract": retract,
+                        "limit_states": len(lower), "states": states})
+    escaped, states = hunt(upper)
+    if not escaped:
+        return proved({"side": "right", "retract": retract,
+                       "limit_states": len(upper), "states": states})
+    return inconclusive({
+        "side": "right",
+        "retract": retract,
+        "reason": "escape only from the limit overapproximation",
+    })
+
+
+def _without_states(value):
+    if isinstance(value, dict):
+        return {k: _without_states(v) for k, v in value.items()
+                if k != "states"}
+    if isinstance(value, list):
+        return [_without_states(v) for v in value]
+    return value
+
+
+# a one-block code whose retract check escapes only from the limit
+# overapproximation, at retract 1 and 2 on both sides
+UNDECIDED_RETRACT_GRAPH = {
+    "alphabet": ["0", "1", "2"],
+    "vertices": ["v1", "v2", "v3", "v6"],
+    "edges": [
+        {"id": "e0", "src": "v1", "dst": "v6", "label": "1"},
+        {"id": "e1", "src": "v6", "dst": "v2", "label": "1"},
+        {"id": "e4", "src": "v6", "dst": "v3", "label": "0"},
+        {"id": "e5", "src": "v2", "dst": "v1", "label": "2"},
+        {"id": "e6", "src": "v3", "dst": "v6", "label": "0"},
+    ],
+}
+
+
+def test_retract_check_matches_triple_machine(monkeypatch):
+    """Same verdict, limit_states and every other payload key as the
+    triple machine, on every side and retract 0-3; only the hunt's state
+    count is gone."""
+    undecided = SlidingBlockCode.make(
+        SoficShift.from_graph(graph_from_json(UNDECIDED_RETRACT_GRAPH)),
+        0, 0, {("0",): "1", ("1",): "1", ("2",): "0"})
+    verdicts = set()
+    for code in _small_codes(60, seed=11) + [undecided]:
+        for side in ("right", "left", "bi"):
+            for n in range(4):
+                got = check_right_continuing_retract(code, n, side).to_json()
+                with monkeypatch.context() as m:
+                    m.setattr(openness, "_right_retract_verdict",
+                              _triple_retract_verdict)
+                    want = check_right_continuing_retract(code, n, side)
+                assert got == _without_states(want.to_json())
+                verdicts.add((side, got["verdict"]["verdict"]))
+    assert {v for _, v in verdicts} == {"Proved", "Refuted", "Inconclusive"}
