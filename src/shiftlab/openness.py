@@ -76,27 +76,34 @@ class SweepSpace:
         # the universe: per live symbol, the free step, then every zone
         # step. Pairs are expanded in index order, so each expansion
         # appends the pair's entry to every table, and new successors are
-        # indexed in the order the closure discovers them
+        # indexed in the order the closure discovers them. Rows of a
+        # symbol that share an S table (often the all-zero one) share
+        # their successor, so rows are grouped by S table in order of
+        # first occurrence and each group steps once
         index = {p: i for i, p in enumerate(self._left_parent)}
         self.free = {s: [] for s in self.symbols}
         self.zone = {(s, xi): [] for s in self.symbols
                      for xi in self.xsymbols}
-        moves = [(self.ut[s], [(self.ut[s], self.free[s])]
-                  + [(self.zt.get((s, xi), self._zero), self.zone[s, xi])
-                     for xi in self.xsymbols])
-                 for s in self.symbols]
+        moves = []
+        for s in self.symbols:
+            groups = {self.ut[s]: [self.free[s]]}
+            for xi in self.xsymbols:
+                groups.setdefault(self.zt.get((s, xi), self._zero),
+                                  []).append(self.zone[s, xi])
+            moves.append((self.ut[s], list(groups.items())))
 
         def steps(p):
             out = []
-            for u_table, row in moves:
+            for u_table, groups in moves:
                 u = apply_mask(u_table, p[0])
-                for s_table, table in row:
-                    if not u:
-                        table.append(0)
-                        continue
-                    q = (u, apply_mask(s_table, p[1]))
-                    out.append(q)
-                    table.append(1 << index.setdefault(q, len(index)))
+                for s_table, tables in groups:
+                    bit = 0
+                    if u:
+                        q = (u, apply_mask(s_table, p[1]))
+                        out.append(q)
+                        bit = 1 << index.setdefault(q, len(index))
+                    for table in tables:
+                        table.append(bit)
             return out
         self.pairs = list(bfs_closure(self._left_parent, steps, self.budget))
         # doomed: the doom tree grows backwards from the live-U dead-S
@@ -266,6 +273,9 @@ def _escape_samples(space, u, limit=2):
                 p = apply_mask(space.zone[s, xi], p)
             if p >> hit & 1:
                 break
+        else:
+            raise InvariantViolation("escape reached from a left context",
+                                     f"zone {u.word} window {word}")
         left = space.left_word(src)
         window = CenteredWord(left + word + space.doom_word(hit),
                               len(left) + u.center)
@@ -283,27 +293,6 @@ def _compose(t1, t2):
     return tuple(apply_mask(t2, m) for m in t1)
 
 
-def _join(space, p1, p2):
-    """Transfer profile of a concatenation of zone words with profiles p1
-    and p2: joint tables compose pairwise, admissibility tables compose.
-    Tables repeat across the pairs, so each distinct pair of tables is
-    composed once."""
-    done = {}
-
-    def compose(t1, t2):
-        t = done.get((t1, t2))
-        if t is None:
-            t = done[t1, t2] = _compose(t1, t2)
-        return t
-
-    pairs = set()
-    for tu1, ts1 in p1[0]:
-        for tu2, ts2 in p2[0]:
-            space.budget.spend()
-            pairs.add((compose(tu1, tu2), compose(ts1, ts2)))
-    return (frozenset(pairs), _compose(p1[1], p2[1]))
-
-
 def _profile_levels(space):
     """The distinct transfer profiles of admissible zone words of length
     1, 3, 5, ..., one level at a time.
@@ -318,10 +307,58 @@ def _profile_levels(space):
     order of those words: enumerating (x, P, y) lexicographically visits
     x + rep(P) + y in word order, so a profile's first hit is its least
     word.
+
+    The joint tables form a monoid that lives for one sweep. Each joint
+    table pair is interned as a small integer id, so a profile is a
+    frozenset of ids with its admissibility table, and the product of
+    two ids is composed once and looked up after that. The admissible
+    joins of each (x, P) are kept for the whole sweep, so a profile met
+    again at a later level costs no join. A join spends one budget state
+    per pair product, before it is built.
     """
-    sym = {xi: (frozenset((space.ut[s], space.zt.get((s, xi), space._zero))
+    tables = []  # id -> joint (image, zone-thread) table pair
+    ids = {}
+    products = {}
+
+    def intern(pair):
+        i = ids.get(pair)
+        if i is None:
+            i = ids[pair] = len(tables)
+            tables.append(pair)
+        return i
+
+    def join(p1, p2, adm):
+        space.budget.spend(len(p1[0]) * len(p2[0]))
+        out = set()
+        for i in p1[0]:
+            for j in p2[0]:
+                k = products.get((i, j))
+                if k is None:
+                    (tu1, ts1), (tu2, ts2) = tables[i], tables[j]
+                    k = products[i, j] = intern((_compose(tu1, tu2),
+                                                 _compose(ts1, ts2)))
+                out.add(k)
+        return frozenset(out), adm
+
+    sym = {xi: (frozenset(intern((space.ut[s],
+                                  space.zt.get((s, xi), space._zero)))
                           for s in space.symbols), space.xt[xi])
            for xi in space.xsymbols}
+
+    def joins_of(x, prof):
+        """The admissible joins (y, x.P.y) of x and P, in order of y."""
+        adm = _compose(sym[x][1], prof[1])
+        if not any(adm):
+            return ()
+        left = join(sym[x], prof, adm)
+        out = []
+        for y in space.xsymbols:
+            adm = _compose(left[1], sym[y][1])
+            if any(adm):
+                out.append((y, join(left, sym[y], adm)))
+        return out
+
+    joins = {}
     level = {}
     for xi in space.xsymbols:
         level.setdefault(sym[xi], (xi,))
@@ -330,13 +367,11 @@ def _profile_levels(space):
         nxt = {}
         for x in space.xsymbols:
             for prof, word in level.items():
-                if not any(_compose(sym[x][1], prof[1])):
-                    continue
-                left = _join(space, sym[x], prof)
-                for y in space.xsymbols:
-                    if any(_compose(left[1], sym[y][1])):
-                        nxt.setdefault(_join(space, left, sym[y]),
-                                       (x,) + word + (y,))
+                found = joins.get((x, prof))
+                if found is None:
+                    found = joins[x, prof] = joins_of(x, prof)
+                for y, joined in found:
+                    nxt.setdefault(joined, (x,) + word + (y,))
         level = nxt
 
 

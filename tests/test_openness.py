@@ -348,6 +348,112 @@ def test_open_profile_sweep_matches_per_word_sweep():
     }
 
 
+# -- the level sweep against joins of explicit tables -------------------------
+
+
+LEVELS = 6  # levels 0-5
+
+
+def _table_join(p1, p2):
+    """Join of two profiles held as explicit tables: joint tables compose
+    pairwise, admissibility tables compose."""
+    return (frozenset((_then(tu1, tu2), _then(ts1, ts2))
+                      for tu1, ts1 in p1[0] for tu2, ts2 in p2[0]),
+            _then(p1[1], p2[1]))
+
+
+def _table_levels(space, count):
+    """The first count levels of the sweep over explicit-table profiles,
+    every join recomputed: per level, the dict from profile to least zone
+    word, and the (x, P, pair products) of the joins x.P and (x.P).y that
+    build the next level from it."""
+    sym = {xi: (frozenset((space.ut[s], space.zt.get((s, xi), space._zero))
+                          for s in space.symbols), space.xt[xi])
+           for xi in space.xsymbols}
+    level = {}
+    for xi in space.xsymbols:
+        level.setdefault(sym[xi], (xi,))
+    levels, joins = [level], []
+    while len(levels) < count:
+        nxt, made = {}, []
+        for x in space.xsymbols:
+            for prof, word in level.items():
+                products = 0
+                if any(_then(sym[x][1], prof[1])):
+                    left = _table_join(sym[x], prof)
+                    products = len(sym[x][0]) * len(prof[0])
+                    for y in space.xsymbols:
+                        if any(_then(left[1], sym[y][1])):
+                            products += len(left[0]) * len(sym[y][0])
+                            nxt.setdefault(_table_join(left, sym[y]),
+                                           (x,) + word + (y,))
+                made.append((x, prof, products))
+        level = nxt
+        levels.append(level)
+        joins.append(made)
+    return levels, joins
+
+
+def _level_codes():
+    """Seeded tiny cover and one-block codes, reducible domains included,
+    and the code fixtures."""
+    return _small_codes(40, seed=5, vertices=3) + [
+        fixtures.fig1_code(), fixtures.even_cover(), fixtures.golden_cover(),
+        fixtures.phase_doubling_code(),
+        fixtures.right_closing_counterexample_code()]
+
+
+def test_monoid_levels_match_explicit_table_levels():
+    words = recurring = 0
+    for code in _level_codes():
+        space = SweepSpace(code, Budget(10**9))
+        reference, _ = _table_levels(space, LEVELS)
+        levels = openness._profile_levels(space)
+        shared = set()
+        for ref in reference:
+            level = next(levels)
+            assert list(level.values()) == list(ref.values())
+            shared.update(zip(level, ref))
+        # interning is a bijection: words share a monoid profile exactly
+        # when they share an explicit-table profile
+        assert len({p for p, _ in shared}) == len(shared) \
+            == len({r for _, r in shared})
+        # profiles met again at later levels
+        count = sum(map(len, reference))
+        words += count
+        recurring += count - len(shared)
+    assert words > 900 and recurring > 600
+
+
+def test_each_profile_joins_once_per_sweep():
+    revisited = mixed = 0
+    for code in _level_codes():
+        space = SweepSpace(code, Budget(10**9))
+        reference, joins = _table_levels(space, LEVELS)
+        # the pair universe spends before the first level
+        levels = openness._profile_levels(space)
+        used = space.budget.used
+        next(levels)
+        assert space.budget.used == used
+        joined, seen = set(), set()
+        for ref, made in zip(reference, joins):
+            # level l+1 spends the products of its first-time joins only
+            first = [n for x, prof, n in made if (x, prof) not in joined]
+            joined.update((x, prof) for x, prof, _ in made)
+            next(levels)
+            assert space.budget.used - used == sum(first)
+            if ref and seen.issuperset(ref):
+                # a level of revisited profiles spends nothing
+                assert space.budget.used == used
+                revisited += 1
+            elif len(first) < len(made):
+                # a level of new and revisited profiles
+                mixed += 1
+            used = space.budget.used
+            seen.update(ref)
+    assert revisited > 100 and mixed > 5
+
+
 def _least_interior_window(code, zone, y, k_limit):
     """The least half-length k >= the zone's center, then the
     lexicographically least image word of length 2k + 1, whose central
