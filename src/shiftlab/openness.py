@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
+from math import inf
 
 from . import graph as gr
 from .automata import (Budget, apply_mask, bfs_closure, bfs_tree, cycle_nodes,
@@ -52,7 +54,10 @@ class SweepSpace:
     free[s] and zone[s, xi] map each pair to the bit of its successor (0
     where the image side dies), and left and doomed are the masks of the
     left-context pairs and of the pairs from which a free scan can reach
-    a live-U dead-S pair. The image shift is built on first use."""
+    a live-U dead-S pair. The image shift is built on first use. The
+    space also holds one sweep's memos, each spending its budget: the
+    transfer monoid and the interior decision's layers, id actions and
+    distances (see interior_nonempty)."""
 
     def __init__(self, code, budget=None):
         self.code = code
@@ -118,10 +123,119 @@ class SweepSpace:
             [i for i, (u, v) in enumerate(self.pairs) if u and not v],
             back.__getitem__)
         self.doomed = sum(1 << i for i in self._doom_parent)
+        self.index = index
+        # the transfer monoid: joint (image, zone-thread) table pairs as ids
+        self.tables, self.ids, self.products = [], {}, {}
+        self.layers = [frozenset([(self.left, self.full)])]
+        self.cycle_start = None
+        self._reached, self._distances = {}, {}
 
     @cached_property
     def image(self):
         return SoficShift.from_graph(self.g)
+
+    def intern(self, pair):
+        i = self.ids.get(pair)
+        if i is None:
+            i = self.ids[pair] = len(self.tables)
+            self.tables.append(pair)
+        return i
+
+    def product(self, i, j):
+        """The id of joint table i then joint table j, composed once."""
+        k = self.products.get((i, j))
+        if k is None:
+            (tu1, ts1), (tu2, ts2) = self.tables[i], self.tables[j]
+            k = self.products[i, j] = self.intern((_compose(tu1, tu2),
+                                                   _compose(ts1, ts2)))
+        return k
+
+    @cached_property
+    def symbol_profiles(self):
+        """Per zone symbol, its profile: the ids of its joint tables, one
+        per image symbol, and its admissibility table."""
+        return {xi: (frozenset(self.intern((self.ut[s],
+                                            self.zt.get((s, xi), self._zero)))
+                               for s in self.symbols), self.xt[xi])
+                for xi in self.xsymbols}
+
+    def profile(self, word):
+        """The ids of a zone word's profile; spends no budget."""
+        sym = self.symbol_profiles
+        ids = sym[word[0]][0]
+        for xi in word[1:]:
+            ids = frozenset(self.product(i, j)
+                            for i in ids for j in sym[xi][0])
+        return ids
+
+    def free_moves(self, state):
+        """The interior states (q, du) one free symbol after state."""
+        q, du = state
+        return [(apply_mask(self.free[s], q), du2) for s in self.symbols
+                if (du2 := apply_mask(self.ut[s], du))]
+
+    def layer(self, m):
+        """(j, F_m): the states m free steps after (left, full), stored
+        as layers[j]. A new layer spends a budget state per state; the
+        first layer equal to an earlier one closes the cycle from
+        layers[cycle_start] on, which every later layer repeats."""
+        layers = self.layers
+        while self.cycle_start is None and m >= len(layers):
+            nxt = frozenset(y for x in layers[-1] for y in self.free_moves(x))
+            if nxt in layers:
+                self.cycle_start = layers.index(nxt)
+            else:
+                self.budget.spend(len(nxt))
+                layers.append(nxt)
+        if m >= len(layers):
+            r = self.cycle_start
+            m = r + (m - r) % (len(layers) - r)
+        return m, layers[m]
+
+    def reached(self, x, ids):
+        """The ids met at layer state x so far, ids included, grouped by
+        the distance of the state each maps x to (inf where du dies). An
+        id maps each pair (U, S) of q to (tu U, ts S), dropped where
+        tu U = 0, and du to tu du. One budget state per new (id, x)."""
+        seen, by = self._reached.setdefault(x, (set(), {}))
+        q, du = x
+        for i in ids - seen:
+            self.budget.spend()
+            tu, ts = self.tables[i]
+            du2 = apply_mask(tu, du)
+            q2 = 0
+            for b in range(q.bit_length() if du2 else 0):
+                u, s = self.pairs[b]
+                if q >> b & 1 and (u := apply_mask(tu, u)):
+                    q2 |= 1 << self.index[u, apply_mask(ts, s)]
+            d = self.distance((q2, du2)) if du2 else inf
+            by.setdefault(d, set()).add(i)
+            seen.add(i)
+        return by
+
+    def distance(self, state):
+        """Least number of free steps from state to a state with no
+        doomed pair, or inf. The unclean states reachable from state
+        whose distance is unknown are explored together, a budget state
+        each, and relaxed until no distance drops."""
+        known = self._distances
+        if state not in known:
+            succ = {}
+
+            def expand(x):
+                if x in known or not x[0] & self.doomed:
+                    return ()
+                succ[x] = self.free_moves(x)
+                return succ[x]
+            new = [x for x in bfs_closure([state], expand) if x not in known]
+            self.budget.spend(len(new))
+            known.update((x, inf if x in succ else 0) for x in new)
+            drops = True
+            while drops:
+                drops = [(x, d) for x, ys in succ.items()
+                         if (d := 1 + min(known[y] for y in ys)) < known[x]]
+                known.update(drops)
+        return known[state]
 
     def left_word(self, i):
         return tuple(tree_path(self._left_parent, self.pairs[i])[1])
@@ -136,113 +250,127 @@ class SweepSpace:
 
 def _interior_moves(space, u):
     """bfs_tree expand of the interior scan over zone word u. A state is
-    (mode, j, q, du): mode 0 left of the zone, 1 inside it before
-    position j, 2 past it; q the mask of scan results over the universe
-    pairs; du the image states that can read the window. Moves are
-    ((mode, j, q, du), s) in symbol order, the free move before the zone
-    move, for every symbol that keeps du live."""
-    free, zone, ut = space.free, space.zone, space.ut
+    (j, q, du): j zone symbols read, q the mask of scan results over the
+    universe pairs, du the image states that can read the window. Moves
+    are ((j, q, du), s) in symbol order, the free move before the zone
+    move, for every symbol that keeps du live; free moves run left of the
+    zone (j = 0) and past it."""
     word = u.word
-    length = len(word)
 
     def moves(state):
-        mode, j, q, du = state
+        j, q, du = state
         out = []
         for s in space.symbols:
-            du2 = apply_mask(ut[s], du)
-            if not du2:
-                continue
-            if mode != 1:
-                out.append(((mode, j, apply_mask(free[s], q), du2), s))
-            if mode != 2:
-                out.append(((2 if j + 1 == length else 1, j + 1,
-                             apply_mask(zone[s, word[j]], q), du2), s))
+            du2 = apply_mask(space.ut[s], du)
+            if du2 and j in (0, len(word)):
+                out.append(((j, apply_mask(space.free[s], q), du2), s))
+            if du2 and j < len(word):
+                out.append(((j + 1, apply_mask(space.zone[s, word[j]], q),
+                             du2), s))
         return out
     return moves
 
 
-def interior_nonempty(space, u, k_max=12):
+def interior_nonempty(space, u, k_max=12, profile=None):
     """Exact decision: does the image of the central cylinder of u
     contain a nonempty central cylinder of the image shift?
 
-    A candidate window is scanned simultaneously from every left-context
-    pair; it certifies interior exactly when no scan result can still be
-    driven to a live-U dead-S pair, and the admissibility tracker stays
-    alive. Saturating the finite machine without an accepting state
-    refutes every candidate at once. Proved payloads carry the least
-    witness; refuted payloads carry sample escape windows.
+    A window of half-length c + m around the zone (c its center), read
+    from every left-context pair, certifies interior exactly when the
+    image states stay live and no scan result ends doomed. Left of the
+    zone the scan reaches a state of the layer F_m, a joint table of u's
+    profile maps it across the zone, and the rest reaches no doomed pair
+    exactly when the state lies in G_m = {distance <= m}. So the least
+    offset is the least m at which an id of the profile maps F_m into
+    G_m. profile is u's set of ids in the space's monoid; when it is not
+    given, u is checked admissible and its profile composed. The memos
+    stay on the space, so a profile decided again spends no budget.
+    Proved payloads carry the least witness, from one depth-first search
+    at k = c + m; refuted payloads carry the interior scan's state count
+    and sample escape windows.
     """
     if not isinstance(u, CenteredWord):
         u = CenteredWord.central(u)
-    if not space.code.domain.accepts(u.word):
-        raise WordNotAdmissible(u.word)
     length = len(u.word)
     c = u.center
     if length != 2 * c + 1:
         raise InvariantViolation("central zone word",
                                  f"length {length} center {c}")
-    doomed = space.doomed
-    # moves keep du live, so every state past the zone reads an
-    # admissible window
-    seen, found = bfs_tree(
-        [(0, 0, space.left, space.full)], _interior_moves(space, u),
-        space.budget, lambda state: state[0] == 2 and not state[2] & doomed)
-
-    if found is None:
+    if profile is None:
+        if not space.code.domain.accepts(u.word):
+            raise WordNotAdmissible(u.word)
+        profile = space.profile(u.word)
+    m = _interior_offset(space, profile)
+    if m is None:
+        moves = _interior_moves(space, u)
+        seen = bfs_closure([(0, space.left, space.full)],
+                           lambda state: [nxt for nxt, _ in moves(state)])
         return refuted({
             "zone": u.to_json(),
             "states_examined": len(seen),
             "escapes": _escape_samples(space, u),
         })
+    k = c + m
+    return proved({
+        "zone": u.to_json(),
+        "cylinder": _witness_search(space, u, k),
+        "k": k,
+        "beyond_k_max": k > k_max,
+    })
 
-    cap = c + len(seen) + 1
-    for k in range(c, cap + 1):
-        word = _witness_search(space, u, k)
-        if word is not None:
-            witness = CenteredWord(word, k)
-            return proved({
-                "zone": u.to_json(),
-                "cylinder": witness.to_json(),
-                "k": k,
-                "beyond_k_max": k > k_max,
-            })
-    raise InvariantViolation("interior witness within pigeonhole cap",
-                             f"zone {u.word}")
+
+def _interior_offset(space, profile):
+    """Least m at which an id of profile maps F_m into G_m, or None.
+
+    Free steps keep a pair that is not doomed out of the doomed ones, and
+    the arrow graph is essential, so G_m only grows with m. The layers
+    repeat from space.cycle_start on, so once every layer has been met, a
+    hit is still to come exactly when an id maps a state of a cycle layer
+    to a finite distance d: that layer recurs at some m >= d.
+    """
+    reach = -1  # the latest stored layer mapped to a finite distance
+    for m in count():
+        j, layer = space.layer(m)
+        if j < m and reach < space.cycle_start:
+            return None
+        for x in layer:
+            for d, ids in space.reached(x, profile).items():
+                if d < inf and not profile.isdisjoint(ids):
+                    if d <= m:
+                        return m
+                    reach = max(reach, j)
 
 
 def _witness_search(space, u, k):
-    """Lexicographically least central witness of half-length exactly k,
-    or None. Depth-first over the interior scan's moves, with pre and
-    post symbols left to read before and after the zone, and a
-    fruitless-state memo."""
-    moves = _interior_moves(space, u)
-    doomed = space.doomed
+    """The lexicographically least central witness of half-length exactly
+    k, as JSON: depth-first over the window's positions, free steps
+    outside the zone and zone steps inside it, with a fruitless-state
+    memo. The interior must be nonempty at k."""
+    m = k - u.center
+    end = len(u.word) + 2 * m
     dead = set()
 
-    def rec(state, pre, post):
-        mode, _, q, _ = state
-        if mode == 2 and post == 0:
-            return None if q & doomed else ()
-        key = (state, pre, post)
-        if key in dead:
+    def rec(t, q, du):
+        if t == end:
+            return None if q & space.doomed else ()
+        if (t, q, du) in dead:
             return None
-        for nxt, s in moves(state):
-            if nxt[0] == 0:
-                if not pre:
-                    continue
-                sub = rec(nxt, pre - 1, post)
-            elif mode == 2:
-                sub = rec(nxt, 0, post - 1)
-            elif pre:
-                continue
-            else:
-                sub = rec(nxt, 0, post)
-            if sub is not None:
-                return (s,) + sub
-        dead.add(key)
+        for s in space.symbols:
+            du2 = apply_mask(space.ut[s], du)
+            if du2:
+                table = space.zone[s, u.word[t - m]] \
+                    if m <= t < end - m else space.free[s]
+                sub = rec(t + 1, apply_mask(table, q), du2)
+                if sub is not None:
+                    return (s,) + sub
+        dead.add((t, q, du))
         return None
 
-    return rec((0, 0, space.left, space.full), k - u.center, k - u.center)
+    word = rec(0, space.left, space.full)
+    if word is None:
+        raise InvariantViolation("interior witness at the decided offset",
+                                 f"zone {u.word} k {k}")
+    return CenteredWord(word, k).to_json()
 
 
 def _escape_samples(space, u, limit=2):
@@ -254,14 +382,15 @@ def _escape_samples(space, u, limit=2):
     left-context pair whose zone scan reaches it."""
     moves = _interior_moves(space, u)
     samples = []
-    stack = [((), (0, 0, space.left, space.full))]
+    stack = [((), (0, space.left, space.full))]
     while stack and len(samples) < limit:
         word, state = stack.pop()
-        mode, _, q, _ = state
-        if mode != 2:
+        _, q, _ = state
+        if len(word) < len(u.word):
+            # zone moves only, onto scans that keep a pair
             stack.extend((word + (s,), nxt)
                          for nxt, s in reversed(moves(state))
-                         if nxt[0] and nxt[2])
+                         if nxt[0] and nxt[1])
             continue
         hit = q & space.doomed
         if not hit:
@@ -308,24 +437,14 @@ def _profile_levels(space):
     x + rep(P) + y in word order, so a profile's first hit is its least
     word.
 
-    The joint tables form a monoid that lives for one sweep. Each joint
-    table pair is interned as a small integer id, so a profile is a
+    The joint tables are ids of the space's monoid, so a profile is a
     frozenset of ids with its admissibility table, and the product of
     two ids is composed once and looked up after that. The admissible
     joins of each (x, P) are kept for the whole sweep, so a profile met
     again at a later level costs no join. A join spends one budget state
     per pair product, before it is built.
     """
-    tables = []  # id -> joint (image, zone-thread) table pair
-    ids = {}
-    products = {}
-
-    def intern(pair):
-        i = ids.get(pair)
-        if i is None:
-            i = ids[pair] = len(tables)
-            tables.append(pair)
-        return i
+    products = space.products
 
     def join(p1, p2, adm):
         space.budget.spend(len(p1[0]) * len(p2[0]))
@@ -333,17 +452,10 @@ def _profile_levels(space):
         for i in p1[0]:
             for j in p2[0]:
                 k = products.get((i, j))
-                if k is None:
-                    (tu1, ts1), (tu2, ts2) = tables[i], tables[j]
-                    k = products[i, j] = intern((_compose(tu1, tu2),
-                                                 _compose(ts1, ts2)))
-                out.add(k)
+                out.add(space.product(i, j) if k is None else k)
         return frozenset(out), adm
 
-    sym = {xi: (frozenset(intern((space.ut[s],
-                                  space.zt.get((s, xi), space._zero)))
-                          for s in space.symbols), space.xt[xi])
-           for xi in space.xsymbols}
+    sym = space.symbol_profiles
 
     def joins_of(x, prof):
         """The admissible joins (y, x.P.y) of x and P, in order of y."""
@@ -405,9 +517,9 @@ def _empty_table():
 def _level_sweep(space, l_max, visit):
     """Visit the profiles of levels 0..l_max in order of least zone word.
 
-    visit(level, word, first) gets the profile's least word at this level
-    and, for a profile met at an earlier level, first = (that level, the
-    entry visit returned there), else None. It returns the profile's
+    visit(level, prof, word, first) gets the profile, its least word at
+    this level and, for a profile met at an earlier level, first = (that
+    level, the entry visit returned there), else None. It returns the profile's
     witness entry, which carries its half-length "k", or a Decision that
     ends the sweep. A level that brings no new profile proves saturation.
     Returns (decision, table).
@@ -423,7 +535,7 @@ def _level_sweep(space, l_max, visit):
             grew = False
             for prof, word in next(levels).items():
                 first = firsts.get(prof)
-                entry = visit(level, word, first)
+                entry = visit(level, prof, word, first)
                 if isinstance(entry, Decision):
                     return entry, LiftingTable(tuple(entries), witnesses,
                                                None, False, None)
@@ -459,9 +571,10 @@ def check_semi_open(code, l_max=4, k_max=12, budget=None):
     every level verdict is positive and the level profiles saturate
     within l_max levels; inconclusive otherwise.
 
-    A profile's interior is scanned once, on its least word at the level
-    it first appears; at later levels only the witness search runs, at
-    the recorded offset k - l.
+    A profile's interior is decided once, from the profile's ids, on its
+    least word at the level it first appears; at later levels only the
+    witness search runs, at the recorded offset k - l. The decision's
+    layers, actions and distances are kept for the whole sweep.
     """
     try:
         space = SweepSpace(code, budget)
@@ -469,24 +582,20 @@ def check_semi_open(code, l_max=4, k_max=12, budget=None):
         return inconclusive({"reason": "budget", "detail": str(exc)}), \
             _empty_table()
 
-    def visit(level, word, first):
+    def visit(level, prof, word, first):
         zone = CenteredWord.central(word)
         if first is None:
-            dec = interior_nonempty(space, zone, k_max)
+            dec = interior_nonempty(space, zone, k_max, profile=prof[0])
             if dec.is_refuted:
                 return refuted({"zone": list(word), "level": level,
                                 "interior": dec.payload})
             k = dec.payload["k"]
             cylinder = dec.payload["cylinder"]
         else:
+            # profile-equal zones share interior verdicts and offsets
             first_level, entry = first
             k = level + entry["k"] - first_level
-            found = _witness_search(space, zone, k)
-            if found is None:
-                raise InvariantViolation(
-                    "profile-equal zones share interior verdicts",
-                    f"zone {','.join(word)}")
-            cylinder = CenteredWord(found, k).to_json()
+            cylinder = _witness_search(space, zone, k)
         return {"k": k, "cylinder": cylinder, "beyond_k_max": k > k_max}
 
     return _level_sweep(space, l_max, visit)
@@ -679,7 +788,7 @@ def check_open(code, l_max=4, k_max=12, budget=None):
 
     y = space.image
 
-    def visit(level, word, first):
+    def visit(level, prof, word, first):
         if first is not None:
             return {"k": first[1]["k"]}
         k_u = _uniform_open_bound(code, y, word, k_max, space)

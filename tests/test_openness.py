@@ -3,8 +3,8 @@ import random
 import pytest
 
 from shiftlab import fixtures, openness
-from shiftlab.automata import (Budget, bfs_closure, bfs_tree, cycle_nodes,
-                               pair_moves, shortest_cycle)
+from shiftlab.automata import (Budget, apply_mask, bfs_closure, bfs_tree,
+                               cycle_nodes, pair_moves, shortest_cycle)
 from shiftlab.codes import (SlidingBlockCode, arrow_graph, cover_code,
                             image_presentation)
 from shiftlab.decision import inconclusive, proved, refuted
@@ -76,15 +76,37 @@ def test_golden_cover_semi_open_table():
 
 
 def test_proved_witnesses_reverify_by_containment():
-    for code in (fixtures.even_cover(), fixtures.golden_cover()):
-        dec, table = check_semi_open(code)
-        assert dec.is_proved
-        y = image_presentation(code)
-        for zone_text, info in table.witnesses.items():
-            zone = CenteredWord.central(tuple(zone_text.split(",")))
-            target = CenteredWord(tuple(info["cylinder"]["word"]),
-                                  info["cylinder"]["center"])
-            assert contains_cylinder(cylinder_image(code, zone), y, target)
+    """Every witness of a Proved or budget-Inconclusive lifting table,
+    revisited profiles at later levels included, spans a cylinder inside
+    its zone's cylinder image; every escape window of a Refuted sweep
+    does not."""
+    outcomes, checked, escapes = set(), 0, 0
+    for code in _with_fixtures(_small_codes(40, seed=6, vertices=3)):
+        for budget in (Budget(10**6), Budget(400)):
+            dec, table = check_semi_open(code, budget=budget)
+            y = image_presentation(code)
+            if dec.is_refuted:
+                au = cylinder_image(code, CenteredWord.central(
+                    tuple(dec.payload["zone"])))
+                for sample in dec.payload["interior"]["escapes"]:
+                    esc = sample["escape"]
+                    assert not contains_cylinder(au, y, CenteredWord(
+                        tuple(esc["word"]), esc["center"]))
+                    escapes += 1
+            reason = dec.payload.get("reason")
+            outcomes.add((dec.verdict, reason))
+            if not (dec.is_proved or reason == "budget"):
+                continue
+            for zone_text, info in table.witnesses.items():
+                zone = CenteredWord.central(tuple(zone_text.split(",")))
+                target = CenteredWord(tuple(info["cylinder"]["word"]),
+                                      info["cylinder"]["center"])
+                assert contains_cylinder(cylinder_image(code, zone), y,
+                                         target), zone_text
+                checked += 1
+    assert {("Proved", None), ("Refuted", None),
+            ("Inconclusive", "budget")} <= outcomes
+    assert checked > 500 and escapes >= 6
 
 
 def test_open_fixture_verdicts():
@@ -394,13 +416,17 @@ def _table_levels(space, count):
     return levels, joins
 
 
-def _level_codes():
-    """Seeded tiny cover and one-block codes, reducible domains included,
-    and the code fixtures."""
-    return _small_codes(40, seed=5, vertices=3) + [
+def _with_fixtures(codes):
+    return codes + [
         fixtures.fig1_code(), fixtures.even_cover(), fixtures.golden_cover(),
         fixtures.phase_doubling_code(),
         fixtures.right_closing_counterexample_code()]
+
+
+def _level_codes():
+    """Seeded tiny cover and one-block codes, reducible domains included,
+    and the code fixtures."""
+    return _with_fixtures(_small_codes(40, seed=5, vertices=3))
 
 
 def test_monoid_levels_match_explicit_table_levels():
@@ -497,6 +523,206 @@ def test_interior_witnesses_match_containment_oracle():
                 (k, tuple(cylinder["word"])), word
             checked += 1
     assert checked > 1000 and refuted_zones > 20
+
+
+# -- the interior decision against the breadth-first reference ---------------
+
+
+# the reference interior scan: a breadth-first decision over (mode, j, q, du)
+# states, a depth-first witness search per half-length and escape samples,
+# all on one move function over the zone word
+
+
+def _ref_moves(space, u):
+    """bfs_tree expand of the interior scan over zone word u. A state is
+    (mode, j, q, du): mode 0 left of the zone, 1 inside it before
+    position j, 2 past it; q the mask of scan results over the universe
+    pairs; du the image states that can read the window. Moves are
+    ((mode, j, q, du), s) in symbol order, the free move before the zone
+    move, for every symbol that keeps du live."""
+    free, zone, ut = space.free, space.zone, space.ut
+    word = u.word
+    length = len(word)
+
+    def moves(state):
+        mode, j, q, du = state
+        out = []
+        for s in space.symbols:
+            du2 = apply_mask(ut[s], du)
+            if not du2:
+                continue
+            if mode != 1:
+                out.append(((mode, j, apply_mask(free[s], q), du2), s))
+            if mode != 2:
+                out.append(((2 if j + 1 == length else 1, j + 1,
+                             apply_mask(zone[s, word[j]], q), du2), s))
+        return out
+    return moves
+
+
+def _ref_witness(space, u, k):
+    """Lexicographically least central witness of half-length exactly k,
+    or None. Depth-first over the interior scan's moves, with pre and
+    post symbols left to read before and after the zone, and a
+    fruitless-state memo."""
+    moves = _ref_moves(space, u)
+    doomed = space.doomed
+    dead = set()
+
+    def rec(state, pre, post):
+        mode, _, q, _ = state
+        if mode == 2 and post == 0:
+            return None if q & doomed else ()
+        key = (state, pre, post)
+        if key in dead:
+            return None
+        for nxt, s in moves(state):
+            if nxt[0] == 0:
+                if not pre:
+                    continue
+                sub = rec(nxt, pre - 1, post)
+            elif mode == 2:
+                sub = rec(nxt, 0, post - 1)
+            elif pre:
+                continue
+            else:
+                sub = rec(nxt, 0, post)
+            if sub is not None:
+                return (s,) + sub
+        dead.add(key)
+        return None
+
+    return rec((0, 0, space.left, space.full), k - u.center, k - u.center)
+
+
+def _ref_escapes(space, u, limit=2):
+    """For refuted interiors: sample candidate windows together with
+    escape windows showing an admissible image word the cylinder image
+    misses. Candidates are the zone-width words in lexicographic order,
+    read by the interior scan's zone moves; a candidate escapes through
+    the least doomed pair its scan reaches, entered from the least
+    left-context pair whose zone scan reaches it."""
+    moves = _ref_moves(space, u)
+    samples = []
+    stack = [((), (0, 0, space.left, space.full))]
+    while stack and len(samples) < limit:
+        word, state = stack.pop()
+        mode, _, q, _ = state
+        if mode != 2:
+            stack.extend((word + (s,), nxt)
+                         for nxt, s in reversed(moves(state))
+                         if nxt[0] and nxt[2])
+            continue
+        hit = q & space.doomed
+        if not hit:
+            continue
+        hit = (hit & -hit).bit_length() - 1
+        for src in range(space.left.bit_length()):
+            p = 1 << src
+            for s, xi in zip(word, u.word):
+                p = apply_mask(space.zone[s, xi], p)
+            if p >> hit & 1:
+                break
+        else:
+            raise InvariantViolation("escape reached from a left context",
+                                     f"zone {u.word} window {word}")
+        left = space.left_word(src)
+        window = CenteredWord(left + word + space.doom_word(hit),
+                              len(left) + u.center)
+        samples.append({
+            "cylinder": CenteredWord(word, u.center).to_json(),
+            "escape": window.to_json(),
+        })
+    return samples
+
+
+def _bfs_interior(space, u, k_max=12):
+    """The interior decision by a breadth-first search for any state past
+    the zone with no doomed pair, then the least witness by one
+    depth-first search per half-length k from the zone's center up."""
+    seen, found = bfs_tree(
+        [(0, 0, space.left, space.full)], _ref_moves(space, u), space.budget,
+        lambda state: state[0] == 2 and not state[2] & space.doomed)
+    if found is None:
+        return refuted({
+            "zone": u.to_json(),
+            "states_examined": len(seen),
+            "escapes": _ref_escapes(space, u),
+        })
+    for k in range(u.center, u.center + len(seen) + 2):
+        word = _ref_witness(space, u, k)
+        if word is not None:
+            return proved({
+                "zone": u.to_json(),
+                "cylinder": CenteredWord(word, k).to_json(),
+                "k": k,
+                "beyond_k_max": k > k_max,
+            })
+    raise AssertionError(f"no witness within the pigeonhole cap: {u.word}")
+
+
+def test_interior_decision_matches_bfs_reference():
+    """The whole payload of every zone word of levels 0-3: verdict, k,
+    cylinder, beyond_k_max, states_examined and escapes."""
+    verdicts, offsets = set(), set()
+    # seven reducible domains; one of these codes and fig1 refute. In the
+    # last code the layers cycle from layer 1 with period 1, and some
+    # offsets reach 2, past the stored layers
+    codes = _small_codes(30, seed=12, vertices=3, alphabet=2)
+    for code in _with_fixtures(codes) + _small_codes(3, 22, 5)[2:]:
+        space = SweepSpace(code, Budget(10**9))
+        for level in range(4):
+            for word in _zone_words(space, 2 * level + 1):
+                zone = CenteredWord.central(word)
+                got = interior_nonempty(space, zone, 3)
+                want = _bfs_interior(space, zone, 3)
+                assert got.to_json() == want.to_json(), word
+                verdicts.add(got.verdict)
+                offsets.add(got.payload.get("k", level) - level)
+    assert verdicts == {"Proved", "Refuted"} and {0, 1, 2} <= offsets
+
+
+def _memo_entries(space):
+    # the first layer is the seed, not a memo entry
+    return (sum(map(len, space.layers)) - 1 + len(space._distances)
+            + sum(len(seen) for seen, _ in space._reached.values()))
+
+
+def test_interior_decisions_spend_once_per_memo_entry(monkeypatch):
+    """Deciding a profile again, on the same word or on a profile-equal
+    one, spends nothing; a whole sweep spends its pair universe, its
+    joins and one state per new memo entry of its interior decisions."""
+    again = entries = 0
+    for code in _level_codes():
+        space = SweepSpace(code, Budget(10**9))
+        words = {}
+        for word in _zone_words(space, 3) + _zone_words(space, 5):
+            words.setdefault(space.profile(word), []).append(word)
+        for same in words.values():
+            zones = [CenteredWord.central(w) for w in same]
+            interior_nonempty(space, zones[0])
+            used = space.budget.used
+            for zone in zones[:2]:
+                interior_nonempty(space, zone)
+            assert space.budget.used == used
+            again += len(zones) > 1
+
+        made = []
+
+        def recording(code, budget=None):
+            made.append(SweepSpace(code, budget))
+            return made[-1]
+        with monkeypatch.context() as m:
+            m.setattr(openness, "SweepSpace", recording)
+            dec, table = check_semi_open(code, budget=Budget(10**9))
+        fresh = SweepSpace(code, Budget(10**9))
+        levels = openness._profile_levels(fresh)
+        for _ in range(len(table.entries) + dec.is_refuted):
+            next(levels)
+        assert made[0].budget.used == fresh.budget.used \
+            + _memo_entries(made[0])
+        entries += _memo_entries(made[0])
+    assert again > 100 and entries > 500
 
 
 # -- the pair universe and its doom tree against brute force --------------

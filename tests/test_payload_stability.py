@@ -7,6 +7,12 @@ catches a change in any witness, table or count. Regenerate the file only
 for an intended payload change:
 
     PYTHONPATH=src python tests/test_payload_stability.py > tests/data/payload_digests.json
+
+To see what an engine change moved before regenerating, print each
+(code, call) whose digest differs from the pinned one, with the pinned and
+current verdicts:
+
+    PYTHONPATH=src python tests/test_payload_stability.py --diff
 """
 
 from __future__ import annotations
@@ -117,38 +123,74 @@ def calls(code):
     return out
 
 
-def digest(thunk):
+def _value(thunk):
     try:
-        value = thunk()
+        return thunk()
     except Exception as exc:  # a raise is part of the pinned behaviour
-        value = {"raises": type(exc).__name__, "message": str(exc)}
+        return {"raises": type(exc).__name__, "message": str(exc)}
+
+
+def digest(value):
     blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def corpus_digest(descs):
-    blob = json.dumps(descs, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _verdict(value):
+    """The verdict of a pinned value, with an Inconclusive's reason, or
+    the exception it raises; None for values without one."""
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        value = value[0]  # a sweep: [decision, lifting table]
+    if isinstance(value, dict) and isinstance(value.get("verdict"), dict):
+        value = value["verdict"]  # a retract decision wraps its verdict
+    if not isinstance(value, dict) or "word" in value:
+        return None
+    if "raises" in value:
+        return value["raises"]
+    reason = value["payload"].get("reason")
+    if value["verdict"] == "Inconclusive" and reason:
+        return f"Inconclusive ({reason})"
+    return value["verdict"]
 
 
 def snapshot():
+    """The pinned file: the corpus digest, and per (code, call) the
+    payload digest and the verdict, which --diff reports."""
+    values = {key: {name: _value(thunk) for name, thunk in calls(code)}
+              for key, code in codes()}
     return {
-        "corpus": corpus_digest(corpus()),
-        "digests": {key: {name: digest(thunk) for name, thunk in calls(code)}
-                    for key, code in codes()},
+        "corpus": digest(corpus()),
+        "digests": {key: {name: digest(v) for name, v in row.items()}
+                    for key, row in values.items()},
+        "verdicts": {key: {name: _verdict(v) for name, v in row.items()}
+                     for key, row in values.items()},
     }
 
 
 def test_payloads_are_stable():
     pinned = json.loads(DIGESTS.read_text())
-    assert corpus_digest(corpus()) == pinned["corpus"], "the corpus changed"
+    assert digest(corpus()) == pinned["corpus"], "the corpus changed"
     drift = [f"{key} {name}"
              for key, code in codes()
              for name, thunk in calls(code)
-             if digest(thunk) != pinned["digests"][key][name]]
+             if digest(_value(thunk)) != pinned["digests"][key][name]]
     assert not drift, "payloads drifted: " + ", ".join(drift)
 
 
+def diff():
+    """Print each (code, call) whose digest differs from the pinned one,
+    with the pinned and the current verdict."""
+    pinned = json.loads(DIGESTS.read_text())
+    for key, code in codes():
+        for name, thunk in calls(code):
+            value = _value(thunk)
+            if digest(value) != pinned["digests"][key][name]:
+                print(key, name, pinned["verdicts"][key][name], "->",
+                      _verdict(value))
+
+
 if __name__ == "__main__":
-    json.dump(snapshot(), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    if sys.argv[1:] == ["--diff"]:
+        diff()
+    else:
+        json.dump(snapshot(), sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write("\n")
