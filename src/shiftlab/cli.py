@@ -129,7 +129,7 @@ def cmd_check(args):
     started = time.monotonic()
     table = None
     if args.mode == "semi-open":
-        dec, table = check_semi_open(code, args.lmax, args.kmax)
+        dec, table = check_semi_open(code, args.lmax)
         context = {"semi_open": dec}
     elif args.mode == "open":
         dec, table = check_open(code, args.lmax, args.kmax)
@@ -232,7 +232,9 @@ def _parser():
     p.add_argument("-x", "--domain", required=True)
     p.add_argument("-c", "--code", required=True)
     p.add_argument("--lmax", type=int, default=4)
-    p.add_argument("--kmax", type=int, default=12)
+    p.add_argument("--kmax", type=int, default=12,
+                   help="check open only: the largest uniform window "
+                        "half-length tried per cylinder image")
     p.add_argument("--retract", type=int, default=0)
     p.add_argument("--side", choices=("right", "left", "bi"), default="right")
     p.add_argument("--report")

@@ -20,6 +20,7 @@ from .automata import (
     SubsetOps,
     bfs_closure,
     bfs_tree,
+    cycle_nodes,
     nontrivial_components,
     tarjan_scc,
     tree_path,
@@ -189,11 +190,9 @@ def trim(g):
     some cycle; the induced subgraph presents the same shift. A graph
     that loses no vertex is returned as it is.
     """
-    comp, _ = tarjan_scc(g.n, g.adj)
-    alive = nontrivial_components(g.n, g.adj, comp)
-    if not alive:
+    seeds = sorted(cycle_nodes(g.n, g.adj))
+    if not seeds:
         return LabeledGraph.make(g.alphabet, (), ())
-    seeds = [i for i in range(g.n) if comp[i] in alive]
     fwd = set(bfs_closure(seeds, lambda v: g.adj[v]))
     radj = [[] for _ in range(g.n)]
     for v in range(g.n):
@@ -207,12 +206,10 @@ def trim(g):
 
 
 def is_right_resolving(g):
-    for v in g.vertices:
-        labels = set()
-        for e in g.out[v]:
-            if e.label in labels:
-                return False
-            labels.add(e.label)
+    try:
+        check_right_resolving(g)
+    except NotRightResolving:
+        return False
     return True
 
 

@@ -248,30 +248,7 @@ class SweepSpace:
 # -- interior of a cylinder image ---------------------------------------------
 
 
-def _interior_moves(space, u):
-    """bfs_tree expand of the interior scan over zone word u. A state is
-    (j, q, du): j zone symbols read, q the mask of scan results over the
-    universe pairs, du the image states that can read the window. Moves
-    are ((j, q, du), s) in symbol order, the free move before the zone
-    move, for every symbol that keeps du live; free moves run left of the
-    zone (j = 0) and past it."""
-    word = u.word
-
-    def moves(state):
-        j, q, du = state
-        out = []
-        for s in space.symbols:
-            du2 = apply_mask(space.ut[s], du)
-            if du2 and j in (0, len(word)):
-                out.append(((j, apply_mask(space.free[s], q), du2), s))
-            if du2 and j < len(word):
-                out.append(((j + 1, apply_mask(space.zone[s, word[j]], q),
-                             du2), s))
-        return out
-    return moves
-
-
-def interior_nonempty(space, u, k_max=12, profile=None):
+def interior_nonempty(space, u, *, profile=None):
     """Exact decision: does the image of the central cylinder of u
     contain a nonempty central cylinder of the image shift?
 
@@ -285,9 +262,9 @@ def interior_nonempty(space, u, k_max=12, profile=None):
     G_m. profile is u's set of ids in the space's monoid; when it is not
     given, u is checked admissible and its profile composed. The memos
     stay on the space, so a profile decided again spends no budget.
-    Proved payloads carry the least witness, from one depth-first search
-    at k = c + m; refuted payloads carry the interior scan's state count
-    and sample escape windows.
+    Proved payloads carry the least witness cylinder, from one window
+    search at k = c + m, and k; refuted payloads carry one escape (see
+    _escape_window).
     """
     if not isinstance(u, CenteredWord):
         u = CenteredWord.central(u)
@@ -302,20 +279,11 @@ def interior_nonempty(space, u, k_max=12, profile=None):
         profile = space.profile(u.word)
     m = _interior_offset(space, profile)
     if m is None:
-        moves = _interior_moves(space, u)
-        seen = bfs_closure([(0, space.left, space.full)],
-                           lambda state: [nxt for nxt, _ in moves(state)])
-        return refuted({
-            "zone": u.to_json(),
-            "states_examined": len(seen),
-            "escapes": _escape_samples(space, u),
-        })
-    k = c + m
+        return refuted({"zone": u.to_json(), **_escape_window(space, u)})
     return proved({
         "zone": u.to_json(),
-        "cylinder": _witness_search(space, u, k),
-        "k": k,
-        "beyond_k_max": k > k_max,
+        "cylinder": _least_window(space, u, m).to_json(),
+        "k": c + m,
     })
 
 
@@ -341,78 +309,64 @@ def _interior_offset(space, profile):
                     reach = max(reach, j)
 
 
-def _witness_search(space, u, k):
-    """The lexicographically least central witness of half-length exactly
-    k, as JSON: depth-first over the window's positions, free steps
-    outside the zone and zone steps inside it, with a fruitless-state
-    memo. The interior must be nonempty at k."""
-    m = k - u.center
+def _least_window(space, u, m, doomed=False):
+    """The lexicographically least window of m free symbols, the zone
+    word u and m free symbols whose scan from the left-context pairs ends
+    on no doomed pair (with doomed set: on some doomed pair), as a
+    CenteredWord centered on u's center. Depth-first over the window's
+    positions, free steps outside the zone and zone steps inside it,
+    with a fruitless-state memo. Such a window must exist.
+
+    The scan holds the image of the full restart (full, full), whose
+    image side is the set of image states that can read the window, and
+    every other pair's image side lies inside it; so the scan dies
+    exactly when the window leaves the image language."""
     end = len(u.word) + 2 * m
     dead = set()
 
-    def rec(t, q, du):
+    def rec(t, q):
         if t == end:
-            return None if q & space.doomed else ()
-        if (t, q, du) in dead:
+            return () if bool(q & space.doomed) == doomed else None
+        if (t, q) in dead:
             return None
         for s in space.symbols:
-            du2 = apply_mask(space.ut[s], du)
-            if du2:
-                table = space.zone[s, u.word[t - m]] \
-                    if m <= t < end - m else space.free[s]
-                sub = rec(t + 1, apply_mask(table, q), du2)
+            table = space.zone[s, u.word[t - m]] \
+                if m <= t < end - m else space.free[s]
+            q2 = apply_mask(table, q)
+            if q2:
+                sub = rec(t + 1, q2)
                 if sub is not None:
                     return (s,) + sub
-        dead.add((t, q, du))
+        dead.add((t, q))
         return None
 
-    word = rec(0, space.left, space.full)
+    word = rec(0, space.left)
     if word is None:
-        raise InvariantViolation("interior witness at the decided offset",
-                                 f"zone {u.word} k {k}")
-    return CenteredWord(word, k).to_json()
+        raise InvariantViolation("window at the decided offset",
+                                 f"zone {u.word} m {m} doomed {doomed}")
+    return CenteredWord(word, u.center + m)
 
 
-def _escape_samples(space, u, limit=2):
-    """For refuted interiors: sample candidate windows together with
-    escape windows showing an admissible image word the cylinder image
-    misses. Candidates are the zone-width words in lexicographic order,
-    read by the interior scan's zone moves; a candidate escapes through
-    the least doomed pair its scan reaches, entered from the least
+def _escape_window(space, u):
+    """A refuted interior's escape: the least zone-width candidate whose
+    scan ends on a doomed pair, and a window showing an admissible image
+    word its cylinder image misses. The window leaves through the least
+    doomed pair the candidate's scan reaches, entered from the least
     left-context pair whose zone scan reaches it."""
-    moves = _interior_moves(space, u)
-    samples = []
-    stack = [((), (0, space.left, space.full))]
-    while stack and len(samples) < limit:
-        word, state = stack.pop()
-        _, q, _ = state
-        if len(word) < len(u.word):
-            # zone moves only, onto scans that keep a pair
-            stack.extend((word + (s,), nxt)
-                         for nxt, s in reversed(moves(state))
-                         if nxt[0] and nxt[1])
-            continue
-        hit = q & space.doomed
-        if not hit:
-            continue
-        hit = (hit & -hit).bit_length() - 1
-        for src in range(space.left.bit_length()):
-            p = 1 << src
-            for s, xi in zip(word, u.word):
-                p = apply_mask(space.zone[s, xi], p)
-            if p >> hit & 1:
-                break
-        else:
-            raise InvariantViolation("escape reached from a left context",
-                                     f"zone {u.word} window {word}")
-        left = space.left_word(src)
-        window = CenteredWord(left + word + space.doom_word(hit),
-                              len(left) + u.center)
-        samples.append({
-            "cylinder": CenteredWord(word, u.center).to_json(),
-            "escape": window.to_json(),
-        })
-    return samples
+    cylinder = _least_window(space, u, 0, doomed=True)
+
+    def scan(p):
+        for s, xi in zip(cylinder.word, u.word):
+            p = apply_mask(space.zone[s, xi], p)
+        return p
+    hit = scan(space.left) & space.doomed
+    hit = (hit & -hit).bit_length() - 1
+    src = next(i for i in range(space.left.bit_length())
+               if scan(1 << i) >> hit & 1)
+    left = space.left_word(src)
+    window = CenteredWord(left + cylinder.word + space.doom_word(hit),
+                          len(left) + u.center)
+    return {"cylinder": cylinder.to_json(), "escape": window.to_json()}
 
 
 # -- level sweeps over transfer profiles --------------------------------------
@@ -491,13 +445,12 @@ def _profile_levels(space):
 class LiftingTable:
     """Per-level summary of a sweep: the uniform witness half-length at
     each zone level, witness data per level profile keyed by its least
-    zone word, and whether the level profiles saturated (no new transfer
-    behavior can appear deeper)."""
+    zone word, and the level at which the level profiles saturated (no
+    new transfer behavior can appear deeper), or None."""
 
     entries: tuple
     witnesses: dict
     uniform: object
-    saturated: bool
     saturation_level: object
 
     def to_json(self):
@@ -505,13 +458,12 @@ class LiftingTable:
             "entries": [list(e) for e in self.entries],
             "witnesses": self.witnesses,
             "uniform": self.uniform,
-            "saturated": self.saturated,
             "saturation_level": self.saturation_level,
         }
 
 
 def _empty_table():
-    return LiftingTable((), {}, None, False, None)
+    return LiftingTable((), {}, None, None)
 
 
 def _level_sweep(space, l_max, visit):
@@ -538,7 +490,7 @@ def _level_sweep(space, l_max, visit):
                 entry = visit(level, prof, word, first)
                 if isinstance(entry, Decision):
                     return entry, LiftingTable(tuple(entries), witnesses,
-                                               None, False, None)
+                                               None, None)
                 if first is None:
                     firsts[prof] = (level, entry)
                     grew = True
@@ -549,7 +501,7 @@ def _level_sweep(space, l_max, visit):
                 saturation_level = level
                 break
     except BudgetExceeded as exc:
-        table = LiftingTable(tuple(entries), witnesses, None, False, None)
+        table = LiftingTable(tuple(entries), witnesses, None, None)
         return inconclusive({"reason": "budget", "detail": str(exc)}), table
     uniform = max((k - l for l, k in entries), default=0)
     if saturation_level is not None:
@@ -557,23 +509,25 @@ def _level_sweep(space, l_max, visit):
             "levels": len(entries),
             "saturation_level": saturation_level,
             "uniform_offset": uniform,
-        }), LiftingTable(tuple(entries), witnesses, uniform, True,
+        }), LiftingTable(tuple(entries), witnesses, uniform,
                          saturation_level)
     return inconclusive({
         "reason": "level profiles did not saturate",
         "levels_checked": l_max + 1,
-    }), LiftingTable(tuple(entries), witnesses, uniform, False, None)
+    }), LiftingTable(tuple(entries), witnesses, uniform, None)
 
 
-def check_semi_open(code, l_max=4, k_max=12, budget=None):
+def check_semi_open(code, l_max=4, *, budget=None):
     """Is every central-cylinder image interior-nonempty in the image
-    shift? Refuted exactly on the first failing zone word; proved when
-    every level verdict is positive and the level profiles saturate
-    within l_max levels; inconclusive otherwise.
+    shift? Refuted exactly on the first failing zone word, with its
+    interior payload and one escape; proved when every level verdict is
+    positive and the level profiles saturate within l_max levels;
+    inconclusive otherwise. No bound on the witness half-length applies:
+    each profile's least offset is decided exactly.
 
     A profile's interior is decided once, from the profile's ids, on its
     least word at the level it first appears; at later levels only the
-    witness search runs, at the recorded offset k - l. The decision's
+    window search runs, at the recorded offset k - l. The decision's
     layers, actions and distances are kept for the whole sweep.
     """
     try:
@@ -585,7 +539,7 @@ def check_semi_open(code, l_max=4, k_max=12, budget=None):
     def visit(level, prof, word, first):
         zone = CenteredWord.central(word)
         if first is None:
-            dec = interior_nonempty(space, zone, k_max, profile=prof[0])
+            dec = interior_nonempty(space, zone, profile=prof[0])
             if dec.is_refuted:
                 return refuted({"zone": list(word), "level": level,
                                 "interior": dec.payload})
@@ -594,9 +548,10 @@ def check_semi_open(code, l_max=4, k_max=12, budget=None):
         else:
             # profile-equal zones share interior verdicts and offsets
             first_level, entry = first
-            k = level + entry["k"] - first_level
-            cylinder = _witness_search(space, zone, k)
-        return {"k": k, "cylinder": cylinder, "beyond_k_max": k > k_max}
+            m = entry["k"] - first_level
+            k = level + m
+            cylinder = _least_window(space, zone, m).to_json()
+        return {"k": k, "cylinder": cylinder}
 
     return _level_sweep(space, l_max, visit)
 
@@ -791,7 +746,11 @@ def check_open(code, l_max=4, k_max=12, budget=None):
     def visit(level, prof, word, first):
         if first is not None:
             return {"k": first[1]["k"]}
-        k_u = _uniform_open_bound(code, y, word, k_max, space)
+        # the least k <= k_max at which every central (2k+1)-window of
+        # the cylinder image spans a cylinder inside it; such a k exists
+        # for some bound exactly when the image set is open
+        au = cylinder_image(code, CenteredWord.central(word))
+        k_u = uniform_window_bound(au, y, k_max, space.budget)
         if k_u is None:
             return inconclusive({
                 "reason": "no uniform witness length within bound",
@@ -801,14 +760,6 @@ def check_open(code, l_max=4, k_max=12, budget=None):
         return {"k": k_u}
 
     return _level_sweep(space, l_max, visit)
-
-
-def _uniform_open_bound(code, y, word, k_max, space):
-    """Least k <= k_max such that every central (2k+1)-window of the
-    cylinder image spans a cylinder inside it, or None. Such a k exists
-    for some (possibly larger) bound iff the image set is open."""
-    au = cylinder_image(code, CenteredWord.central(word))
-    return uniform_window_bound(au, y, k_max, space.budget)
 
 
 # -- right/left continuing with retract ---------------------------------------

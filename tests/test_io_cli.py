@@ -138,6 +138,21 @@ def test_cli_check_semi_open_exit_codes_and_report(tmp_path, capsys):
         assert all(line.endswith(": Proved") for line in cert["hypotheses"])
 
 
+def test_cli_check_semi_open_ignores_kmax(capsys):
+    # --kmax bounds check open only; a semi-open report does not depend on it
+    for name in ("fig1", "even_cover"):
+        reports = []
+        for kmax in ("1", "30"):
+            _, out = _run(capsys, "check", "semi-open",
+                          "-x", str(FIXTURE_DIR / f"{name}_shift.json"),
+                          "-c", str(FIXTURE_DIR / f"{name}_code.json"),
+                          "--kmax", kmax)
+            report = json.loads(out)
+            del report["timing_ms"]
+            reports.append(json.dumps(report, sort_keys=True))
+        assert reports[0] == reports[1], name
+
+
 def test_cli_check_open(capsys):
     rc, _ = _run(capsys, "check", "open",
                  "-x", str(FIXTURE_DIR / "even_cover_shift.json"),

@@ -14,7 +14,6 @@ from shiftlab.io import graph_from_json
 from shiftlab.openness import (
     RetractDecision,
     SweepSpace,
-    _uniform_open_bound,
     check_open,
     check_right_continuing_retract,
     check_semi_open,
@@ -26,6 +25,7 @@ from shiftlab.pointed import (
     contains_cylinder,
     contains_periodic_point,
     cylinder_image,
+    uniform_window_bound,
     window_language,
 )
 from shiftlab.properties import gen_labeled_graph
@@ -54,8 +54,13 @@ def test_fig1_image_of_the_loop_cylinder_is_one_point():
 def test_fig1_refutation_reverifies_through_interior():
     code = fixtures.fig1_code()
     space = SweepSpace(code)
-    dec = interior_nonempty(space, CenteredWord.central(("2",)), 12)
+    zone = CenteredWord.central(("2",))
+    dec = interior_nonempty(space, zone)
     assert dec.is_refuted
+    esc = dec.payload["escape"]
+    assert not contains_cylinder(cylinder_image(code, zone), space.image,
+                                 CenteredWord(tuple(esc["word"]),
+                                              esc["center"]))
 
 
 def test_even_cover_semi_open_table():
@@ -64,7 +69,7 @@ def test_even_cover_semi_open_table():
     # k grows one per level: witnesses live just past the zone edge
     assert table.entries == ((0, 1), (1, 2), (2, 3), (3, 4))
     assert table.uniform == 1
-    assert table.saturated and table.saturation_level == 3
+    assert table.saturation_level == 3
 
 
 def test_golden_cover_semi_open_table():
@@ -72,14 +77,14 @@ def test_golden_cover_semi_open_table():
     assert dec.is_proved
     assert table.entries == ((0, 1), (1, 2), (2, 3), (3, 4))
     assert table.uniform == 1
-    assert table.saturated
+    assert table.saturation_level is not None
 
 
 def test_proved_witnesses_reverify_by_containment():
     """Every witness of a Proved or budget-Inconclusive lifting table,
     revisited profiles at later levels included, spans a cylinder inside
-    its zone's cylinder image; every escape window of a Refuted sweep
-    does not."""
+    its zone's cylinder image; the escape window of a Refuted sweep does
+    not."""
     outcomes, checked, escapes = set(), 0, 0
     for code in _with_fixtures(_small_codes(40, seed=6, vertices=3)):
         for budget in (Budget(10**6), Budget(400)):
@@ -88,11 +93,10 @@ def test_proved_witnesses_reverify_by_containment():
             if dec.is_refuted:
                 au = cylinder_image(code, CenteredWord.central(
                     tuple(dec.payload["zone"])))
-                for sample in dec.payload["interior"]["escapes"]:
-                    esc = sample["escape"]
-                    assert not contains_cylinder(au, y, CenteredWord(
-                        tuple(esc["word"]), esc["center"]))
-                    escapes += 1
+                esc = dec.payload["interior"]["escape"]
+                assert not contains_cylinder(au, y, CenteredWord(
+                    tuple(esc["word"]), esc["center"]))
+                escapes += 1
             reason = dec.payload.get("reason")
             outcomes.add((dec.verdict, reason))
             if not (dec.is_proved or reason == "budget"):
@@ -299,7 +303,6 @@ def _assert_sweeps_agree(dec, table, reference):
     else:
         assert dec.payload["reason"] == "level profiles did not saturate"
     assert table.entries == tuple(entries)
-    assert table.saturated == (saturation_level is not None)
     assert table.saturation_level == saturation_level
     if stop is None:
         assert table.uniform == max(k - l for l, k in entries)
@@ -325,12 +328,11 @@ def test_semi_open_profile_sweep_matches_per_word_sweep():
         space = SweepSpace(code)
 
         def verdict(level, word, prof):
-            dec = interior_nonempty(space, CenteredWord.central(word), 12)
+            dec = interior_nonempty(space, CenteredWord.central(word))
             if dec.is_refuted:
                 return refuted({"zone": list(word), "level": level,
                                 "interior": dec.payload}), dec.verdict
-            entry = {key: dec.payload[key]
-                     for key in ("k", "cylinder", "beyond_k_max")}
+            entry = {key: dec.payload[key] for key in ("k", "cylinder")}
             # the witness offset k - l is shared too
             return entry, (dec.verdict, entry["k"] - level)
 
@@ -354,7 +356,7 @@ def test_open_profile_sweep_matches_per_word_sweep():
             # whether a uniform window half-length within k_max exists is
             # shared by profile-equal words, but the least one is not: as
             # check_open does, the entry takes the profile's first bound
-            k_word = _uniform_open_bound(code, space.image, word, 4, space)
+            k_word = _uniform_bound(code, space, word, 4)
             k_u = bounds.setdefault(prof, k_word)
             if k_u is None:
                 return inconclusive({
@@ -507,12 +509,10 @@ def test_interior_witnesses_match_containment_oracle():
             if dec.is_refuted:
                 refuted_zones += 1
                 au = cylinder_image(code, zone)
-                assert dec.payload["escapes"], word
-                for sample in dec.payload["escapes"]:
-                    esc = sample["escape"]
-                    assert not contains_cylinder(
-                        au, y, CenteredWord(tuple(esc["word"]),
-                                            esc["center"])), word
+                esc = dec.payload["escape"]
+                assert not contains_cylinder(
+                    au, y, CenteredWord(tuple(esc["word"]),
+                                        esc["center"])), word
                 continue
             k = dec.payload["k"]
             if k - zone.center > 4:
@@ -636,19 +636,16 @@ def _ref_escapes(space, u, limit=2):
     return samples
 
 
-def _bfs_interior(space, u, k_max=12):
+def _bfs_interior(space, u):
     """The interior decision by a breadth-first search for any state past
     the zone with no doomed pair, then the least witness by one
-    depth-first search per half-length k from the zone's center up."""
+    depth-first search per half-length k from the zone's center up, or
+    the first escape sample."""
     seen, found = bfs_tree(
         [(0, 0, space.left, space.full)], _ref_moves(space, u), space.budget,
         lambda state: state[0] == 2 and not state[2] & space.doomed)
     if found is None:
-        return refuted({
-            "zone": u.to_json(),
-            "states_examined": len(seen),
-            "escapes": _ref_escapes(space, u),
-        })
+        return refuted({"zone": u.to_json(), **_ref_escapes(space, u, 1)[0]})
     for k in range(u.center, u.center + len(seen) + 2):
         word = _ref_witness(space, u, k)
         if word is not None:
@@ -656,30 +653,52 @@ def _bfs_interior(space, u, k_max=12):
                 "zone": u.to_json(),
                 "cylinder": CenteredWord(word, k).to_json(),
                 "k": k,
-                "beyond_k_max": k > k_max,
             })
     raise AssertionError(f"no witness within the pigeonhole cap: {u.word}")
 
 
-def test_interior_decision_matches_bfs_reference():
-    """The whole payload of every zone word of levels 0-3: verdict, k,
-    cylinder, beyond_k_max, states_examined and escapes."""
-    verdicts, offsets = set(), set()
-    # seven reducible domains; one of these codes and fig1 refute. In the
-    # last code the layers cycle from layer 1 with period 1, and some
-    # offsets reach 2, past the stored layers
+def _interior_zones():
+    """(space, level, zone) for every zone word of levels 0-3 of 30 seeded
+    3-vertex alphabet-2 codes, the code fixtures and one 5-vertex code.
+    Seven domains are reducible; one of these codes and fig1 refute. In
+    the last code the layers cycle from layer 1 with period 1, and some
+    offsets reach 2, past the stored layers."""
     codes = _small_codes(30, seed=12, vertices=3, alphabet=2)
     for code in _with_fixtures(codes) + _small_codes(3, 22, 5)[2:]:
         space = SweepSpace(code, Budget(10**9))
         for level in range(4):
             for word in _zone_words(space, 2 * level + 1):
-                zone = CenteredWord.central(word)
-                got = interior_nonempty(space, zone, 3)
-                want = _bfs_interior(space, zone, 3)
-                assert got.to_json() == want.to_json(), word
-                verdicts.add(got.verdict)
-                offsets.add(got.payload.get("k", level) - level)
+                yield space, level, CenteredWord.central(word)
+
+
+def test_interior_decision_matches_bfs_reference():
+    """The whole payload of every zone word of levels 0-3: verdict, k,
+    cylinder and escape."""
+    verdicts, offsets = set(), set()
+    for space, level, zone in _interior_zones():
+        got = interior_nonempty(space, zone)
+        assert got.to_json() == _bfs_interior(space, zone).to_json(), zone
+        verdicts.add(got.verdict)
+        offsets.add(got.payload.get("k", level) - level)
     assert verdicts == {"Proved", "Refuted"} and {0, 1, 2} <= offsets
+
+
+def test_least_doomed_window_matches_first_reference_escape():
+    """On every zone word of levels 0-3, proved or refuted, the least
+    zone-width window ending on a doomed pair is the reference's first
+    escape candidate; with no candidate the search raises."""
+    found = missing = 0
+    for space, _, zone in _interior_zones():
+        samples = _ref_escapes(space, zone, 1)
+        if samples:
+            got = openness._least_window(space, zone, 0, doomed=True)
+            assert got.to_json() == samples[0]["cylinder"], zone
+            found += 1
+        else:
+            with pytest.raises(InvariantViolation):
+                openness._least_window(space, zone, 0, doomed=True)
+            missing += 1
+    assert found > 5000 and missing > 5000
 
 
 def _memo_entries(space):
@@ -803,6 +822,12 @@ def test_pair_universe_and_doom_tree_match_brute_force():
     assert walked > 100
 
 
+def _uniform_bound(code, space, word, k_max):
+    """check_open's uniform bound of one zone word."""
+    au = cylinder_image(code, CenteredWord.central(word))
+    return uniform_window_bound(au, space.image, k_max, space.budget)
+
+
 def _per_window_bound(code, y, word, k_max):
     """The uniform bound one window at a time: the containment scan on
     every central window of the cylinder image, radius by radius."""
@@ -820,7 +845,7 @@ def test_uniform_bound_matches_per_window_reference():
         space = SweepSpace(code, Budget(10**8))
         for level in range(3):
             for word in _zone_words(space, 2 * level + 1):
-                got = _uniform_open_bound(code, space.image, word, 4, space)
+                got = _uniform_bound(code, space, word, 4)
                 assert got == _per_window_bound(code, space.image, word, 4), \
                     word
                 bounds.add(got)

@@ -10,7 +10,8 @@ for an intended payload change:
 
 To see what an engine change moved before regenerating, print each
 (code, call) whose digest differs from the pinned one, with the pinned and
-current verdicts:
+current verdicts, then the counts of changed digests and changed verdicts;
+the exit status is 1 when any pinned verdict changed, else 0:
 
     PYTHONPATH=src python tests/test_payload_stability.py --diff
 """
@@ -178,19 +179,25 @@ def test_payloads_are_stable():
 
 def diff():
     """Print each (code, call) whose digest differs from the pinned one,
-    with the pinned and the current verdict."""
+    with the pinned and the current verdict, then the counts; return the
+    number of changed verdicts."""
     pinned = json.loads(DIGESTS.read_text())
+    digests = verdicts = 0
     for key, code in codes():
         for name, thunk in calls(code):
             value = _value(thunk)
             if digest(value) != pinned["digests"][key][name]:
-                print(key, name, pinned["verdicts"][key][name], "->",
-                      _verdict(value))
+                was, now = pinned["verdicts"][key][name], _verdict(value)
+                print(key, name, was, "->", now)
+                digests += 1
+                verdicts += was != now
+    print(f"{digests} digests differ, {verdicts} verdicts differ")
+    return verdicts
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--diff"]:
-        diff()
+        sys.exit(1 if diff() else 0)
     else:
         json.dump(snapshot(), sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")
