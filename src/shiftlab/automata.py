@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ParseError
 
 DEFAULT_BUDGET = 10**6
 
@@ -18,13 +18,21 @@ DEFAULT_BUDGET = 10**6
 class Budget:
     """Counts states touched by a search and aborts past the limit.
 
-    The limit comes from SHIFTLAB_STATE_BUDGET when set; engines convert
-    the BudgetExceeded into an Inconclusive decision rather than failing.
+    The limit comes from SHIFTLAB_STATE_BUDGET when set, which must be a
+    nonnegative integer (ParseError otherwise); engines convert the
+    BudgetExceeded into an Inconclusive decision rather than failing.
     """
 
     def __init__(self, limit=None, where="search"):
         if limit is None:
-            limit = int(os.environ.get("SHIFTLAB_STATE_BUDGET", DEFAULT_BUDGET))
+            raw = os.environ.get("SHIFTLAB_STATE_BUDGET", DEFAULT_BUDGET)
+            try:
+                limit = int(raw)
+                if limit < 0:
+                    raise ValueError(raw)
+            except ValueError:
+                raise ParseError(f"not a nonnegative integer: {raw!r}",
+                                 field="SHIFTLAB_STATE_BUDGET") from None
         self.limit = limit
         self.used = 0
         self.where = where

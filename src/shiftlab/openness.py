@@ -57,7 +57,8 @@ class SweepSpace:
     a live-U dead-S pair. The image shift is built on first use. The
     space also holds one sweep's memos, each spending its budget: the
     transfer monoid and the interior decision's layers, id actions and
-    distances (see interior_nonempty)."""
+    distances, whose states are scan masks over the universe (see
+    interior_nonempty)."""
 
     def __init__(self, code, budget=None):
         self.code = code
@@ -126,7 +127,7 @@ class SweepSpace:
         self.index = index
         # the transfer monoid: joint (image, zone-thread) table pairs as ids
         self.tables, self.ids, self.products = [], {}, {}
-        self.layers = [frozenset([(self.left, self.full)])]
+        self.layers = [frozenset([self.left])]
         self.cycle_start = None
         self._reached, self._distances = {}, {}
 
@@ -168,15 +169,16 @@ class SweepSpace:
                             for i in ids for j in sym[xi][0])
         return ids
 
-    def free_moves(self, state):
-        """The interior states (q, du) one free symbol after state."""
-        q, du = state
-        return [(apply_mask(self.free[s], q), du2) for s in self.symbols
-                if (du2 := apply_mask(self.ut[s], du))]
+    def free_moves(self, q):
+        """The interior states one free symbol after scan mask q, in
+        symbol order: the nonzero masks (the image dies with the scan,
+        see _least_window)."""
+        return [q2 for s in self.symbols
+                if (q2 := apply_mask(self.free[s], q))]
 
     def layer(self, m):
-        """(j, F_m): the states m free steps after (left, full), stored
-        as layers[j]. A new layer spends a budget state per state; the
+        """(j, F_m): the scan masks m free steps after left, stored as
+        layers[j]. A new layer spends a budget state per state; the
         first layer equal to an earlier one closes the cycle from
         layers[cycle_start] on, which every later layer repeats."""
         layers = self.layers
@@ -192,42 +194,40 @@ class SweepSpace:
             m = r + (m - r) % (len(layers) - r)
         return m, layers[m]
 
-    def reached(self, x, ids):
-        """The ids met at layer state x so far, ids included, grouped by
-        the distance of the state each maps x to (inf where du dies). An
-        id maps each pair (U, S) of q to (tu U, ts S), dropped where
-        tu U = 0, and du to tu du. One budget state per new (id, x)."""
-        seen, by = self._reached.setdefault(x, (set(), {}))
-        q, du = x
+    def reached(self, q, ids):
+        """The ids met at layer state q so far, ids included, grouped by
+        the distance of the state each maps q to (inf where it maps q to
+        0). An id maps each pair (U, S) of q to (tu U, ts S), dropped
+        where tu U = 0. One budget state per new (id, q)."""
+        seen, by = self._reached.setdefault(q, (set(), {}))
         for i in ids - seen:
             self.budget.spend()
             tu, ts = self.tables[i]
-            du2 = apply_mask(tu, du)
             q2 = 0
-            for b in range(q.bit_length() if du2 else 0):
+            for b in range(q.bit_length()):
                 u, s = self.pairs[b]
                 if q >> b & 1 and (u := apply_mask(tu, u)):
                     q2 |= 1 << self.index[u, apply_mask(ts, s)]
-            d = self.distance((q2, du2)) if du2 else inf
+            d = self.distance(q2) if q2 else inf
             by.setdefault(d, set()).add(i)
             seen.add(i)
         return by
 
-    def distance(self, state):
-        """Least number of free steps from state to a state with no
-        doomed pair, or inf. The unclean states reachable from state
-        whose distance is unknown are explored together, a budget state
-        each, and relaxed until no distance drops."""
+    def distance(self, q):
+        """Least number of free steps from scan mask q to one with no
+        doomed pair, or inf. The unclean states reachable from q whose
+        distance is unknown are explored together, a budget state each,
+        and relaxed until no distance drops."""
         known = self._distances
-        if state not in known:
+        if q not in known:
             succ = {}
 
             def expand(x):
-                if x in known or not x[0] & self.doomed:
+                if x in known or not x & self.doomed:
                     return ()
                 succ[x] = self.free_moves(x)
                 return succ[x]
-            new = [x for x in bfs_closure([state], expand) if x not in known]
+            new = [x for x in bfs_closure([q], expand) if x not in known]
             self.budget.spend(len(new))
             known.update((x, inf if x in succ else 0) for x in new)
             drops = True
@@ -235,7 +235,7 @@ class SweepSpace:
                 drops = [(x, d) for x, ys in succ.items()
                          if (d := 1 + min(known[y] for y in ys)) < known[x]]
                 known.update(drops)
-        return known[state]
+        return known[q]
 
     def left_word(self, i):
         return tuple(tree_path(self._left_parent, self.pairs[i])[1])
@@ -636,7 +636,13 @@ def _skeleton_pattern(space, c1, b1, anchor, b2, c2, h):
     return None
 
 
-def _limit_escape_pattern(space, h_max=2):
+# the zone half-widths tried per skeleton. A miss decides nothing (the
+# caller goes on to the level sweep), and each further width costs one
+# more scan of every skeleton, so the catalogue stays small
+_ESCAPE_H_MAX = 2
+
+
+def _limit_escape_pattern(space):
     """Search over skeletons (past cycle, bridge, anchor edge, bridge,
     future cycle) for a verified limit-escape pattern. Finding one is
     sound; exhausting the catalogue is best effort only, so the caller
@@ -663,7 +669,7 @@ def _limit_escape_pattern(space, h_max=2):
                 continue
             b1 = tree_path(trees[i], vx[anchor.src])[1]
             for j, b2 in ends:
-                for h in range(h_max + 1):
+                for h in range(_ESCAPE_H_MAX + 1):
                     space.budget.spend()
                     pat = _skeleton_pattern(space, cycles[i], b1, anchor,
                                             b2, cycles[j], h)
@@ -922,7 +928,9 @@ def _right_retract_verdict(code, retract):
 def witness_from_magic(g, alpha, pi):
     """Build a central image word that forces every presenting run
     through the given path: magic word, connector, the path, connector,
-    magic word again. The center sits on the path's middle edge.
+    magic word again. The center sits on the path's middle edge. Every
+    path reading the magic word ends at its focus, where the first
+    connector starts; the second ends at the least vertex that reads it.
 
     Requires an irreducible right-resolving presentation, a word alpha
     whose full-subset read ends in a single state, and a nonempty edge
@@ -963,10 +971,8 @@ def witness_from_magic(g, alpha, pi):
             raise NotIrreducible()
         return found[2]
 
-    lam = _first_presenting_path(g, alpha)
-    lam_end = lam[-1].dst if lam else _least_alpha_start(g, alpha)
-    xi = edge_path(lam_end, edges[0].src)
-    gam = edge_path(edges[-1].dst, lam[0].src if lam else lam_end)
+    xi = edge_path(focus, edges[0].src)
+    gam = edge_path(edges[-1].dst, _least_alpha_start(g, alpha))
     word = (alpha + tuple(e.label for e in xi) + tuple(e.label for e in edges)
             + tuple(e.label for e in gam) + alpha)
     center = len(alpha) + len(xi) + (len(edges) - 1) // 2
@@ -983,28 +989,3 @@ def _least_alpha_start(g, alpha):
         if mask:
             return v
     raise NotMagic(alpha, ())
-
-
-def _first_presenting_path(g, alpha):
-    if not alpha:
-        return []
-    start = _least_alpha_start(g, alpha)
-    path = []
-    cur = start
-    for s in alpha:
-        nxt = None
-        for e in sorted(g.out[cur], key=lambda e: e.id):
-            if e.label == s:
-                mask = 1 << g.vindex[e.dst]
-                for s2 in alpha[len(path) + 1:]:
-                    mask = g.ops.step(mask, g.sym_index[s2])
-                    if not mask:
-                        break
-                if mask:
-                    nxt = e
-                    break
-        if nxt is None:
-            raise NotMagic(alpha, ())
-        path.append(nxt)
-        cur = nxt.dst
-    return path

@@ -206,7 +206,7 @@ def periodic_phase_graph(g, block):
 # -- SFT detection ---------------------------------------------------------
 
 
-def is_sft(x, m_max=32):
+def is_sft(x):
     """Decide whether the shift is of finite type, and find the memory.
 
     Works on a right-resolving presentation. For each symbol s the pair
@@ -216,6 +216,7 @@ def is_sft(x, m_max=32):
     when such violations occur at unbounded depth, which over the finite
     pair graph means: some violating pair is reachable from a cycle.
     Otherwise the minimal memory is one more than the deepest violation.
+    Inconclusive only when the pair graph exceeds the state budget.
     """
     d = gr.determinize(x.presentation)
     if d.n == 0:
@@ -294,11 +295,7 @@ def is_sft(x, m_max=32):
             if depth.get(j, -1) < depth[i] + 1:
                 depth[j] = depth[i] + 1
     deepest = max(depth[i] for i in bad)
-    memory = max(deepest + 1, 1)
-    if memory > m_max:
-        return inconclusive({"memory": memory, "m_max": m_max,
-                             "note": "memory exceeds requested bound"})
-    return proved({"memory": memory, "pairs": len(order)})
+    return proved({"memory": max(deepest + 1, 1), "pairs": len(order)})
 
 
 def _sft_refutation(succ, seeds, nodes, lethal, cyclic, target):

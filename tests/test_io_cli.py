@@ -189,6 +189,16 @@ def test_cli_budget_env_var(capsys, monkeypatch):
     assert json.loads(out)["payload"]["reason"] == "budget"
 
 
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_cli_malformed_budget_env_var_exits_3(capsys, monkeypatch, value):
+    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", value)
+    rc = cli.main(["check", "semi-open",
+                   "-x", str(FIXTURE_DIR / "even_cover_shift.json"),
+                   "-c", str(FIXTURE_DIR / "even_cover_code.json")])
+    assert rc == 3
+    assert "SHIFTLAB_STATE_BUDGET" in capsys.readouterr().err
+
+
 def test_cli_retract_budget_exhaustion_writes_report(tmp_path, capsys,
                                                      monkeypatch):
     monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "2")

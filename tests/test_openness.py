@@ -701,6 +701,32 @@ def test_least_doomed_window_matches_first_reference_escape():
     assert found > 5000 and missing > 5000
 
 
+def test_interior_states_are_scan_masks():
+    """On every zone word of levels 0-3, each state (mode, j, q, du) of
+    the reference scan has q != 0 and du the union of the image sides of
+    q's pairs, so the scan mask q determines du; and each stored layer
+    of the space is the reference's layer of left-zone states (q, du)
+    after as many free steps, projected to q."""
+    layers = 0
+    for space, _, zone in _interior_zones():
+        moves = _ref_moves(space, zone)
+        for _, _, q, du in bfs_closure([(0, 0, space.left, space.full)],
+                                       lambda x: [y for y, _ in moves(x)]):
+            assert q, zone
+            image_sides = 0
+            for b in range(q.bit_length()):
+                if q >> b & 1:
+                    image_sides |= space.pairs[b][0]
+            assert du == image_sides, zone
+        interior_nonempty(space, zone)
+        ref = {(0, 0, space.left, space.full)}
+        for stored in space.layers:
+            assert stored == {q for _, _, q, _ in ref}, zone
+            ref = {y for x in ref for y, _ in moves(x) if y[0] == 0}
+            layers += 1
+    assert layers > 15000
+
+
 def _memo_entries(space):
     # the first layer is the seed, not a memo entry
     return (sum(map(len, space.layers)) - 1 + len(space._distances)
