@@ -17,10 +17,9 @@ from . import shifts as sh
 from .automata import (Budget, bfs_closure, bfs_tree, cycle_nodes,
                        nontrivial_components, shortest_cycle, shortest_path,
                        tarjan_scc, tree_path)
-from .decision import inconclusive, proved, refuted
+from .decision import inconclusive_on_budget, proved, refuted
 from .errors import (
     AlphabetMismatch,
-    BudgetExceeded,
     ConsistencyFault,
     DomainMismatch,
     InvariantViolation,
@@ -362,6 +361,7 @@ def _has_ida(g, budget=None):
     return None
 
 
+@inconclusive_on_budget
 def is_finite_to_one(code):
     """Decide whether every fiber of the induced map is finite.
 
@@ -375,21 +375,18 @@ def is_finite_to_one(code):
     d = gr.determinize(code.domain.presentation)
     a = arrow_graph(code, d)
     g = a.graph
-    try:
-        eda = _has_eda(g)
-        if eda is not None:
-            return refuted({"pattern": "doubled cycle",
-                            "edges": [eda[0], eda[1]],
-                            "note": "two distinct equally-producing cycles "
-                                    "through one state"})
-        ida = _has_ida(g)
-        if ida is not None:
-            return refuted({"pattern": "cycle to cycle",
-                            "states": [ida[0], ida[1]],
-                            "note": "one produced word cycles at both states "
-                                    "and also leads the first to the second"})
-    except BudgetExceeded as exc:
-        return inconclusive({"reason": str(exc)})
+    eda = _has_eda(g)
+    if eda is not None:
+        return refuted({"pattern": "doubled cycle",
+                        "edges": [eda[0], eda[1]],
+                        "note": "two distinct equally-producing cycles "
+                                "through one state"})
+    ida = _has_ida(g)
+    if ida is not None:
+        return refuted({"pattern": "cycle to cycle",
+                        "states": [ida[0], ida[1]],
+                        "note": "one produced word cycles at both states "
+                                "and also leads the first to the second"})
     dec = proved({"states": g.n, "edges": len(g.edges)})
     # finite-to-one factor maps preserve entropy; disagreement means a bug
     h_dom = sh.entropy(code.domain)

@@ -10,8 +10,9 @@ means a search budget or depth bound ran out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 
-from .errors import ConsistencyFault
+from .errors import BudgetExceeded, ConsistencyFault
 
 PROVED = "Proved"
 REFUTED = "Refuted"
@@ -56,6 +57,23 @@ def refuted(payload=None, provenance=COMPUTATIONAL):
 
 def inconclusive(payload=None, provenance=COMPUTATIONAL):
     return Decision(INCONCLUSIVE, payload or {}, provenance)
+
+
+def out_of_budget(exc):
+    """The Inconclusive of a check whose state budget ran out."""
+    return inconclusive({"reason": "budget", "detail": str(exc)})
+
+
+def inconclusive_on_budget(check):
+    """The check, returning out_of_budget for a BudgetExceeded raised
+    anywhere in it."""
+    @wraps(check)
+    def run(*args, **kwargs):
+        try:
+            return check(*args, **kwargs)
+        except BudgetExceeded as exc:
+            return out_of_budget(exc)
+    return run
 
 
 def _jsonable(x):

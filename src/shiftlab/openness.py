@@ -19,7 +19,8 @@ from . import graph as gr
 from .automata import (Budget, apply_mask, bfs_closure, bfs_tree, cycle_nodes,
                        pair_moves, shortest_cycle, shortest_path, tree_path)
 from .codes import arrow_graph, reversed_code
-from .decision import Decision, inconclusive, proved, refuted
+from .decision import (Decision, inconclusive, inconclusive_on_budget,
+                       out_of_budget, proved, refuted)
 from .errors import (BudgetExceeded, InvariantViolation, NotIrreducible,
                      NotMagic, WordNotAdmissible)
 from .pointed import (CenteredWord, cylinder_escape, cylinder_image,
@@ -462,38 +463,39 @@ class LiftingTable:
         }
 
 
-def _empty_table():
-    return LiftingTable((), {}, None, None)
-
-
-def _level_sweep(space, l_max, visit):
+def _level_sweep(code, budget, l_max, start):
     """Visit the profiles of levels 0..l_max in order of least zone word.
 
-    visit(level, prof, word, first) gets the profile, its least word at
-    this level and, for a profile met at an earlier level, first = (that
-    level, the entry visit returned there), else None. It returns the profile's
+    start(space) gets the code's SweepSpace and returns visit, or a
+    Decision that ends the check before any level. visit(level, prof,
+    word) gets the profile and its least word at this level, whether the
+    profile is new or met at an earlier level; it returns the profile's
     witness entry, which carries its half-length "k", or a Decision that
-    ends the sweep. A level that brings no new profile proves saturation.
-    Returns (decision, table).
+    ends the sweep. A level that brings no new profile proves
+    saturation. A budget running out anywhere, in the space, in start or
+    in a visit, ends the sweep Inconclusive. Returns (decision, table).
     """
     entries = []
     witnesses = {}
-    firsts = {}
+    seen = set()
     saturation_level = None
-    levels = _profile_levels(space)
+
+    def stop(dec):
+        return dec, LiftingTable(tuple(entries), witnesses, None, None)
     try:
-        for level in range(l_max + 1):
+        space = SweepSpace(code, budget)
+        visit = start(space)
+        if isinstance(visit, Decision):
+            return stop(visit)
+        for level, profiles in zip(range(l_max + 1), _profile_levels(space)):
             k_level = 0
             grew = False
-            for prof, word in next(levels).items():
-                first = firsts.get(prof)
-                entry = visit(level, prof, word, first)
+            for prof, word in profiles.items():
+                entry = visit(level, prof, word)
                 if isinstance(entry, Decision):
-                    return entry, LiftingTable(tuple(entries), witnesses,
-                                               None, None)
-                if first is None:
-                    firsts[prof] = (level, entry)
-                    grew = True
+                    return stop(entry)
+                grew |= prof not in seen
+                seen.add(prof)
                 witnesses[",".join(word)] = entry
                 k_level = max(k_level, entry["k"])
             entries.append((level, k_level))
@@ -501,20 +503,19 @@ def _level_sweep(space, l_max, visit):
                 saturation_level = level
                 break
     except BudgetExceeded as exc:
-        table = LiftingTable(tuple(entries), witnesses, None, None)
-        return inconclusive({"reason": "budget", "detail": str(exc)}), table
+        return stop(out_of_budget(exc))
     uniform = max((k - l for l, k in entries), default=0)
-    if saturation_level is not None:
-        return proved({
-            "levels": len(entries),
-            "saturation_level": saturation_level,
-            "uniform_offset": uniform,
-        }), LiftingTable(tuple(entries), witnesses, uniform,
-                         saturation_level)
-    return inconclusive({
-        "reason": "level profiles did not saturate",
-        "levels_checked": l_max + 1,
-    }), LiftingTable(tuple(entries), witnesses, uniform, None)
+    table = LiftingTable(tuple(entries), witnesses, uniform, saturation_level)
+    if saturation_level is None:
+        return inconclusive({
+            "reason": "level profiles did not saturate",
+            "levels_checked": l_max + 1,
+        }), table
+    return proved({
+        "levels": len(entries),
+        "saturation_level": saturation_level,
+        "uniform_offset": uniform,
+    }), table
 
 
 def check_semi_open(code, l_max=4, *, budget=None):
@@ -525,35 +526,23 @@ def check_semi_open(code, l_max=4, *, budget=None):
     inconclusive otherwise. No bound on the witness half-length applies:
     each profile's least offset is decided exactly.
 
-    A profile's interior is decided once, from the profile's ids, on its
-    least word at the level it first appears; at later levels only the
-    window search runs, at the recorded offset k - l. The decision's
-    layers, actions and distances are kept for the whole sweep.
+    Every level profile, new or met again, is decided by
+    interior_nonempty on its least word at that level. The decision's
+    layers, actions and distances are kept on the space for the whole
+    sweep, so a profile met again spends no budget and only its window
+    search runs.
     """
-    try:
-        space = SweepSpace(code, budget)
-    except BudgetExceeded as exc:
-        return inconclusive({"reason": "budget", "detail": str(exc)}), \
-            _empty_table()
-
-    def visit(level, prof, word, first):
-        zone = CenteredWord.central(word)
-        if first is None:
-            dec = interior_nonempty(space, zone, profile=prof[0])
+    def start(space):
+        def visit(level, prof, word):
+            dec = interior_nonempty(space, CenteredWord.central(word),
+                                    profile=prof[0])
             if dec.is_refuted:
                 return refuted({"zone": list(word), "level": level,
                                 "interior": dec.payload})
-            k = dec.payload["k"]
-            cylinder = dec.payload["cylinder"]
-        else:
-            # profile-equal zones share interior verdicts and offsets
-            first_level, entry = first
-            m = entry["k"] - first_level
-            k = level + m
-            cylinder = _least_window(space, zone, m).to_json()
-        return {"k": k, "cylinder": cylinder}
+            return {"k": dec.payload["k"], "cylinder": dec.payload["cylinder"]}
+        return visit
 
-    return _level_sweep(space, l_max, visit)
+    return _level_sweep(code, budget, l_max, start)
 
 
 # -- openness ------------------------------------------------------------
@@ -572,18 +561,41 @@ def _orbit_tail(start, step):
     return order[seen[cur]:]
 
 
-def _skeleton_pattern(space, c1, b1, anchor, b2, c2, h):
-    """Exact check of one limit-escape skeleton: is the point reading
-    rho along c1^inf b1 anchor b2 c2^inf a limit of points escaping the
-    image of its own zone window of half-width h?
+def _edge_scan(space, p, edges, zone_steps=False):
+    """Pair value p, a single bit over the universe indexes, scanned
+    along edges by free steps, or by zone steps with zone_steps set. The
+    edges read an admissible word, so the scan stays live."""
+    for e in edges:
+        p = apply_mask(space.zone[e.label, space.x_sym[e.id]] if zone_steps
+                       else space.free[e.label], p)
+        if not p:
+            raise InvariantViolation("admissible scan stays live", e.id)
+    return p
 
-    Deep pair values at the chain start are the recurrent values of the
-    full-restart scan along the past cycle; a skeleton succeeds when
-    some deep value, pushed through the zone, recurs inside the doomed
-    region along the future cycle. Every success embeds genuine escapes
-    at all scales.
+
+def _deep_values(space, c1):
+    """Deep pair values at a chain start after the past cycle c1: the
+    recurrent values of the full-restart scan along c1, at every phase.
+    In order of the pairs themselves, so that the budget spent before a
+    success does not depend on the indexing."""
+    deep = set()
+    for phase in range(len(c1)):
+        # bit 0 is the full restart pair
+        seed = _edge_scan(space, 1, c1[len(c1) - phase:])
+        deep.update(_orbit_tail(seed, lambda p: _edge_scan(space, p, c1)))
+    return sorted(deep, key=lambda q: space.pairs[q.bit_length() - 1])
+
+
+def _skeleton_pattern(space, c1, deep, b1, anchor, b2, c2, h):
+    """Exact check of one limit-escape skeleton: is the point reading
+    the labels along c1^inf b1 anchor b2 c2^inf a limit of points
+    escaping the image of its own zone window of half-width h?
+
+    deep holds the past cycle's deep values (see _deep_values); a
+    skeleton succeeds when some deep value, pushed through the zone,
+    recurs inside the doomed region along the future cycle. Every
+    success embeds genuine escapes at all scales.
     """
-    rho = {e.id: e.label for e in space.g.edges}
     # pad bridges with whole cycles so the zone fits inside them
     eff_b1 = list(b1)
     while len(eff_b1) < h:
@@ -593,45 +605,25 @@ def _skeleton_pattern(space, c1, b1, anchor, b2, c2, h):
         eff_b2 = eff_b2 + list(c2)
     zone_left = eff_b1[len(eff_b1) - h:] if h else []
     free_left = eff_b1[:len(eff_b1) - h] if h else eff_b1
-    zone_right = eff_b2[:h]
+    zone = zone_left + [anchor] + eff_b2[:h]
     free_right = eff_b2[h:]
-    u_word = tuple(space.x_sym[e.id]
-                   for e in zone_left + [anchor] + zone_right)
-
-    # pair values are single bits over the universe indexes
-    def scan(p, elist, table):
-        for e in elist:
-            p = apply_mask(table(e), p)
-            if not p:
-                raise InvariantViolation("admissible scan stays live", e.id)
-        return p
-
-    def free_scan(p, elist):
-        return scan(p, elist, lambda e: space.free[rho[e.id]])
-
-    deep = set()
-    for phase in range(len(c1)):
-        # bit 0 is the full restart pair
-        seed = free_scan(1, c1[len(c1) - phase:])
-        deep.update(_orbit_tail(seed, lambda p: free_scan(p, c1)))
-    # in order of the pairs themselves, so that the budget spent before a
-    # success does not depend on the indexing
-    for q in sorted(deep, key=lambda q: space.pairs[q.bit_length() - 1]):
+    for q in deep:
         space.budget.spend()
-        q2 = scan(free_scan(q, free_left), zone_left + [anchor] + zone_right,
-                  lambda e: space.zone[rho[e.id], space.x_sym[e.id]])
-        q2 = free_scan(q2, free_right)
+        q2 = _edge_scan(space, _edge_scan(space, q, free_left), zone,
+                        zone_steps=True)
+        q2 = _edge_scan(space, q2, free_right)
         # recurrent pair values along the future cycle, all phases
         tail = _orbit_tail((q2, 0),
-                           lambda t: (free_scan(t[0], [c2[t[1]]]),
+                           lambda t: (_edge_scan(space, t[0], [c2[t[1]]]),
                                       (t[1] + 1) % len(c2)))
         if any(p & space.doomed for p, _ in tail):
             return {
-                "past_cycle": [rho[e.id] for e in c1],
-                "chain": [rho[e.id] for e in b1 + [anchor] + b2],
+                "past_cycle": [e.label for e in c1],
+                "chain": [e.label for e in b1 + [anchor] + b2],
                 "anchor_step": len(b1),
-                "future_cycle": [rho[e.id] for e in c2],
-                "zone": CenteredWord(u_word, h),
+                "future_cycle": [e.label for e in c2],
+                "zone": CenteredWord(tuple(space.x_sym[e.id] for e in zone),
+                                     h),
             }
     return None
 
@@ -661,6 +653,7 @@ def _limit_escape_pattern(space):
     # a search tree's path to a node is its shortest path from the root,
     # so one tree per vertex gives every bridge
     trees = [bfs_tree([v], eadj.__getitem__)[0] for v in range(n)]
+    deep = {}  # per past cycle, computed on first use
     for anchor in sorted(g.edges, key=lambda e: e.id):
         after = trees[vx[anchor.dst]]
         ends = [(j, tree_path(after, j)[1]) for j in cycles if j in after]
@@ -668,11 +661,13 @@ def _limit_escape_pattern(space):
             if vx[anchor.src] not in trees[i]:
                 continue
             b1 = tree_path(trees[i], vx[anchor.src])[1]
+            if ends and i not in deep:
+                deep[i] = _deep_values(space, cycles[i])
             for j, b2 in ends:
                 for h in range(_ESCAPE_H_MAX + 1):
                     space.budget.spend()
-                    pat = _skeleton_pattern(space, cycles[i], b1, anchor,
-                                            b2, cycles[j], h)
+                    pat = _skeleton_pattern(space, cycles[i], deep[i], b1,
+                                            anchor, b2, cycles[j], h)
                     if pat is not None:
                         return pat
     return None
@@ -726,46 +721,39 @@ def check_open(code, l_max=4, k_max=12, budget=None):
     """Is the code an open map onto its image? Refuted via a verified
     limit-escape pattern; proved when every cylinder image up to the
     saturation level is open with a uniform witness length at most
-    k_max; inconclusive otherwise."""
-    try:
-        space = SweepSpace(code, budget)
-    except BudgetExceeded as exc:
-        return inconclusive({"reason": "budget", "detail": str(exc)}), \
-            _empty_table()
-    try:
+    k_max; inconclusive otherwise. A profile met again takes the bound
+    of its first word."""
+    def start(space):
         pat = _limit_escape_pattern(space)
         if pat is not None:
-            return refuted(_pattern_payload(code, space, pat, "right")), \
-                _empty_table()
+            return refuted(_pattern_payload(code, space, pat, "right"))
         rcode = reversed_code(code)
         rspace = SweepSpace(rcode, space.budget)
         pat = _limit_escape_pattern(rspace)
         if pat is not None:
-            return refuted(_pattern_payload(rcode, rspace, pat, "left")), \
-                _empty_table()
-    except BudgetExceeded as exc:
-        return inconclusive({"reason": "budget", "detail": str(exc)}), \
-            _empty_table()
+            return refuted(_pattern_payload(rcode, rspace, pat, "left"))
+        y = space.image
+        bounds = {}
 
-    y = space.image
+        def visit(level, prof, word):
+            if prof not in bounds:
+                # the least k <= k_max at which every central
+                # (2k+1)-window of the cylinder image spans a cylinder
+                # inside it; such a k exists for some bound exactly when
+                # the image set is open
+                au = cylinder_image(code, CenteredWord.central(word))
+                bounds[prof] = uniform_window_bound(au, y, k_max,
+                                                    space.budget)
+            if bounds[prof] is None:
+                return inconclusive({
+                    "reason": "no uniform witness length within bound",
+                    "zone": list(word),
+                    "k_max": k_max,
+                })
+            return {"k": bounds[prof]}
+        return visit
 
-    def visit(level, prof, word, first):
-        if first is not None:
-            return {"k": first[1]["k"]}
-        # the least k <= k_max at which every central (2k+1)-window of
-        # the cylinder image spans a cylinder inside it; such a k exists
-        # for some bound exactly when the image set is open
-        au = cylinder_image(code, CenteredWord.central(word))
-        k_u = uniform_window_bound(au, y, k_max, space.budget)
-        if k_u is None:
-            return inconclusive({
-                "reason": "no uniform witness length within bound",
-                "zone": list(word),
-                "k_max": k_max,
-            })
-        return {"k": k_u}
-
-    return _level_sweep(space, l_max, visit)
+    return _level_sweep(code, budget, l_max, start)
 
 
 # -- right/left continuing with retract ---------------------------------------
@@ -845,12 +833,10 @@ def _retract_verdict(code, retract, side):
         return Decision(dec.verdict, payload, dec.provenance)
     if side != "right":
         raise InvariantViolation("side in right|left|bi", side)
-    try:
-        return _right_retract_verdict(code, retract)
-    except BudgetExceeded as exc:
-        return inconclusive({"reason": "budget", "detail": str(exc)})
+    return _right_retract_verdict(code, retract)
 
 
+@inconclusive_on_budget
 def _right_retract_verdict(code, retract):
     budget = Budget(where="retract check")
     space = SweepSpace(code, budget)

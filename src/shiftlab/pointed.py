@@ -1,7 +1,7 @@
 """Origin-marked automata denoting closed, non-shift-invariant sets.
 
 A PointedAutomaton denotes the set of label sequences of bi-infinite
-paths that traverse a marked edge at a marked coordinate. Images of
+paths that traverse a marked edge at coordinate 0. Images of
 central cylinders under sliding-block codes are the motivating case;
 containment tests against such sets reduce to finite subset scans by a
 compactness argument: a point escapes the denotation exactly when some
@@ -69,33 +69,23 @@ class CenteredWord:
 @dataclass(frozen=True, eq=False)
 class PointedAutomaton:
     graph: LabeledGraph
-    origins: frozenset  # of (edge id, coordinate); engines assume coordinate 0
+    origins: frozenset  # of the ids of the edges marked at coordinate 0
 
     @classmethod
     def build(cls, graph, origins):
         t = gr.trim(graph)
         alive = {e.id for e in t.edges}
-        kept = frozenset((eid, int(off)) for eid, off in origins
-                         if eid in alive)
-        return cls(t, kept)
+        return cls(t, frozenset(eid for eid in origins if eid in alive))
 
     @cached_property
     def is_empty(self):
         # every surviving marked edge lies on a bi-infinite path
         return not self.origins
 
-    def origin_edge_ids(self):
-        for eid, off in self.origins:
-            if off != 0:
-                raise InvariantViolation(
-                    "origin coordinates are 0",
-                    f"edge {eid} marked at {off}")
-        return {eid for eid, _ in self.origins}
-
 
 def everywhere_marked(graph):
     """The automaton denoting all points of the shift the graph presents."""
-    return PointedAutomaton.build(graph, [(e.id, 0) for e in graph.edges])
+    return PointedAutomaton.build(graph, [e.id for e in graph.edges])
 
 
 def cylinder_image(code, u):
@@ -134,7 +124,7 @@ def cylinder_image(code, u):
             edges.append(Edge(eid, f"{src_layer}.{e.src}",
                               f"M{j + 1}.{e.dst}", e.label))
             if j == u.center:
-                anchors.append((eid, 0))
+                anchors.append(eid)
     for e in g.edges:
         edges.append(Edge(f"MR.{e.id}", f"M{length}.{e.src}",
                           f"R.{e.dst}", e.label))
@@ -151,7 +141,7 @@ def contains_periodic_point(a, block):
     except PeriodicPointNotInShift:
         return False
     alive = {e.id for e in pg.edges}
-    return any(f"{eid}@0" in alive for eid in a.origin_edge_ids())
+    return any(f"{eid}@0" in alive for eid in a.origins)
 
 
 # -- containment of cylinders -------------------------------------------------
@@ -163,7 +153,7 @@ def _thread_tables(a, symbols):
     crossing a marked edge (the move at the origin). Also the masks of
     every unmarked and of every marked atom."""
     g = a.graph
-    anchor = a.origin_edge_ids()
+    anchor = a.origins
     vx = g.vindex
     plain = {s: [0] * (2 * g.n) for s in symbols}
     origin = {s: [0] * (2 * g.n) for s in symbols}

@@ -14,9 +14,8 @@ from functools import cached_property
 from . import graph as gr
 from .automata import (Budget, bfs_closure, bfs_tree, nontrivial_components,
                        shortest_cycle, shortest_path, tarjan_scc, tree_path)
-from .decision import inconclusive, proved, refuted
+from .decision import inconclusive_on_budget, proved, refuted
 from .errors import (
-    BudgetExceeded,
     InvariantViolation,
     PeriodicPointNotInShift,
     ReducibleShift,
@@ -206,6 +205,7 @@ def periodic_phase_graph(g, block):
 # -- SFT detection ---------------------------------------------------------
 
 
+@inconclusive_on_budget
 def is_sft(x):
     """Decide whether the shift is of finite type, and find the memory.
 
@@ -241,10 +241,7 @@ def is_sft(x):
             if b2:
                 row.append(((ops.step(a, i), b2), s))
         return [nxt for nxt, _ in row]
-    try:
-        order = list(bfs_closure([node for node, _ in seeds], moves, budget))
-    except BudgetExceeded as exc:
-        return inconclusive({"reason": str(exc)})
+    order = list(bfs_closure([node for node, _ in seeds], moves, budget))
     nodes = {node: idx for idx, node in enumerate(order)}
     succ = [[(nodes[nxt], s) for nxt, s in rows[node]] for node in order]
 

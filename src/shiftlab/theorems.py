@@ -136,6 +136,11 @@ class _Facts:
         """The semi-open verdict if one is already on hand, else None."""
         return self.ctx.get("semi_open", self._memo.get("semi_open"))
 
+    def nonwandering(self):
+        """check_nonwandering_maximal's report on the domain."""
+        return self._get("nonwander",
+                         lambda: check_nonwandering_maximal(self.domain))
+
     def degree_one(self):
         def check():
             try:
@@ -381,21 +386,17 @@ def _audit_all(certs, f):
             if known is not None:
                 audit(claimed, known, cert.tag)
         elif cert.tag == "ThmSToS":
-            audit(claimed, _bool_dec(is_irreducible_shift(f.codomain)),
-                  cert.tag)
+            audit(claimed, f.codomain_irreducible(), cert.tag)
         elif cert.tag == "ThmRightClosing":
             audit(claimed, f.sft_domain(), cert.tag)
-            report = check_nonwandering_maximal(f.domain)
-            audit(claimed, _bool_dec(report["nonwandering"]),
+            audit(claimed, _bool_dec(f.nonwandering()["nonwandering"]),
                   cert.tag + " (non-wandering)")
         elif cert.tag == "ThmSFTFiniteToOne":
-            report = check_nonwandering_maximal(f.domain)
+            report = f.nonwandering()
             good = report["nonwandering"] and report["all_maximal"]
             audit(claimed, _bool_dec(good), cert.tag)
-        elif cert.tag == "LemmaOnto" and "codomain" in f.ctx:
-            audit(claimed,
-                  _bool_dec(is_surjective_onto(f.code, f.ctx["codomain"])),
-                  cert.tag)
+        elif cert.tag == "LemmaOnto":
+            audit(claimed, f.onto(), cert.tag)
         elif cert.tag == "ThmBallier":
             audit(claimed, f.ctx["retract"].verdict, cert.tag)
 

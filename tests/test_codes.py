@@ -30,7 +30,7 @@ from shiftlab.errors import DomainMismatch, NotFiniteToOne
 from shiftlab.graph import Edge, LabeledGraph
 from shiftlab.io import graph_from_json
 from shiftlab.properties import gen_labeled_graph
-from shiftlab.shifts import (SoficShift, fischer_cover, full_shift,
+from shiftlab.shifts import (SoficShift, fischer_cover, full_shift, is_sft,
                              shift_equal)
 
 
@@ -148,6 +148,20 @@ def test_closing_refutations_give_two_image_equal_points():
                     code.apply_block(words[1]), where
                 assert words[0][split] != words[1][split], where
     assert refuted >= 20
+
+
+def test_exhausted_default_budget_is_inconclusive(monkeypatch):
+    """A one-state budget runs out in determinize, before any search of
+    is_sft or is_finite_to_one; both checks return the budget
+    Inconclusive instead of raising."""
+    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "1")
+    for dec in (is_sft(fixtures.even_shift()), is_sft(fixtures.golden_shift()),
+                is_finite_to_one(fixtures.even_cover()),
+                is_finite_to_one(fixtures.phase_doubling_code())):
+        assert dec.is_inconclusive
+        assert dec.payload == {
+            "reason": "budget",
+            "detail": "state budget 1 exceeded in determinize"}
 
 
 def test_periodic_preimage_counts():

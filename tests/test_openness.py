@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -370,6 +371,54 @@ def test_open_profile_sweep_matches_per_word_sweep():
         ("Inconclusive", "no uniform witness length within bound"),
         ("Inconclusive", "level profiles did not saturate"),
     }
+
+
+def test_smaller_budget_only_truncates(monkeypatch):
+    """Below the budget an unbounded run uses, both sweep checks stop
+    Inconclusive "budget" with a truncated table: its entries a prefix
+    of the unbounded table's, its witnesses a subset. At that budget they
+    return the unbounded decision and table. The limits step through
+    every phase that spends: the pair universes, both limit-escape
+    searches and the level sweep."""
+    running = []
+    exits = set()
+
+    def tracked(fn):
+        calls = itertools.count()
+
+        def run(*args):
+            running.append(f"{fn.__name__} {next(calls)}")
+            out = fn(*args)
+            running.pop()
+            return out
+        return run
+    for code in _with_fixtures(_small_codes(8, seed=4, vertices=3)):
+        for check in (check_semi_open, check_open):
+            budget = Budget(10**9)
+            dec, table = check(code, budget=budget)
+            used = budget.used
+            for limit in sorted({*range(min(used, 120)),
+                                 *range(0, used, used // 60 + 1), used}):
+                with monkeypatch.context() as m:
+                    m.setattr(openness, "SweepSpace", tracked(SweepSpace))
+                    m.setattr(openness, "_limit_escape_pattern",
+                              tracked(openness._limit_escape_pattern))
+                    got, got_table = check(code, budget=Budget(limit))
+                if limit == used:
+                    assert got.to_json() == dec.to_json()
+                    assert got_table.to_json() == table.to_json()
+                    continue
+                assert got.is_inconclusive
+                assert got.payload["reason"] == "budget", (limit, used)
+                entries = got_table.entries
+                assert entries == table.entries[:len(entries)]
+                assert got_table.witnesses.items() <= table.witnesses.items()
+                assert got_table.uniform is None
+                assert got_table.saturation_level is None
+                exits.add(running[-1] if running else "other")
+                running.clear()
+    assert exits == {"SweepSpace 0", "SweepSpace 1", "_limit_escape_pattern 0",
+                     "_limit_escape_pattern 1", "other"}
 
 
 # -- the level sweep against joins of explicit tables -------------------------

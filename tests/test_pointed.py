@@ -31,7 +31,7 @@ def _oracle_contains(a, y, w):
     """Textbook three-phase subset scan over explicit tuples."""
     yg = y.presentation
     ag = a.graph
-    marked = a.origin_edge_ids()
+    marked = a.origins
     start = (frozenset(yg.vertices),
              frozenset((v, False) for v in ag.vertices))
 
@@ -83,7 +83,7 @@ def _oracle_contains(a, y, w):
 def _lifts(a, word, origin):
     """Direct check: some path of a.graph reads the word with a marked
     edge at the origin index. Plain DFS over edge tuples."""
-    marked = a.origin_edge_ids()
+    marked = a.origins
     stack = [(v, 0, False) for v in a.graph.vertices]
     while stack:
         v, j, hit = stack.pop()
