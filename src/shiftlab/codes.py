@@ -372,6 +372,11 @@ def is_finite_to_one(code):
     to infinitely many presentations of one periodic image point; their
     absence bounds every fiber by a constant.
     """
+    return _finite_to_one(code)
+
+
+def _finite_to_one(code):
+    """is_finite_to_one, raising BudgetExceeded when the budget runs out."""
     d = gr.determinize(code.domain.presentation)
     a = arrow_graph(code, d)
     g = a.graph
@@ -419,9 +424,11 @@ def degree(code):
     vertex, marked edge, end vertex) triples over presenting paths is
     closed under one-symbol extensions on both sides; the degree is the
     least middle-edge count over all reachable nonempty relations.
+
+    Raises NotFiniteToOne only when the code is refuted finite-to-one;
+    an exhausted state budget propagates as BudgetExceeded.
     """
-    f2o = is_finite_to_one(code)
-    if not f2o.is_proved:
+    if _finite_to_one(code).is_refuted:
         raise NotFiniteToOne("degree needs a finite-to-one code")
     cover = sh.fischer_cover(code.domain)  # raises ReducibleShift
     a = arrow_graph(code, cover)

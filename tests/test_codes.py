@@ -26,7 +26,7 @@ from shiftlab.codes import (
     _lift_search,
     _windows,
 )
-from shiftlab.errors import DomainMismatch, NotFiniteToOne
+from shiftlab.errors import BudgetExceeded, DomainMismatch, NotFiniteToOne
 from shiftlab.graph import Edge, LabeledGraph
 from shiftlab.io import graph_from_json
 from shiftlab.properties import gen_labeled_graph
@@ -162,6 +162,21 @@ def test_exhausted_default_budget_is_inconclusive(monkeypatch):
         assert dec.payload == {
             "reason": "budget",
             "detail": "state budget 1 exceeded in determinize"}
+
+
+def test_degree_raises_budget_exceeded_not_not_finite_to_one(monkeypatch):
+    """An exhausted budget is not a refutation: degree lets BudgetExceeded
+    through, whether the finite-to-one check runs out in determinize or in
+    its ambiguity search."""
+    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "1")
+    with pytest.raises(BudgetExceeded, match="in determinize"):
+        degree(fixtures.even_cover())
+    code = cover_code(gen_labeled_graph(random.Random(21), 4, 2))
+    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "2")
+    assert is_finite_to_one(code).payload["detail"] == (
+        "state budget 2 exceeded in ambiguity pattern")
+    with pytest.raises(BudgetExceeded, match="in ambiguity pattern"):
+        degree(code)
 
 
 def test_periodic_preimage_counts():

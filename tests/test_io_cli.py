@@ -189,6 +189,15 @@ def test_cli_budget_env_var(capsys, monkeypatch):
     assert json.loads(out)["payload"]["reason"] == "budget"
 
 
+def test_cli_degree_budget_exhaustion_is_inconclusive(capsys, monkeypatch):
+    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "1")
+    rc, out = _run(capsys, "degree",
+                   "-x", str(FIXTURE_DIR / "even_cover_shift.json"),
+                   "-c", str(FIXTURE_DIR / "even_cover_code.json"))
+    assert rc == 2
+    assert json.loads(out)["reason"] == "budget"
+
+
 @pytest.mark.parametrize("value", ["abc", "-1"])
 def test_cli_malformed_budget_env_var_exits_3(capsys, monkeypatch, value):
     monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", value)
