@@ -17,7 +17,6 @@ from .codes import (
     compose,
     count_preimages_of_periodic,
     cover_code,
-    cover_graph,
     degree,
     fiber_product,
     identity_code,

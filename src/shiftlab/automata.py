@@ -145,47 +145,6 @@ def pair_moves(rows):
     return expand
 
 
-class SubsetOps:
-    """Per-symbol forward/backward images of vertex subsets as bitmasks.
-
-    Built once from integer edge triples (src, sym, dst); symbols are
-    integers 0..k-1. step/costep are the delta and delta-inverse maps of
-    the subset automaton.
-    """
-
-    def __init__(self, n_vertices, n_symbols, edges):
-        self.n = n_vertices
-        self.full = (1 << n_vertices) - 1
-        # fwd[s][v] = bitmask of successors of v under symbol s
-        self.fwd = [[0] * n_vertices for _ in range(n_symbols)]
-        self.bwd = [[0] * n_vertices for _ in range(n_symbols)]
-        for src, sym, dst in edges:
-            self.fwd[sym][src] |= 1 << dst
-            self.bwd[sym][dst] |= 1 << src
-
-    # the loop is apply_mask's, inlined: these steps are the hottest calls
-    # of the language queries, and the extra call measurably slowed them
-    def step(self, mask, sym):
-        out = 0
-        table = self.fwd[sym]
-        m = mask
-        while m:
-            low = m & -m
-            out |= table[low.bit_length() - 1]
-            m ^= low
-        return out
-
-    def costep(self, mask, sym):
-        out = 0
-        table = self.bwd[sym]
-        m = mask
-        while m:
-            low = m & -m
-            out |= table[low.bit_length() - 1]
-            m ^= low
-        return out
-
-
 def bfs_closure(seeds, expand, budget=None):
     """Closure of seeds under expand, as a dict whose keys are in
     discovery order, so callers can use it both as a set and as a stable

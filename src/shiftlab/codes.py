@@ -235,17 +235,6 @@ def is_cover_map(code):
     return all(e.label == e.id for e in g.edges)
 
 
-def cover_graph(code):
-    """For a cover map, the labeled graph whose label map it is."""
-    if not is_cover_map(code):
-        raise DomainMismatch("not a cover map (edge shift domain, one-block)")
-    g = code.domain.presentation
-    return LabeledGraph.make(
-        code.codomain_alphabet, g.vertices,
-        (Edge(e.id, e.src, e.dst, code.table[(e.label,)]) for e in g.edges),
-    )
-
-
 def cover_code(g, codomain_alphabet=None):
     """The label map of a graph as a code on its edge shift."""
     t = gr.trim(g)
@@ -591,6 +580,7 @@ def _closing_witness(x_of, node, split, cyc, diag_adj, full_adj, fwd_ok, side):
     }
 
 
+@inconclusive_on_budget
 def is_right_closing(code):
     found = _closing_refutation(code, "right")
     if found is None:
@@ -598,6 +588,7 @@ def is_right_closing(code):
     return refuted(found)
 
 
+@inconclusive_on_budget
 def is_left_closing(code):
     found = _closing_refutation(code, "left")
     if found is None:
@@ -606,12 +597,15 @@ def is_left_closing(code):
 
 
 def is_bi_closing(code):
+    """Refuted if either side is refuted, else Inconclusive if either
+    side is, and Proved only when both sides are proved."""
     r = is_right_closing(code)
     if r.is_refuted:
         return r
     l = is_left_closing(code)
-    if l.is_refuted:
-        return l
+    for side in (l, r):
+        if not side.is_proved:
+            return side
     return proved({"side": "both"})
 
 

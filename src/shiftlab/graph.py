@@ -17,7 +17,7 @@ import numpy as np
 
 from .automata import (
     Budget,
-    SubsetOps,
+    apply_mask,
     bfs_closure,
     bfs_tree,
     cycle_nodes,
@@ -134,14 +134,15 @@ class LabeledGraph:
         return tuple(sorted(self.alphabet))
 
     @cached_property
-    def sym_index(self):
-        return {s: i for i, s in enumerate(self.symbols)}
-
-    @cached_property
-    def ops(self):
-        vx, sx = self.vindex, self.sym_index
-        triples = [(vx[e.src], sx[e.label], vx[e.dst]) for e in self.edges]
-        return SubsetOps(self.n, len(self.symbols), triples)
+    def fwd(self):
+        """Per symbol of symbols, in that order, the apply_mask table of
+        its edges: the bitmask of each vertex's successors by vertex
+        index, all zero for a symbol that labels no edge."""
+        vx = self.vindex
+        table = {s: [0] * self.n for s in self.symbols}
+        for e in self.edges:
+            table[e.label][vx[e.src]] |= 1 << vx[e.dst]
+        return {s: tuple(row) for s, row in table.items()}
 
     @cached_property
     def full_mask(self):
@@ -265,11 +266,11 @@ def determinize(g, budget=None):
         return t
     if budget is None:
         budget = Budget(where="determinize")
-    ops = t.ops
+    fwd = t.fwd
 
     def expand(mask):
-        for i, _ in enumerate(t.symbols):
-            m2 = ops.step(mask, i)
+        for table in fwd.values():
+            m2 = apply_mask(table, mask)
             if m2:
                 yield m2
 
@@ -278,8 +279,8 @@ def determinize(g, budget=None):
     edges = []
     for mask in seen:
         src = _mask_name(t, mask)
-        for i, s in enumerate(t.symbols):
-            m2 = ops.step(mask, i)
+        for s, table in fwd.items():
+            m2 = apply_mask(table, mask)
             if m2:
                 edges.append(Edge(f"{src}>{s}", src, _mask_name(t, m2), s))
     return trim(LabeledGraph.make(t.symbols, vertices, edges))
@@ -296,7 +297,7 @@ def find_magic_word(g):
     check_right_resolving(t)
     if t.n == 0:
         return None
-    ops = t.ops
+    fwd = t.fwd
     focused = False
 
     # in FIFO order the first singleton discovered is the first dequeued,
@@ -306,8 +307,8 @@ def find_magic_word(g):
         out = []
         if focused:
             return out
-        for i, s in enumerate(t.symbols):
-            m2 = ops.step(mask, i)
+        for s, table in fwd.items():
+            m2 = apply_mask(table, mask)
             if m2:
                 out.append((m2, s))
                 if m2 & (m2 - 1) == 0:
@@ -330,12 +331,12 @@ def accepts_word(g, word):
     t = trim(g)
     if t.n == 0:
         return False
-    sx = t.sym_index
+    fwd = t.fwd
     mask = t.full_mask
     for s in word:
-        if s not in sx:
+        if s not in fwd:
             return False
-        mask = t.ops.step(mask, sx[s])
+        mask = apply_mask(fwd[s], mask)
         if not mask:
             return False
     return True
@@ -346,6 +347,7 @@ def words_of_length(g, n):
     t = trim(g)
     if t.n == 0:
         return []
+    fwd = t.fwd
     out = []
     stack = [((), t.full_mask)]
     while stack:
@@ -354,10 +356,10 @@ def words_of_length(g, n):
             out.append(word)
             continue
         # push in reverse so the smallest symbol is explored first
-        for i in range(len(t.symbols) - 1, -1, -1):
-            m2 = t.ops.step(mask, i)
+        for s in reversed(t.symbols):
+            m2 = apply_mask(fwd[s], mask)
             if m2:
-                stack.append((word + (t.symbols[i],), m2))
+                stack.append((word + (s,), m2))
     return out
 
 
@@ -376,12 +378,12 @@ def sublanguage_counterexample(g1, g2, budget=None):
         return ()
     if budget is None:
         budget = Budget(where="sublanguage")
-    sx2 = t2.sym_index
+    fwd2 = t2.fwd
     out = [sorted(t1.out[v], key=lambda e: (e.label, e.id))
            for v in t1.vertices]
 
     def step(mask, label):
-        return t2.ops.step(mask, sx2[label]) if label in sx2 else 0
+        return apply_mask(fwd2[label], mask) if label in fwd2 else 0
 
     moves = {}
 

@@ -29,37 +29,37 @@ from .shifts import SoficShift
 
 
 def _step_tables(g, x_sym):
-    """Successor bitmask tables of an arrow graph, one per produced symbol
-    (ut), per (produced, consumed) symbol pair (zt) and per consumed
-    symbol (xt)."""
+    """Successor bitmask tables of an arrow graph per (produced, consumed)
+    symbol pair (zt) and per consumed symbol (xt), each only where an
+    edge carries it. The per-produced-symbol tables are g.fwd."""
     n = g.n
     vx = g.vindex
-    ut = {s: [0] * n for s in g.symbols}
     zt = {}
     xt = {}
     for e in g.edges:
         si, di = vx[e.src], vx[e.dst]
-        ut[e.label][si] |= 1 << di
         xi = x_sym[e.id]
         zt.setdefault((e.label, xi), [0] * n)[si] |= 1 << di
         xt.setdefault(xi, [0] * n)[si] |= 1 << di
     return tuple({k: tuple(t) for k, t in tables.items()}
-                 for tables in (ut, zt, xt))
+                 for tables in (zt, xt))
 
 
 class SweepSpace:
     """Subset-pair machinery for one code: step tables and the pair
-    universe, whose (U, S) pairs are indexed in discovery order: the
-    left-context pairs first, the full restart (full, full) at index 0,
-    then the closure under free and zone steps. Over those indexes,
-    free[s] and zone[s, xi] map each pair to the bit of its successor (0
-    where the image side dies), and left and doomed are the masks of the
-    left-context pairs and of the pairs from which a free scan can reach
-    a live-U dead-S pair. The image shift is built on first use. The
-    space also holds one sweep's memos, each spending its budget: the
-    transfer monoid and the interior decision's layers, id actions and
-    distances, whose states are scan masks over the universe (see
-    interior_nonempty)."""
+    universe. The arrow graph steps per produced symbol by its own fwd
+    (ut), and per (produced, consumed) symbol pair (zt) and per consumed
+    symbol (xt) by _step_tables. The universe's (U, S) pairs are indexed
+    in discovery order: the left-context pairs first, the full restart
+    (full, full) at index 0, then the closure under free and zone steps.
+    Over those indexes, free[s] and zone[s, xi] map each pair to the bit
+    of its successor (0 where the image side dies), and left and doomed
+    are the masks of the left-context pairs and of the pairs from which a
+    free scan can reach a live-U dead-S pair. The image shift is built on
+    first use. The space also holds one sweep's memos, each spending its
+    budget: the transfer monoid and the interior decision's layers, id
+    actions and distances, whose states are scan masks over the universe
+    (see interior_nonempty)."""
 
     def __init__(self, code, budget=None):
         self.code = code
@@ -71,7 +71,8 @@ class SweepSpace:
             where="openness sweep")
         self.full = g.full_mask
         self.symbols = g.symbols
-        self.ut, self.zt, self.xt = _step_tables(g, self.x_sym)
+        self.ut = g.fwd
+        self.zt, self.xt = _step_tables(g, self.x_sym)
         self.xsymbols = sorted(self.xt)
         self._zero = (0,) * g.n
         # left-context pairs, with parent chains for witness words
@@ -928,9 +929,9 @@ def witness_from_magic(g, alpha, pi):
     alpha = tuple(alpha)
     mask = g.full_mask
     for s in alpha:
-        if s not in g.sym_index:
+        if s not in g.fwd:
             raise NotMagic(alpha, ())
-        mask = g.ops.step(mask, g.sym_index[s])
+        mask = apply_mask(g.fwd[s], mask)
     reached = g.names_of(mask)
     if len(reached) != 1:
         raise NotMagic(alpha, tuple(reached))
@@ -969,7 +970,7 @@ def _least_alpha_start(g, alpha):
     for v in sorted(g.vertices):
         mask = 1 << g.vindex[v]
         for s in alpha:
-            mask = g.ops.step(mask, g.sym_index[s])
+            mask = apply_mask(g.fwd[s], mask)
             if not mask:
                 break
         if mask:

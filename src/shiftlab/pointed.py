@@ -193,9 +193,7 @@ def cylinder_escape(a, y, w, budget=None):
     if budget is None:
         budget = Budget(where="cylinder containment")
     plain, origin, unmarked, marked = _thread_tables(a, yg.symbols)
-    free = pair_moves([(s, yg.ops.fwd[i], plain[s])
-                       for i, s in enumerate(yg.symbols)])
-    step = yg.ops.step
+    free = pair_moves([(s, table, plain[s]) for s, table in yg.fwd.items()])
 
     # phase one: arbitrary left context
     parent, _ = bfs_tree([(yg.full_mask, unmarked)], free, budget)
@@ -203,11 +201,11 @@ def cylinder_escape(a, y, w, budget=None):
     # phase two: the word itself, with the origin trigger at its center
     level = {p: p for p in parent}  # current pair -> entry pair
     for j, s in enumerate(w.word):
-        i = yg.sym_index[s]
+        u_table = yg.fwd[s]
         table = (origin if j == w.center else plain)[s]
         nxt = {}
         for (u, threads), src in level.items():
-            u2 = step(u, i)
+            u2 = apply_mask(u_table, u)
             if u2:
                 nxt.setdefault((u2, apply_mask(table, threads)), src)
         level = nxt
@@ -252,18 +250,16 @@ def uniform_window_bound(a, y, k_max, budget):
         return 0  # no windows at all
     yg = y.presentation
     plain, origin, unmarked, marked = _thread_tables(a, yg.symbols)
-    free = pair_moves([(s, yg.ops.fwd[i], plain[s])
-                       for i, s in enumerate(yg.symbols)])
-    step = yg.ops.step
+    free = pair_moves([(s, table, plain[s]) for s, table in yg.fwd.items()])
     left, _ = bfs_tree([(yg.full_mask, unmarked)], free, budget)
     spend = budget.spend
 
     def advance(layer, tables, keep):
-        moves = [(i, tables[sym]) for i, sym in enumerate(yg.symbols)]
+        moves = [(u_table, tables[sym]) for sym, u_table in yg.fwd.items()]
         nxt = {}
         for u, s, t in layer:
-            for i, table in moves:
-                u2 = step(u, i)
+            for u_table, table in moves:
+                u2 = apply_mask(u_table, u)
                 if not u2:
                     continue
                 t2 = apply_mask(table, t) & keep

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import graph as gr
-from .automata import (Budget, bfs_closure, bfs_tree, nontrivial_components,
-                       shortest_cycle, shortest_path, tarjan_scc, tree_path)
+from .automata import (Budget, apply_mask, bfs_closure, bfs_tree,
+                       nontrivial_components, shortest_cycle, shortest_path,
+                       tarjan_scc, tree_path)
 from .decision import inconclusive_on_budget, proved, refuted
 from .errors import (
     InvariantViolation,
@@ -176,11 +177,6 @@ def is_irreducible_shift(x):
         return False
 
 
-def find_magic_word(x):
-    """Shortest focusing word of the minimal cover (empty tuple allowed)."""
-    return gr.find_magic_word(fischer_cover(x))
-
-
 # -- periodic points -------------------------------------------------------
 
 
@@ -222,13 +218,13 @@ def is_sft(x):
     if d.n == 0:
         # empty shift: vacuously a 1-step SFT with no allowed symbols
         return proved({"memory": 1, "note": "empty shift"})
-    ops = d.ops
+    fwd = d.fwd
     full = d.full_mask
     budget = Budget(where="is_sft")
 
     seeds = []
-    for i, s in enumerate(d.symbols):
-        a = ops.step(full, i)
+    for s, table in fwd.items():
+        a = apply_mask(table, full)
         if a:
             seeds.append(((a, full), s))
     rows = {}
@@ -236,10 +232,10 @@ def is_sft(x):
     def moves(node):
         a, b = node
         row = rows[node] = []
-        for i, s in enumerate(d.symbols):
-            b2 = ops.step(b, i)
+        for s, table in fwd.items():
+            b2 = apply_mask(table, b)
             if b2:
-                row.append(((ops.step(a, i), b2), s))
+                row.append(((apply_mask(table, a), b2), s))
         return [nxt for nxt, _ in row]
     order = list(bfs_closure([node for node, _ in seeds], moves, budget))
     nodes = {node: idx for idx, node in enumerate(order)}
@@ -249,8 +245,8 @@ def is_sft(x):
     # side while the big side survives; close backwards over those deaths
     lethal = {}
     for idx, (a, b) in enumerate(order):
-        for i, s in enumerate(d.symbols):
-            if ops.step(b, i) and not ops.step(a, i):
+        for s, table in fwd.items():
+            if apply_mask(table, b) and not apply_mask(table, a):
                 lethal[idx] = s
                 break
     pred = [[] for _ in order]
@@ -346,19 +342,21 @@ def uniform_gap_bound(x):
     length between them.
     """
     f = fischer_cover(x)
-    ops = f.ops
-    full = f.full_mask
 
-    def closure(step):
+    def closure(h):
+        tables = h.fwd.values()
+
         def expand(mask):
-            for i in range(len(f.symbols)):
-                m2 = step(mask, i)
+            for table in tables:
+                m2 = apply_mask(table, mask)
                 if m2:
                     yield m2
-        return list(bfs_closure([full], expand))
+        return list(bfs_closure([h.full_mask], expand))
 
-    ends = closure(ops.step)
-    starts = closure(ops.costep)
+    ends = closure(f)
+    # the reversed cover has the same vertex indexes, so its steps are
+    # the predecessor maps of f
+    starts = closure(gr.reverse(f))
 
     rows = [[(w, w) for w in f.adj[u]] for u in range(f.n)]
     dist = [[math.inf] * f.n for _ in range(f.n)]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from shiftlab import fixtures
+from shiftlab import codes, fixtures
 from shiftlab import graph as gr
 from shiftlab.automata import Budget
 from shiftlab.codes import (
@@ -26,6 +26,7 @@ from shiftlab.codes import (
     _lift_search,
     _windows,
 )
+from shiftlab.decision import Decision
 from shiftlab.errors import BudgetExceeded, DomainMismatch, NotFiniteToOne
 from shiftlab.graph import Edge, LabeledGraph
 from shiftlab.io import graph_from_json
@@ -162,6 +163,35 @@ def test_exhausted_default_budget_is_inconclusive(monkeypatch):
         assert dec.payload == {
             "reason": "budget",
             "detail": "state budget 1 exceeded in determinize"}
+
+
+def test_closing_checks_are_inconclusive_on_exhausted_budget(monkeypatch):
+    """A one-state budget runs out in determinize on either side; every
+    closing check returns the budget Inconclusive instead of raising."""
+    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "1")
+    even = fixtures.even_cover()
+    for check in (is_right_closing, is_left_closing, is_bi_closing):
+        dec = check(even)
+        assert dec.is_inconclusive, check.__name__
+        assert dec.payload == {
+            "reason": "budget",
+            "detail": "state budget 1 exceeded in determinize"}
+
+
+@pytest.mark.parametrize("right, left, verdict", [
+    ("Proved", "Proved", "Proved"),
+    ("Refuted", "Inconclusive", "Refuted"),
+    ("Inconclusive", "Refuted", "Refuted"),
+    ("Inconclusive", "Proved", "Inconclusive"),
+    ("Proved", "Inconclusive", "Inconclusive"),
+])
+def test_bi_closing_is_proved_only_when_both_sides_are(monkeypatch, right,
+                                                       left, verdict):
+    monkeypatch.setattr(codes, "is_right_closing",
+                        lambda code: Decision(right))
+    monkeypatch.setattr(codes, "is_left_closing",
+                        lambda code: Decision(left))
+    assert is_bi_closing(fixtures.even_cover()).verdict == verdict
 
 
 def test_degree_raises_budget_exceeded_not_not_finite_to_one(monkeypatch):

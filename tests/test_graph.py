@@ -4,6 +4,7 @@ import random
 import pytest
 
 from shiftlab import fixtures
+from shiftlab.automata import apply_mask
 from shiftlab.errors import (
     AlphabetMismatch,
     NotRightResolving,
@@ -19,6 +20,7 @@ from shiftlab.graph import (
     is_irreducible,
     is_right_resolving,
     is_sublanguage,
+    reverse,
     scc_components,
     shift_equal,
     spectral_radius,
@@ -42,6 +44,28 @@ def test_make_validates_edges():
     with pytest.raises(ParseError):
         LabeledGraph.make(["0"], ["a"],
                           [("e", "a", "a", "0"), ("e", "a", "a", "0")])
+
+
+def test_fwd_steps_subsets_along_labeled_edges():
+    """fwd has one table per symbol of symbols, in that order, all zero
+    for a symbol no edge carries. apply_mask over a symbol's table is the
+    set of successors along that symbol's edges; over the reversed
+    graph's table it is the set of predecessors."""
+    rng = random.Random(5)
+    for _ in range(60):
+        h = gen_labeled_graph(rng, 6, 3)
+        g = LabeledGraph.make(("x",) + h.alphabet, h.vertices, h.edges)
+        assert tuple(g.fwd) == g.symbols
+        assert g.fwd["x"] == (0,) * g.n
+        back = reverse(g).fwd
+        for s in g.symbols:
+            edges = [e for e in g.edges if e.label == s]
+            for mask in range(1 << g.n):
+                at = set(g.names_of(mask))
+                succ = {e.dst for e in edges if e.src in at}
+                pred = {e.src for e in edges if e.dst in at}
+                assert set(g.names_of(apply_mask(g.fwd[s], mask))) == succ
+                assert set(g.names_of(apply_mask(back[s], mask))) == pred
 
 
 def test_trim_drops_wandering_vertices():
