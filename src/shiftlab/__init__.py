@@ -67,11 +67,9 @@ from .shifts import (
     is_irreducible_shift,
     is_sft,
     shift_equal,
-    uniform_gap_bound,
 )
 from .theorems import (
     certificates,
-    certify_irreducible_map,
     check_nonwandering_maximal,
 )
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 from . import graph as gr
 from . import shifts as sh
@@ -95,15 +97,34 @@ class SlidingBlockCode:
             out.append(self.table[key])
         return tuple(out)
 
+    # -- derived structures, built once per code ------------------------
+
+    @cached_property
+    def arrow(self):
+        """arrow_graph's memo for the domain's own presentation."""
+        return _recode(self, self.domain.presentation)
+
+    @cached_property
+    def reversal(self):
+        """reversed_code's memo."""
+        rg = gr.reverse(self.domain.presentation)
+        table = {tuple(reversed(k)): v for k, v in self.table.items()}
+        return SlidingBlockCode.make(
+            SoficShift.from_graph(rg), self.anticipation, self.memory, table,
+            codomain_alphabet=self.codomain_alphabet)
+
+    @cached_property
+    def memo(self):
+        """Derived data that other modules build for this code under a
+        budget, by name; the code is immutable, so no entry goes stale."""
+        return {}
+
 
 def reversed_code(code):
     """The same code read right to left: reversed domain presentation,
-    swapped memory and anticipation, reversed table keys."""
-    rg = gr.reverse(code.domain.presentation)
-    table = {tuple(reversed(k)): v for k, v in code.table.items()}
-    return SlidingBlockCode.make(
-        SoficShift.from_graph(rg), code.anticipation, code.memory, table,
-        codomain_alphabet=code.codomain_alphabet)
+    swapped memory and anticipation, reversed table keys. Built once per
+    code; every call returns the same object."""
+    return code.reversal
 
 
 def identity_code(x):
@@ -120,14 +141,16 @@ class Recoded:
 
     graph carries the produced symbols as labels; x_sym maps each arrow
     edge back to the domain symbol read at the window's center, and
-    base_path to the underlying path of base edges.
+    base_path to the underlying path of base edges. Both maps are
+    read-only, since one Recoded is shared by every caller of
+    arrow_graph on its code.
     """
 
     code: SlidingBlockCode
     base: LabeledGraph
     graph: LabeledGraph
-    x_sym: dict
-    base_path: dict
+    x_sym: MappingProxyType
+    base_path: MappingProxyType
 
 
 def arrow_graph(code, base=None):
@@ -136,10 +159,15 @@ def arrow_graph(code, base=None):
     An edge is a window-length path of base edges; it produces the table
     value of its label word and consumes the label of the edge sitting
     at offset memory inside the window. Bi-infinite arrow paths are in
-    natural bijection with bi-infinite base paths.
+    natural bijection with bi-infinite base paths. Over the default
+    presentation the result is built once per code and shared.
     """
     if base is None:
-        base = code.domain.presentation
+        return code.arrow
+    return _recode(code, base)
+
+
+def _recode(code, base):
     base = gr.trim(base)
     w = code.window
     if w == 1:
@@ -151,7 +179,8 @@ def arrow_graph(code, base=None):
             x_sym[e.id] = e.label
             base_path[e.id] = (e.id,)
         g = LabeledGraph.make(code.codomain_alphabet, base.vertices, edges)
-        return Recoded(code, base, gr.trim(g), x_sym, base_path)
+        return Recoded(code, base, gr.trim(g), MappingProxyType(x_sym),
+                       MappingProxyType(base_path))
 
     # enumerate paths of length w-1 (vertices) and w (edges)
     paths = [(e,) for e in base.edges]
@@ -174,8 +203,10 @@ def arrow_graph(code, base=None):
     g = gr.trim(g)
     live = {e.id for e in g.edges}
     return Recoded(code, base, g,
-                   {k: v for k, v in x_sym.items() if k in live},
-                   {k: v for k, v in base_path.items() if k in live})
+                   MappingProxyType({k: v for k, v in x_sym.items()
+                                     if k in live}),
+                   MappingProxyType({k: v for k, v in base_path.items()
+                                     if k in live}))
 
 
 def image_presentation(code):

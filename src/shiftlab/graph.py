@@ -148,8 +148,35 @@ class LabeledGraph:
     def full_mask(self):
         return (1 << self.n) - 1
 
+    @cached_property
+    def trim_cut(self):
+        """trim's memo: the trimmed graph, or None when trimming removes
+        no vertex (None rather than the graph itself, which would make
+        every trimmed graph a reference cycle)."""
+        seeds = sorted(cycle_nodes(self.n, self.adj))
+        if not seeds:
+            if self.n == 0:
+                return None
+            return _trimmed(LabeledGraph.make(self.alphabet, (), ()))
+        fwd = set(bfs_closure(seeds, lambda v: self.adj[v]))
+        radj = [[] for _ in range(self.n)]
+        for v in range(self.n):
+            for w in self.adj[v]:
+                radj[w].append(v)
+        keep = fwd & set(bfs_closure(seeds, lambda v: radj[v]))
+        if len(keep) == self.n:
+            return None
+        return _trimmed(subgraph(self, (self.vertices[i]
+                                        for i in sorted(keep))))
+
     def names_of(self, mask):
         return tuple(v for i, v in enumerate(self.vertices) if mask >> i & 1)
+
+
+def _trimmed(g):
+    """Mark a trim result as its own trim."""
+    g.__dict__["trim_cut"] = None
+    return g
 
 
 def subgraph(g, keep):
@@ -189,21 +216,12 @@ def trim(g):
 
     A vertex survives iff it is reachable from some cycle and can reach
     some cycle; the induced subgraph presents the same shift. A graph
-    that loses no vertex is returned as it is.
+    that loses no vertex is returned as it is. The result is memoized on
+    the graph, and a graph trim returns is its own trim, so a trim of a
+    trimmed graph costs one attribute read.
     """
-    seeds = sorted(cycle_nodes(g.n, g.adj))
-    if not seeds:
-        return LabeledGraph.make(g.alphabet, (), ())
-    fwd = set(bfs_closure(seeds, lambda v: g.adj[v]))
-    radj = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        for w in g.adj[v]:
-            radj[w].append(v)
-    bwd = set(bfs_closure(seeds, lambda v: radj[v]))
-    keep = fwd & bwd
-    if len(keep) == g.n:
-        return g
-    return subgraph(g, (g.vertices[i] for i in sorted(keep)))
+    t = g.trim_cut
+    return g if t is None else t
 
 
 def is_right_resolving(g):

@@ -813,6 +813,12 @@ def _retract_verdict(code, retract, side):
     of budget. The payload holds side, retract and, when decided, the
     count of limit states behind the verdict; no witness point. "left"
     is the reversed code's right side; "bi" needs both sides.
+
+    Only the retract window depends on the bound: the sweep space, the
+    locked closure and the limit sets are built once per code (and once
+    for its reversed code) by _retract_limits. Each call still spends
+    their recorded cost on its own budget, so verdicts, payloads and the
+    budget boundary are those of a fresh build.
     """
     if side == "bi":
         right = _retract_verdict(code, retract, "right")
@@ -837,9 +843,31 @@ def _retract_verdict(code, retract, side):
     return _right_retract_verdict(code, retract)
 
 
-@inconclusive_on_budget
-def _right_retract_verdict(code, retract):
-    budget = Budget(where="retract check")
+@dataclass(frozen=True)
+class _RetractLimits:
+    """The bound-independent part of one code's right-side retract check:
+    the sweep's free tables and doomed mask, the arrow graph's out-edge
+    rows as (dst, produced symbol), the lower and upper limit-state sets,
+    and the budget states their construction spent."""
+
+    free: dict
+    doomed: int
+    out: dict
+    lower: tuple
+    upper: tuple
+    cost: int
+
+
+def _retract_limits(code, budget):
+    """The code's _RetractLimits, built at most once per code. A memo hit
+    spends the recorded cost on the budget, so every call spends what a
+    fresh build spends; a build that runs out of budget stores nothing.
+    Only the lean tables are kept, never the SweepSpace."""
+    limits = code.memo.get("retract limits")
+    if limits is not None:
+        budget.spend(limits.cost)
+        return limits
+    spent = budget.used
     space = SweepSpace(code, budget)
     g = space.g
     out_edges = {v: sorted(g.out[v], key=lambda e: e.id) for v in g.vertices}
@@ -861,7 +889,7 @@ def _right_retract_verdict(code, retract):
 
     # every true limit state is reachable from a cycle of the restart
     # closure, so this overapproximates them
-    upper = [order[i] for i in bfs_closure(sorted(cyc), adj.__getitem__)]
+    upper = tuple(order[i] for i in bfs_closure(sorted(cyc), adj.__getitem__))
 
     # stabilized cycle scans are genuine limits, and so is anything
     # they reach: an underapproximation with realizable witnesses
@@ -881,27 +909,38 @@ def _right_retract_verdict(code, retract):
         # orbit tail is one fixed point
         v = order[i][0]
         lower.add(index[v, _orbit_tail(1, scan)[0]])
-    lower = [order[i]
-             for i in bfs_closure(sorted(lower), adj.__getitem__, budget)]
+    lower = tuple(order[i] for i in bfs_closure(sorted(lower),
+                                                adj.__getitem__, budget))
+    out = {v: tuple((e.dst, e.label) for e in es)
+           for v, es in out_edges.items()}
+    limits = code.memo["retract limits"] = _RetractLimits(
+        space.free, space.doomed, out, lower, upper, budget.used - spent)
+    return limits
+
+
+@inconclusive_on_budget
+def _right_retract_verdict(code, retract):
+    budget = Budget(where="retract check")
+    limits = _retract_limits(code, budget)
 
     def escapes(states):
         # retract window first: the lift may deviate, the image is
         # still locked to the upstream point
         frontier = set(states)
         for _ in range(retract):
-            frontier = {(e.dst, apply_mask(space.free[e.label], p))
-                        for v, p in frontier for e in out_edges[v]}
+            frontier = {(dst, apply_mask(limits.free[s], p))
+                        for v, p in frontier for dst, s in limits.out[v]}
             budget.spend()
         # then a free scan reaches a live-U dead-S pair exactly from
         # the doomed pairs
-        return any(p & space.doomed for _, p in frontier)
+        return any(p & limits.doomed for _, p in frontier)
 
-    if escapes(lower):
+    if escapes(limits.lower):
         return refuted({"side": "right", "retract": retract,
-                        "limit_states": len(lower)})
-    if not escapes(upper):
+                        "limit_states": len(limits.lower)})
+    if not escapes(limits.upper):
         return proved({"side": "right", "retract": retract,
-                       "limit_states": len(upper)})
+                       "limit_states": len(limits.upper)})
     return inconclusive({
         "side": "right",
         "retract": retract,

@@ -83,11 +83,6 @@ class PointedAutomaton:
         return not self.origins
 
 
-def everywhere_marked(graph):
-    """The automaton denoting all points of the shift the graph presents."""
-    return PointedAutomaton.build(graph, [e.id for e in graph.edges])
-
-
 def cylinder_image(code, u):
     """The image of the central cylinder of u as a pointed automaton.
 

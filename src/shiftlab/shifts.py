@@ -1,5 +1,5 @@
 """Sofic shift spaces: presentations, language queries, entropy, minimal
-right-resolving covers, SFT detection and gap lengths.
+right-resolving covers and SFT detection.
 
 A SoficShift is a trimmed labeled graph under the convention that points
 of the shift are the label sequences of bi-infinite edge paths.
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import graph as gr
-from .automata import (Budget, apply_mask, bfs_closure, bfs_tree,
+from .automata import (Budget, apply_mask, bfs_closure,
                        nontrivial_components, shortest_cycle, shortest_path,
-                       tarjan_scc, tree_path)
+                       tarjan_scc)
 from .decision import inconclusive_on_budget, proved, refuted
 from .errors import (
     InvariantViolation,
@@ -328,55 +328,3 @@ def _sft_refutation(succ, seeds, nodes, lethal, cyclic, target):
                 "symbol+u(t) are admissible for every t, but "
                 "symbol+u(t)+extension never is",
     }
-
-
-# -- gap length ------------------------------------------------------------
-
-
-def uniform_gap_bound(x):
-    """Smallest N so that for any admissible u, w some word v with
-    |v| <= N makes u v w admissible.
-
-    Exact value over the minimal cover: the worst case over reachable
-    end-sets E and co-reachable start-sets S of the best connecting path
-    length between them.
-    """
-    f = fischer_cover(x)
-
-    def closure(h):
-        tables = h.fwd.values()
-
-        def expand(mask):
-            for table in tables:
-                m2 = apply_mask(table, mask)
-                if m2:
-                    yield m2
-        return list(bfs_closure([h.full_mask], expand))
-
-    ends = closure(f)
-    # the reversed cover has the same vertex indexes, so its steps are
-    # the predecessor maps of f
-    starts = closure(gr.reverse(f))
-
-    rows = [[(w, w) for w in f.adj[u]] for u in range(f.n)]
-    dist = [[math.inf] * f.n for _ in range(f.n)]
-    for v in range(f.n):
-        tree, _ = bfs_tree([v], rows.__getitem__)
-        for w in tree:
-            dist[v][w] = len(tree_path(tree, w)[1])
-
-    worst = 0
-    for e_mask in ends:
-        for s_mask in starts:
-            best = math.inf
-            for p in range(f.n):
-                if not e_mask >> p & 1:
-                    continue
-                for q in range(f.n):
-                    if s_mask >> q & 1 and dist[p][q] < best:
-                        best = dist[p][q]
-            if best == math.inf:
-                raise InvariantViolation("gap connectivity",
-                                         "irreducible cover disconnected")
-            worst = max(worst, int(best))
-    return worst

@@ -21,7 +21,9 @@ from .codes import (
     is_right_closing,
     is_surjective_onto,
 )
-from .decision import Certificate, audit, inconclusive, proved, refuted
+from .decision import (Certificate, audit, inconclusive,
+                       inconclusive_on_budget, proved, refuted)
+from .errors import BudgetExceeded
 from .openness import check_semi_open
 from .shifts import SoficShift, entropy, is_irreducible_shift, is_sft
 
@@ -49,6 +51,8 @@ class _Facts:
     Builders pull from here so that a hypothesis checked by several
     certificates runs once, and so that expensive checks are skipped
     entirely when a cheaper hypothesis ahead of them already failed.
+    A hypothesis whose check runs out of state budget is the budget
+    Inconclusive, so no certificate rests on it.
     """
 
     def __init__(self, code, ctx):
@@ -60,6 +64,10 @@ class _Facts:
         if key not in self._memo:
             self._memo[key] = thunk()
         return self._memo[key]
+
+    def _decide(self, key, check):
+        """_get for a Decision-valued hypothesis."""
+        return self._get(key, inconclusive_on_budget(check))
 
     @property
     def domain(self):
@@ -74,12 +82,13 @@ class _Facts:
         return self.ctx.get("codomain", self.image)
 
     def domain_irreducible(self):
-        return self._get("dom_irr",
-                         lambda: _bool_dec(is_irreducible_shift(self.domain)))
+        return self._decide(
+            "dom_irr", lambda: _bool_dec(is_irreducible_shift(self.domain)))
 
     def codomain_irreducible(self):
-        return self._get("cod_irr",
-                         lambda: _bool_dec(is_irreducible_shift(self.codomain)))
+        return self._decide(
+            "cod_irr",
+            lambda: _bool_dec(is_irreducible_shift(self.codomain)))
 
     def onto(self):
         def check():
@@ -87,18 +96,19 @@ class _Facts:
                 # image presentation taken as codomain: onto by construction
                 return proved({"note": "codomain is the image presentation"})
             return _bool_dec(is_surjective_onto(self.code, self.ctx["codomain"]))
-        return self._get("onto", check)
+        return self._decide("onto", check)
 
     def cover_map(self):
-        return self._get("cover", lambda: _bool_dec(is_cover_map(self.code)))
+        return self._decide("cover",
+                            lambda: _bool_dec(is_cover_map(self.code)))
 
     def presentation_irreducible(self):
-        return self._get(
+        return self._decide(
             "pres_irr",
             lambda: _bool_dec(gr.is_irreducible(self.domain.presentation)))
 
     def right_resolving(self):
-        return self._get(
+        return self._decide(
             "rres",
             lambda: _bool_dec(gr.is_right_resolving(self.domain.presentation)))
 
@@ -110,19 +120,19 @@ class _Facts:
             if word is None:
                 return refuted({"reason": "no focusing word exists"})
             return proved({"word": list(word)})
-        return self._get("magic", check)
+        return self._decide("magic", check)
 
     def finite_to_one(self):
-        return self._get("f2o", lambda: is_finite_to_one(self.code))
+        return self._decide("f2o", lambda: is_finite_to_one(self.code))
 
     def right_closing(self):
-        return self._get("rclose", lambda: is_right_closing(self.code))
+        return self._decide("rclose", lambda: is_right_closing(self.code))
 
     def sft_domain(self):
-        return self._get("sft_dom", lambda: is_sft(self.domain))
+        return self._decide("sft_dom", lambda: is_sft(self.domain))
 
     def sft_codomain(self):
-        return self._get("sft_cod", lambda: is_sft(self.codomain))
+        return self._decide("sft_cod", lambda: is_sft(self.codomain))
 
     def semi_open(self):
         def check():
@@ -130,16 +140,21 @@ class _Facts:
                 return self.ctx["semi_open"]
             verdict, _ = check_semi_open(self.code)
             return verdict
-        return self._get("semi_open", check)
+        return self._decide("semi_open", check)
 
     def peek_semi_open(self):
         """The semi-open verdict if one is already on hand, else None."""
         return self.ctx.get("semi_open", self._memo.get("semi_open"))
 
     def nonwandering(self):
-        """check_nonwandering_maximal's report on the domain."""
-        return self._get("nonwander",
-                         lambda: check_nonwandering_maximal(self.domain))
+        """check_nonwandering_maximal's report on the domain, or None when
+        the state budget runs out first."""
+        def check():
+            try:
+                return check_nonwandering_maximal(self.domain)
+            except BudgetExceeded:
+                return None
+        return self._get("nonwander", check)
 
     def degree_one(self):
         def check():
@@ -149,7 +164,7 @@ class _Facts:
                 return inconclusive({"reason": type(exc).__name__})
             payload = {"degree": res.degree}
             return proved(payload) if res.degree == 1 else refuted(payload)
-        return self._get("deg1", check)
+        return self._decide("deg1", check)
 
 
 def _emit(tag, conclusion, *checks):
@@ -389,40 +404,19 @@ def _audit_all(certs, f):
             audit(claimed, f.codomain_irreducible(), cert.tag)
         elif cert.tag == "ThmRightClosing":
             audit(claimed, f.sft_domain(), cert.tag)
-            audit(claimed, _bool_dec(f.nonwandering()["nonwandering"]),
-                  cert.tag + " (non-wandering)")
+            report = f.nonwandering()
+            if report is not None:
+                audit(claimed, _bool_dec(report["nonwandering"]),
+                      cert.tag + " (non-wandering)")
         elif cert.tag == "ThmSFTFiniteToOne":
             report = f.nonwandering()
-            good = report["nonwandering"] and report["all_maximal"]
-            audit(claimed, _bool_dec(good), cert.tag)
+            if report is not None:
+                good = report["nonwandering"] and report["all_maximal"]
+                audit(claimed, _bool_dec(good), cert.tag)
         elif cert.tag == "LemmaOnto":
             audit(claimed, f.onto(), cert.tag)
         elif cert.tag == "ThmBallier":
             audit(claimed, f.ctx["retract"].verdict, cert.tag)
-
-
-def certify_irreducible_map(code):
-    """Degree one certifies irreducibility of a finite-to-one factor code:
-    a doubly transitive image point has exactly one preimage, so no proper
-    closed subset can map onto the image.
-
-    Proved rides on a ThmFischer certificate. Anything else is
-    Inconclusive, never Refuted: no complete decision procedure for map
-    irreducibility is implemented, and degree above one does not refute
-    it by itself in this codebase's contract.
-    """
-    res = degree(code)
-    if res.degree == 1:
-        cert = Certificate(
-            "ThmFischer",
-            ("finite-to-one: Proved", "degree one: Proved"),
-            IRREDUCIBLE_MAP,
-        )
-        return cert.to_decision({"degree": 1, "word": list(res.word)})
-    return inconclusive({
-        "degree": res.degree,
-        "reason": "degree above one leaves map irreducibility undecided",
-    })
 
 
 def check_nonwandering_maximal(x):

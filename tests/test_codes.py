@@ -72,6 +72,38 @@ def test_image_presentation_collapses_fig1():
     assert not is_surjective_onto(f, full_shift(["0", "1"]))
 
 
+def test_arrow_graph_and_reversed_code_are_built_once():
+    rng = random.Random(4)
+    xor = SlidingBlockCode.make(
+        full_shift(["0", "1"]), 0, 1,
+        {("0", "0"): "0", ("0", "1"): "1", ("1", "0"): "1", ("1", "1"): "0"})
+    pool = [xor, fixtures.fig1_code()]
+    for _ in range(20):
+        g = gen_labeled_graph(rng, 5, 3)
+        pool.append(cover_code(g))
+        pool.append(SlidingBlockCode.make(
+            SoficShift.from_graph(g), 0, 0,
+            {(s,): rng.choice("01") for s in {e.label for e in g.edges}}))
+    for code in pool:
+        a = codes.arrow_graph(code)
+        assert codes.arrow_graph(code) is a
+        # an explicit base builds afresh, with the same content
+        b = codes.arrow_graph(code, code.domain.presentation)
+        assert b is not a
+        assert (b.graph, dict(b.x_sym), dict(b.base_path)) == (
+            a.graph, dict(a.x_sym), dict(a.base_path))
+        eid = a.graph.edges[0].id
+        for table in (a.x_sym, a.base_path):
+            with pytest.raises(TypeError):
+                table[eid] = None
+            with pytest.raises(TypeError):
+                del table[eid]
+        r = codes.reversed_code(code)
+        assert codes.reversed_code(code) is r
+        assert (r.memory, r.anticipation) == (code.anticipation, code.memory)
+        assert r.table == {k[::-1]: v for k, v in code.table.items()}
+
+
 def test_cover_codes():
     g = fixtures.even_graph()
     c = cover_code(g)

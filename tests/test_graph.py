@@ -81,6 +81,41 @@ def test_trim_drops_wandering_vertices():
     assert set(trim(g2).vertices) == {"a"}
 
 
+def _reference_trim(g):
+    """Drop vertices without an in-edge or an out-edge inside the kept
+    set until none is left to drop."""
+    keep = set(g.vertices)
+    while True:
+        edges = [e for e in g.edges if e.src in keep and e.dst in keep]
+        live = {e.src for e in edges} & {e.dst for e in edges}
+        if live == keep:
+            return keep, edges
+        keep = live
+
+
+def test_trim_is_memoized_and_its_own_trim():
+    rng = random.Random(8)
+    cut = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        vertices = [f"v{i}" for i in range(n)]
+        g = LabeledGraph.make(
+            ["0", "1"], vertices,
+            [(f"e{j}", rng.choice(vertices), rng.choice(vertices),
+              rng.choice("01")) for j in range(rng.randint(0, 2 * n))])
+        t = trim(g)
+        assert trim(g) is t and trim(t) is t
+        keep, edges = _reference_trim(g)
+        assert t.vertices == tuple(v for v in g.vertices if v in keep)
+        assert t.edges == tuple(edges)
+        assert t.alphabet == g.alphabet
+        if len(keep) == g.n:
+            assert t is g
+        else:
+            cut += 1
+    assert cut > 100
+
+
 def test_scc_components_and_subgraph():
     g = fixtures.fig1_graph()
     comps = scc_components(g)

@@ -7,10 +7,10 @@ from shiftlab import fixtures, openness
 from shiftlab.automata import (Budget, apply_mask, bfs_closure, bfs_tree,
                                cycle_nodes, pair_moves, shortest_cycle)
 from shiftlab.codes import (SlidingBlockCode, arrow_graph, cover_code,
-                            image_presentation)
+                            image_presentation, reversed_code)
 from shiftlab.decision import inconclusive, proved, refuted
 from shiftlab.errors import InvariantViolation
-from shiftlab.graph import words_of_length
+from shiftlab.graph import LabeledGraph, words_of_length
 from shiftlab.io import graph_from_json
 from shiftlab.openness import (
     RetractDecision,
@@ -208,6 +208,64 @@ def test_retract_budget_exhaustion_is_inconclusive(monkeypatch):
     assert rd.is_inconclusive
     for side in ("right", "left"):
         assert rd.verdict.payload[side]["payload"]["reason"] == "budget"
+
+
+def _fresh(code):
+    """The same code rebuilt from scratch, so no memo carries over."""
+    g = code.domain.presentation
+    domain = SoficShift.from_graph(
+        LabeledGraph.make(g.alphabet, g.vertices, g.edges))
+    return SlidingBlockCode.make(domain, code.memory, code.anticipation,
+                                 code.table, code.codomain_alphabet)
+
+
+def _retract_cost(code):
+    """The budget states the code's memoized retract analysis spent."""
+    return code.memo["retract limits"].cost
+
+
+def test_retract_memo_hit_changes_nothing(monkeypatch):
+    """A code asked again answers from its memoized limit sets exactly
+    as a fresh code does: verdicts, payloads and, at budgets around the
+    recorded analysis cost, the budget Inconclusive."""
+    codes = [_undecided_retract_code()] + _small_codes(60, seed=5)
+    verdicts = set()
+    for code in codes:
+        for side in ("right", "left", "bi"):
+            for n in range(4):
+                got = check_right_continuing_retract(code, n, side)
+                want = check_right_continuing_retract(_fresh(code), n, side)
+                assert got.to_json() == want.to_json()
+                verdicts.add(got.verdict.verdict)
+    assert verdicts == {"Proved", "Refuted", "Inconclusive"}
+    outcomes = set()
+    for code in codes[:20]:
+        costs = {"right": [_retract_cost(code)],
+                 "left": [_retract_cost(reversed_code(code))]}
+        costs["bi"] = costs["right"] + costs["left"]
+        for side, cs in costs.items():
+            for limit in {max(c + d, 0) for c in cs for d in (-1, 0, 1)}:
+                monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", str(limit))
+                for n in range(4):
+                    got = check_right_continuing_retract(code, n, side)
+                    want = check_right_continuing_retract(_fresh(code), n,
+                                                          side)
+                    assert got.to_json() == want.to_json()
+                    outcomes.add(got.verdict.payload.get("reason"))
+    assert "budget" in outcomes and None in outcomes
+
+
+def test_retract_budget_out_leaves_no_memo(monkeypatch):
+    code = _fresh(fixtures.golden_cover())
+    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "1")
+    rd = check_right_continuing_retract(code, 1)
+    assert rd.verdict.payload["reason"] == "budget"
+    assert "retract limits" not in code.memo
+    monkeypatch.delenv("SHIFTLAB_STATE_BUDGET")
+    rd = check_right_continuing_retract(code, 1)
+    assert rd.is_proved
+    assert rd.to_json() == check_right_continuing_retract(
+        fixtures.golden_cover(), 1).to_json()
 
 
 # -- the profile sweep against a per-word reference sweep ---------------------
@@ -1062,15 +1120,18 @@ UNDECIDED_RETRACT_GRAPH = {
 }
 
 
+def _undecided_retract_code():
+    return SlidingBlockCode.make(
+        SoficShift.from_graph(graph_from_json(UNDECIDED_RETRACT_GRAPH)),
+        0, 0, {("0",): "1", ("1",): "1", ("2",): "0"})
+
+
 def test_retract_check_matches_triple_machine(monkeypatch):
     """Same verdict, limit_states and every other payload key as the
     triple machine, on every side and retract 0-3; only the hunt's state
     count is gone."""
-    undecided = SlidingBlockCode.make(
-        SoficShift.from_graph(graph_from_json(UNDECIDED_RETRACT_GRAPH)),
-        0, 0, {("0",): "1", ("1",): "1", ("2",): "0"})
     verdicts = set()
-    for code in _small_codes(60, seed=11) + [undecided]:
+    for code in _small_codes(60, seed=11) + [_undecided_retract_code()]:
         for side in ("right", "left", "bi"):
             for n in range(4):
                 got = check_right_continuing_retract(code, n, side).to_json()

@@ -6,7 +6,7 @@ import pytest
 from shiftlab import fixtures
 from shiftlab.errors import ReducibleShift
 from shiftlab.graph import is_irreducible, is_right_resolving, shift_equal
-from shiftlab.properties import gen_labeled_graph, gen_right_resolving_graph
+from shiftlab.properties import gen_labeled_graph
 from shiftlab.shifts import (
     SoficShift,
     edge_shift,
@@ -15,7 +15,6 @@ from shiftlab.shifts import (
     full_shift,
     is_irreducible_shift,
     is_sft,
-    uniform_gap_bound,
 )
 
 GOLDEN_ENTROPY = math.log((1 + math.sqrt(5)) / 2)
@@ -104,25 +103,3 @@ def test_edge_shift_full_language():
     xg = edge_shift(g)
     assert set(xg.alphabet) == {e.id for e in g.edges}
     assert abs(entropy(xg) - GOLDEN_ENTROPY) < 1e-9
-
-
-def test_uniform_gap_bound():
-    assert uniform_gap_bound(full_shift(["0", "1"])) == 0
-    gap = uniform_gap_bound(fixtures.even_shift())
-    assert 0 < gap <= 2
-
-
-# uniform_gap_bound of 100 seeded irreducible shifts (right-resolving
-# graphs of at most 8 vertices on at most 3 symbols, seed 7), one digit
-# each; 34 of them are nonzero
-PINNED_GAPS = ("0040020000000033010200001400000002000000010100133400041200"
-               "200010400320003000100230020200000000132502")
-
-
-def test_uniform_gap_bound_pinned_values():
-    rng = random.Random(7)
-    gaps = "".join(
-        str(uniform_gap_bound(SoficShift.from_graph(gen_right_resolving_graph(
-            rng, 8, 3, accept=is_irreducible))))
-        for _ in range(len(PINNED_GAPS)))
-    assert gaps == PINNED_GAPS

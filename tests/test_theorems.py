@@ -11,7 +11,6 @@ from shiftlab.openness import check_right_continuing_retract, check_semi_open
 from shiftlab.shifts import SoficShift
 from shiftlab.theorems import (
     certificates,
-    certify_irreducible_map,
     check_nonwandering_maximal,
 )
 
@@ -107,20 +106,16 @@ def test_composition_context_certificates():
     assert "LemmaCirc" in tags
 
 
-def test_certify_irreducible_map_contract():
-    dec = certify_irreducible_map(fixtures.even_cover())
-    assert dec.is_proved
-    assert dec.provenance == "certificate:ThmFischer"
-    assert dec.payload["degree"] == 1
-    two_to_one = certify_irreducible_map(fixtures.phase_doubling_code())
-    assert two_to_one.is_inconclusive
-    assert two_to_one.payload["degree"] == 2
-
-
-def test_certify_irreducible_map_propagates_errors():
-    from shiftlab.errors import NotFiniteToOne
-    with pytest.raises(NotFiniteToOne):
-        certify_irreducible_map(fixtures.right_closing_counterexample_code())
+def test_certificates_on_exhausted_budget_rest_on_proved_hypotheses(
+        monkeypatch):
+    # determinize, the semi-open sweep and the SFT check all run out at
+    # budget 1; only certificates whose checks spend no budget remain
+    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "1")
+    certs = certificates(fixtures.even_cover())
+    assert {c.tag for c in certs} == {"ThmFiniteCover", "ThmRRMagic"}
+    for cert in certs:
+        for line in cert.hypotheses:
+            assert line.endswith(": Proved")
 
 
 def test_nonwandering_report_fig1():
