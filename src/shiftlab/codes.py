@@ -16,9 +16,9 @@ from types import MappingProxyType
 
 from . import graph as gr
 from . import shifts as sh
-from .automata import (Budget, bfs_closure, bfs_tree, cycle_nodes,
-                       nontrivial_components, shortest_cycle, shortest_path,
-                       tarjan_scc, tree_path)
+from .automata import (Budget, apply_mask, bfs_closure, bfs_tree,
+                       cycle_nodes, nontrivial_components, shortest_cycle,
+                       shortest_path, tarjan_scc, tree_path)
 from .decision import inconclusive_on_budget, proved, refuted
 from .errors import (
     AlphabetMismatch,
@@ -140,17 +140,13 @@ class Recoded:
     """A code re-expressed as a one-block labeling of window paths.
 
     graph carries the produced symbols as labels; x_sym maps each arrow
-    edge back to the domain symbol read at the window's center, and
-    base_path to the underlying path of base edges. Both maps are
-    read-only, since one Recoded is shared by every caller of
+    edge back to the domain symbol read at the window's center. The map
+    is read-only, since one Recoded is shared by every caller of
     arrow_graph on its code.
     """
 
-    code: SlidingBlockCode
-    base: LabeledGraph
     graph: LabeledGraph
     x_sym: MappingProxyType
-    base_path: MappingProxyType
 
 
 def arrow_graph(code, base=None):
@@ -171,16 +167,11 @@ def _recode(code, base):
     base = gr.trim(base)
     w = code.window
     if w == 1:
-        edges = []
-        x_sym = {}
-        base_path = {}
-        for e in base.edges:
-            edges.append(Edge(e.id, e.src, e.dst, code.table[(e.label,)]))
-            x_sym[e.id] = e.label
-            base_path[e.id] = (e.id,)
+        edges = [Edge(e.id, e.src, e.dst, code.table[(e.label,)])
+                 for e in base.edges]
         g = LabeledGraph.make(code.codomain_alphabet, base.vertices, edges)
-        return Recoded(code, base, gr.trim(g), MappingProxyType(x_sym),
-                       MappingProxyType(base_path))
+        return Recoded(gr.trim(g), MappingProxyType(
+            {e.id: e.label for e in base.edges}))
 
     # enumerate paths of length w-1 (vertices) and w (edges)
     paths = [(e,) for e in base.edges]
@@ -189,7 +180,6 @@ def _recode(code, base):
     vertex_names = ["~".join(e.id for e in p) for p in paths]
     edges = []
     x_sym = {}
-    base_path = {}
     for p in paths:
         for f in base.out[p[-1].dst]:
             q = p + (f,)
@@ -198,15 +188,9 @@ def _recode(code, base):
             edges.append(Edge(name, "~".join(e.id for e in p),
                               "~".join(e.id for e in q[1:]), label))
             x_sym[name] = q[code.memory].label
-            base_path[name] = tuple(e.id for e in q)
     g = LabeledGraph.make(code.codomain_alphabet, vertex_names, edges)
     g = gr.trim(g)
-    live = {e.id for e in g.edges}
-    return Recoded(code, base, g,
-                   MappingProxyType({k: v for k, v in x_sym.items()
-                                     if k in live}),
-                   MappingProxyType({k: v for k, v in base_path.items()
-                                     if k in live}))
+    return Recoded(g, MappingProxyType({e.id: x_sym[e.id] for e in g.edges}))
 
 
 def image_presentation(code):
@@ -440,10 +424,15 @@ def degree(code):
 
     Works on the arrow graph over the minimal cover of the domain, where
     bi-infinite paths and domain points agree on a residual set. For
-    each produced word and marked position, the relation of (start
-    vertex, marked edge, end vertex) triples over presenting paths is
-    closed under one-symbol extensions on both sides; the degree is the
-    least middle-edge count over all reachable nonempty relations.
+    each produced word and marked position, the presenting paths factor
+    at the marked edge: the part left of it and the part right of it are
+    independent, so the relation is a tuple of (edge index, start mask,
+    end mask), one per marked edge some path crosses, with the start
+    vertices that reach the edge and the end vertices it reaches. A right
+    extension steps the end masks by g.fwd, a left one the start masks by
+    the reversed graph's fwd, and an edge whose mask empties drops out.
+    The degree is the least edge count over all reachable nonempty
+    relations.
 
     Raises NotFiniteToOne only when the code is refuted finite-to-one;
     an exhausted state budget propagates as BudgetExceeded.
@@ -451,71 +440,52 @@ def degree(code):
     if _finite_to_one(code).is_refuted:
         raise NotFiniteToOne("degree needs a finite-to-one code")
     cover = sh.fischer_cover(code.domain)  # raises ReducibleShift
-    a = arrow_graph(code, cover)
-    g = a.graph
+    g = arrow_graph(code, cover).graph
     vx = g.vindex
-    eix = {e.id: k for k, e in enumerate(g.edges)}
-    n = g.n
+    fwd, bwd = g.fwd, gr.reverse(g).fwd
 
-    def encode(si, ek, ti):
-        return (si * len(g.edges) + ek) * n + ti
-
-    by_label_out = {}
-    by_label_in = {}
-    for e in g.edges:
-        by_label_out.setdefault((e.label, e.src), []).append(e)
-        by_label_in.setdefault((e.label, e.dst), []).append(e)
-
-    def middles(rel):
-        return {t // n % len(g.edges) for t in rel}
-
-    symbols = sorted(g.symbols)
     seeds = {}  # relation -> the symbol that first gives it
-    for s in symbols:
-        rel = frozenset(
-            encode(vx[e.src], eix[e.id], vx[e.dst])
-            for e in g.edges if e.label == s
-        )
+    for s in g.symbols:
+        rel = tuple((k, 1 << vx[e.src], 1 << vx[e.dst])
+                    for k, e in enumerate(g.edges) if e.label == s)
         if rel:
             seeds.setdefault(rel, s)
 
     # one-symbol extensions, labeled (symbol, 0 for right or 1 for left)
     def extensions(rel):
         out = []
-        for s in symbols:
-            right = set()
-            left = set()
-            for t in rel:
-                ti = t % n
-                ek = t // n % len(g.edges)
-                si = t // n // len(g.edges)
-                for e in by_label_out.get((s, g.vertices[ti]), ()):
-                    right.add(encode(si, ek, vx[e.dst]))
-                for e in by_label_in.get((s, g.vertices[si]), ()):
-                    left.add(encode(vx[e.src], ek, ti))
+        for s in g.symbols:
+            right = []
+            left = []
+            for k, a, b in rel:
+                b2 = apply_mask(fwd[s], b)
+                if b2:
+                    right.append((k, a, b2))
+                a2 = apply_mask(bwd[s], a)
+                if a2:
+                    left.append((k, a2, b))
             for rel2, side in ((right, 0), (left, 1)):
                 if rel2:
-                    out.append((frozenset(rel2), (s, side)))
+                    out.append((tuple(rel2), (s, side)))
         return out
 
-    best = []  # [size, relation] of the least relation dequeued so far
+    best = []  # the least relation dequeued so far
 
     def is_least_possible(rel):
-        size = len(middles(rel))
-        if not best or size < best[0]:
-            best[:] = [size, rel]
-        return size == 1
+        if not best or len(rel) < len(best[0]):
+            best[:] = [rel]
+        return len(rel) == 1
 
     parent, _ = bfs_tree(seeds, extensions, Budget(where="degree"),
                          is_least_possible)
-    size, rel = best
+    rel = best[0]
     seed, steps = tree_path(parent, rel)
     word, idx = (seeds[seed],), 0
     for s, side in steps:
         word = (s,) + word if side else word + (s,)
         idx += side
-    fiber = tuple(sorted(g.edges[k].id for k in middles(rel)))
-    return DegreeResult(size, word, idx, fiber)
+    fiber = tuple(sorted(g.edges[k].id for k, _, _ in rel))
+    return DegreeResult(len(rel), word, idx, fiber)
 
 
 # -- closing properties ------------------------------------------------------
@@ -648,8 +618,6 @@ class FiberProduct:
     sigma: SoficShift
     psi1: SlidingBlockCode
     psi2: SlidingBlockCode
-    phi1: SlidingBlockCode
-    phi2: SlidingBlockCode
 
 
 def fiber_product(phi1, phi2):
@@ -706,7 +674,7 @@ def fiber_product(phi1, phi2):
             raise InvariantViolation(
                 "fiber projection onto",
                 "image(phi2) inside image(phi1) but psi2 not onto domain 2")
-    return FiberProduct(sigma, psi1, psi2, phi1, phi2)
+    return FiberProduct(sigma, psi1, psi2)
 
 
 # -- lifting through covers ---------------------------------------------------

@@ -22,6 +22,7 @@ from .automata import (
     bfs_tree,
     cycle_nodes,
     nontrivial_components,
+    pair_moves,
     tarjan_scc,
     tree_path,
 )
@@ -382,48 +383,28 @@ def words_of_length(g, n):
 
 
 def sublanguage_counterexample(g1, g2, budget=None):
-    """Shortest word admissible in g1 but not in g2, or None.
+    """Lexicographically least shortest word admissible in g1 but not in
+    g2, or None.
 
-    Searches the product of g1's trimmed graph with the subset automaton
-    of g2's trimmed graph breadth first for a state with an out-edge into
-    the empty subset. The word is the search-tree path to the first such
-    state, then the label of its first such edge in (label, id) order.
+    Searches breadth first over pairs (A, B) of vertex sets of the
+    trimmed graphs: the vertices of each that can end a path reading the
+    word, both started from the full set. In a trimmed graph a word is
+    admissible exactly when its set is nonempty, so the search keeps A
+    nonempty and stops at the first pair with B empty.
     """
     t1, t2 = trim(g1), trim(g2)
     if t1.n == 0:
         return None
-    if t2.n == 0:
-        return ()
     if budget is None:
         budget = Budget(where="sublanguage")
-    fwd2 = t2.fwd
-    out = [sorted(t1.out[v], key=lambda e: (e.label, e.id))
-           for v in t1.vertices]
-
-    def step(mask, label):
-        return apply_mask(fwd2[label], mask) if label in fwd2 else 0
-
-    moves = {}
-
-    def dead_end(state):
-        # runs on each state just before its expansion, so it also lays
-        # out the state's moves
-        vi, mask = state
-        row = moves[state] = []
-        for e in out[vi]:
-            m2 = step(mask, e.label)
-            if not m2:
-                return True
-            row.append(((t1.vindex[e.dst], m2), e.label))
-        return False
-
-    parent, goal = bfs_tree([(i, t2.full_mask) for i in range(t1.n)],
-                            moves.__getitem__, budget, dead_end)
+    dead = (0,) * t2.n
+    expand = pair_moves([(s, t1.fwd[s], t2.fwd.get(s, dead))
+                         for s in t1.symbols])
+    parent, goal = bfs_tree([(t1.full_mask, t2.full_mask)], expand, budget,
+                            lambda pair: not pair[1])
     if goal is None:
         return None
-    vi, mask = goal
-    last = next(e.label for e in out[vi] if not step(mask, e.label))
-    return tuple(tree_path(parent, goal)[1]) + (last,)
+    return tuple(tree_path(parent, goal)[1])
 
 
 def is_sublanguage(g1, g2, budget=None):

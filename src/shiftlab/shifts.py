@@ -89,52 +89,32 @@ def entropy(x):
 def _follower_merge(g):
     """Quotient a right-resolving graph by follower-set equality.
 
-    Moore partition refinement; two vertices merge iff they admit the
-    same label sets and their successors merge symbol by symbol.
+    Moore partition refinement from one block, so the first round splits
+    by label set; two vertices stay together iff they admit the same
+    labels and their successors stay together symbol by symbol. Each
+    successor is the one bit of a vertex's g.fwd row. Blocks are numbered
+    in sorted order of their keys and named by their first vertex.
     """
-    sig0 = {}
-    for v in g.vertices:
-        sig0[v] = tuple(sorted({e.label for e in g.out[v]}))
-    blocks = {}
-    for v in g.vertices:
-        blocks.setdefault(sig0[v], []).append(v)
-    block_of = {}
-    for i, key in enumerate(sorted(blocks)):
-        for v in blocks[key]:
-            block_of[v] = i
-    step = {}
-    for v in g.vertices:
-        step[v] = {e.label: e.dst for e in g.out[v]}
+    succ = [tuple((s, row[v].bit_length() - 1)
+                  for s, row in g.fwd.items() if row[v])
+            for v in range(g.n)]
+    block = [0] * g.n
+    count = 1
     while True:
-        sig = {
-            v: tuple(
-                sorted((s, block_of[w]) for s, w in step[v].items())
-            )
-            for v in g.vertices
-        }
-        regroup = {}
-        for v in g.vertices:
-            regroup.setdefault((block_of[v], sig[v]), []).append(v)
-        if len(regroup) == len(set(block_of.values())):
+        keys = [(block[v], tuple((s, block[w]) for s, w in succ[v]))
+                for v in range(g.n)]
+        number = {key: i for i, key in enumerate(sorted(set(keys)))}
+        if len(number) == count:
             break
-        block_of = {}
-        for i, key in enumerate(sorted(regroup)):
-            for v in regroup[key]:
-                block_of[v] = i
-    # representative = first member in vertex order
+        block = [number[key] for key in keys]
+        count = len(number)
     reps = {}
-    for v in g.vertices:
-        reps.setdefault(block_of[v], v)
-    name = {b: reps[b] for b in reps}
-    vertices = [name[b] for b in sorted(reps)]
-    edges = []
-    for b in sorted(reps):
-        r = reps[b]
-        for e in sorted(g.out[r], key=lambda e: e.label):
-            edges.append(
-                Edge(f"{name[b]}>{e.label}", name[b], name[block_of[e.dst]], e.label)
-            )
-    return LabeledGraph.make(g.symbols, vertices, edges)
+    for v, b in enumerate(block):
+        reps.setdefault(b, v)
+    name = [g.vertices[reps[b]] for b in range(count)]
+    edges = [Edge(f"{name[b]}>{s}", name[b], name[block[w]], s)
+             for b in range(count) for s, w in succ[reps[b]]]
+    return LabeledGraph.make(g.symbols, name, edges)
 
 
 def fischer_cover(x):

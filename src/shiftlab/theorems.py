@@ -23,7 +23,7 @@ from .codes import (
 )
 from .decision import (Certificate, audit, inconclusive,
                        inconclusive_on_budget, proved, refuted)
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NotFiniteToOne, ReducibleShift
 from .openness import check_semi_open
 from .shifts import SoficShift, entropy, is_irreducible_shift, is_sft
 
@@ -160,7 +160,7 @@ class _Facts:
         def check():
             try:
                 res = degree(self.code)
-            except Exception as exc:  # NotFiniteToOne, ReducibleShift
+            except (NotFiniteToOne, ReducibleShift) as exc:
                 return inconclusive({"reason": type(exc).__name__})
             payload = {"degree": res.degree}
             return proved(payload) if res.degree == 1 else refuted(payload)

@@ -5,6 +5,7 @@ import pytest
 
 from shiftlab import codes, fixtures
 from shiftlab import graph as gr
+from shiftlab import shifts as sh
 from shiftlab.automata import Budget
 from shiftlab.codes import (
     SlidingBlockCode,
@@ -27,10 +28,11 @@ from shiftlab.codes import (
     _windows,
 )
 from shiftlab.decision import Decision
-from shiftlab.errors import BudgetExceeded, DomainMismatch, NotFiniteToOne
+from shiftlab.errors import (BudgetExceeded, DomainMismatch, NotFiniteToOne,
+                             ReducibleShift)
 from shiftlab.graph import Edge, LabeledGraph
-from shiftlab.io import graph_from_json
-from shiftlab.properties import gen_labeled_graph
+from shiftlab.io import graph_from_json, graph_to_json
+from shiftlab.properties import gen_labeled_graph, gen_right_resolving_graph
 from shiftlab.shifts import (SoficShift, fischer_cover, full_shift, is_sft,
                              shift_equal)
 
@@ -90,14 +92,12 @@ def test_arrow_graph_and_reversed_code_are_built_once():
         # an explicit base builds afresh, with the same content
         b = codes.arrow_graph(code, code.domain.presentation)
         assert b is not a
-        assert (b.graph, dict(b.x_sym), dict(b.base_path)) == (
-            a.graph, dict(a.x_sym), dict(a.base_path))
+        assert (b.graph, dict(b.x_sym)) == (a.graph, dict(a.x_sym))
         eid = a.graph.edges[0].id
-        for table in (a.x_sym, a.base_path):
-            with pytest.raises(TypeError):
-                table[eid] = None
-            with pytest.raises(TypeError):
-                del table[eid]
+        with pytest.raises(TypeError):
+            a.x_sym[eid] = None
+        with pytest.raises(TypeError):
+            del a.x_sym[eid]
         r = codes.reversed_code(code)
         assert codes.reversed_code(code) is r
         assert (r.memory, r.anticipation) == (code.anticipation, code.memory)
@@ -389,3 +389,164 @@ def test_lift_search_matches_brute_force():
                     checked += 1
                     found += want is not None
     assert 0 < found < checked
+
+
+def _reference_degree(code):
+    """degree as a search over sets of (start vertex, marked edge, end
+    vertex) triples, encoded as integers; returns the DegreeResult fields
+    and the states spent."""
+    if codes._finite_to_one(code).is_refuted:
+        raise NotFiniteToOne("degree needs a finite-to-one code")
+    g = codes.arrow_graph(code, fischer_cover(code.domain)).graph
+    vx = g.vindex
+    eix = {e.id: k for k, e in enumerate(g.edges)}
+    n, m = g.n, len(g.edges)
+
+    def encode(si, ek, ti):
+        return (si * m + ek) * n + ti
+
+    by_label_out = {}
+    by_label_in = {}
+    for e in g.edges:
+        by_label_out.setdefault((e.label, e.src), []).append(e)
+        by_label_in.setdefault((e.label, e.dst), []).append(e)
+
+    def middles(rel):
+        return {t // n % m for t in rel}
+
+    seeds = {}
+    for s in g.symbols:
+        rel = frozenset(encode(vx[e.src], eix[e.id], vx[e.dst])
+                        for e in g.edges if e.label == s)
+        if rel:
+            seeds.setdefault(rel, s)
+
+    def extensions(rel):
+        out = []
+        for s in g.symbols:
+            right, left = set(), set()
+            for t in rel:
+                ti, ek, si = t % n, t // n % m, t // n // m
+                for e in by_label_out.get((s, g.vertices[ti]), ()):
+                    right.add(encode(si, ek, vx[e.dst]))
+                for e in by_label_in.get((s, g.vertices[si]), ()):
+                    left.add(encode(vx[e.src], ek, ti))
+            for rel2, side in ((right, 0), (left, 1)):
+                if rel2:
+                    out.append((frozenset(rel2), (s, side)))
+        return out
+
+    best = []
+
+    def is_least_possible(rel):
+        size = len(middles(rel))
+        if not best or size < best[0]:
+            best[:] = [size, rel]
+        return size == 1
+
+    budget = Budget(where="degree")
+    parent, _ = codes.bfs_tree(seeds, extensions, budget, is_least_possible)
+    size, rel = best
+    seed, steps = codes.tree_path(parent, rel)
+    word, idx = (seeds[seed],), 0
+    for s, side in steps:
+        word = (s,) + word if side else word + (s,)
+        idx += side
+    fiber = tuple(sorted(g.edges[k].id for k in middles(rel)))
+    return (size, word, idx, fiber), budget.used
+
+
+def _degree_pool():
+    """The code fixtures and 300 seeded codes on small graphs: cover
+    codes, cover codes of right-resolving graphs (finite-to-one) and
+    codes with a two-symbol window."""
+    rng = random.Random(17)
+    pool = [fixtures.even_cover(), fixtures.golden_cover(),
+            fixtures.phase_doubling_code(), fixtures.fig1_code(),
+            fixtures.right_closing_counterexample_code()]
+    for i in range(300):
+        if i % 3 == 0:
+            pool.append(cover_code(gen_labeled_graph(rng, 5, 3)))
+        elif i % 3 == 1:
+            pool.append(cover_code(gen_right_resolving_graph(rng, 5, 3)))
+        else:
+            x = SoficShift.from_graph(gen_labeled_graph(rng, 4, 2))
+            pool.append(SlidingBlockCode.make(
+                x, 1, 0, {w: rng.choice("ab") for w in x.language(2)}))
+    return pool
+
+
+def test_degree_matches_the_triple_relation_search(monkeypatch):
+    spent = []
+
+    class Recording(Budget):
+        def __init__(self, limit=None, where="search"):
+            super().__init__(limit, where)
+            if where == "degree":
+                spent.append(self)
+
+    monkeypatch.setattr(codes, "Budget", Recording)
+    decided = 0
+    for code in _degree_pool():
+        try:
+            want, want_used = _reference_degree(code)
+        except (NotFiniteToOne, ReducibleShift) as exc:
+            with pytest.raises(type(exc)):
+                degree(code)
+            continue
+        spent.clear()
+        res = degree(code)
+        assert (res.degree, res.word, res.index, res.fiber_edges) == want
+        assert [b.used for b in spent] == [want_used]
+        decided += 1
+    assert decided > 150
+
+
+def _reference_follower_merge(g):
+    """The follower merge on dicts: label sets first, then successor
+    blocks, renumbered in sorted key order each round."""
+    sig0 = {v: tuple(sorted({e.label for e in g.out[v]})) for v in g.vertices}
+    blocks = {}
+    for v in g.vertices:
+        blocks.setdefault(sig0[v], []).append(v)
+    block_of = {v: i for i, key in enumerate(sorted(blocks))
+                for v in blocks[key]}
+    step = {v: {e.label: e.dst for e in g.out[v]} for v in g.vertices}
+    while True:
+        regroup = {}
+        for v in g.vertices:
+            sig = tuple(sorted((s, block_of[w]) for s, w in step[v].items()))
+            regroup.setdefault((block_of[v], sig), []).append(v)
+        if len(regroup) == len(set(block_of.values())):
+            break
+        block_of = {v: i for i, key in enumerate(sorted(regroup))
+                    for v in regroup[key]}
+    reps = {}
+    for v in g.vertices:
+        reps.setdefault(block_of[v], v)
+    edges = [Edge(f"{reps[b]}>{e.label}", reps[b], reps[block_of[e.dst]],
+                  e.label)
+             for b in sorted(reps)
+             for e in sorted(g.out[reps[b]], key=lambda e: e.label)]
+    return LabeledGraph.make(g.symbols, [reps[b] for b in sorted(reps)],
+                             edges)
+
+
+def test_fischer_cover_matches_the_dict_follower_merge(monkeypatch):
+    shifts = []
+    for code in _degree_pool():
+        shifts += [code.domain, image_presentation(code)]
+
+    def covers():
+        out = []
+        for x in shifts:
+            try:
+                out.append(graph_to_json(fischer_cover(x)))
+            except ReducibleShift:
+                out.append(None)
+        return out
+
+    got = covers()
+    monkeypatch.setattr(sh, "_follower_merge", _reference_follower_merge)
+    assert got == covers()
+    assert sum(c is not None for c in got) > 300

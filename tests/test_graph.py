@@ -229,6 +229,10 @@ def test_sublanguage_counterexample_is_a_shortest_word():
         # no shorter word of g1 is missing from g2
         for n in range(1, len(w)):
             assert set(words_of_length(g1, n)) <= set(words_of_length(g2, n))
+        # and w is the least missing word of its length
+        missing = set(words_of_length(g1, len(w))) - set(
+            words_of_length(g2, len(w)))
+        assert w == min(missing)
     assert 30 < found < 150
 
 

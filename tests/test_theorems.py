@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from shiftlab import fixtures
+from shiftlab import fixtures, theorems
 from shiftlab.codes import fiber_product
 from shiftlab.decision import audit, proved, refuted
 from shiftlab.errors import ConsistencyFault
@@ -157,3 +157,14 @@ def test_irreducible_shift_is_nonwandering_and_maximal():
     assert report["nonwandering"] is True
     assert report["all_maximal"] is True
     assert len(report["components"]) == 1
+
+
+def test_degree_one_lets_a_defect_in_degree_through(monkeypatch):
+    """Only NotFiniteToOne and ReducibleShift make the degree-one
+    hypothesis Inconclusive; any other exception from degree surfaces."""
+    def broken(code):
+        raise KeyError("defect")
+
+    monkeypatch.setattr(theorems, "degree", broken)
+    with pytest.raises(KeyError, match="defect"):
+        certificates(fixtures.even_cover())
