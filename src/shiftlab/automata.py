@@ -198,6 +198,23 @@ def bfs_tree(seeds, expand, budget=None, is_goal=None):
     return parent, None
 
 
+def until_goal(expand, is_goal):
+    """expand for a bfs_tree with this is_goal, cut once a goal is queued:
+    in FIFO order the first goal discovered is the first dequeued, so the
+    search finds the same goal and path and spends nothing after it."""
+    found = []
+
+    def cut(x):
+        out = []
+        for y, label in () if found else expand(x):
+            out.append((y, label))
+            if is_goal(y):
+                found.append(y)
+                break
+        return out
+    return cut
+
+
 def tree_path(parent, node):
     """(seed, labels): the seed a bfs_tree path to node starts from, and
     the labels along it in forward order."""

@@ -25,6 +25,7 @@ from .automata import (
     pair_moves,
     tarjan_scc,
     tree_path,
+    until_goal,
 )
 from .errors import (
     AlphabetMismatch,
@@ -317,26 +318,16 @@ def find_magic_word(g):
     if t.n == 0:
         return None
     fwd = t.fwd
-    focused = False
 
-    # in FIFO order the first singleton discovered is the first dequeued,
-    # so nothing needs expanding once one is queued
     def expand(mask):
-        nonlocal focused
-        out = []
-        if focused:
-            return out
-        for s, table in fwd.items():
-            m2 = apply_mask(table, mask)
-            if m2:
-                out.append((m2, s))
-                if m2 & (m2 - 1) == 0:
-                    focused = True
-                    break
-        return out
+        return [(m2, s) for s, table in fwd.items()
+                if (m2 := apply_mask(table, mask))]
 
-    parent, goal = bfs_tree([t.full_mask], expand,
-                            is_goal=lambda m: m & (m - 1) == 0)
+    def singleton(mask):
+        return mask & (mask - 1) == 0
+
+    parent, goal = bfs_tree([t.full_mask], until_goal(expand, singleton),
+                            is_goal=singleton)
     if goal is None:
         return None
     return tuple(tree_path(parent, goal)[1])
@@ -400,8 +391,12 @@ def sublanguage_counterexample(g1, g2, budget=None):
     dead = (0,) * t2.n
     expand = pair_moves([(s, t1.fwd[s], t2.fwd.get(s, dead))
                          for s in t1.symbols])
-    parent, goal = bfs_tree([(t1.full_mask, t2.full_mask)], expand, budget,
-                            lambda pair: not pair[1])
+
+    def b_empty(pair):
+        return not pair[1]
+
+    parent, goal = bfs_tree([(t1.full_mask, t2.full_mask)],
+                            until_goal(expand, b_empty), budget, b_empty)
     if goal is None:
         return None
     return tuple(tree_path(parent, goal)[1])

@@ -17,15 +17,14 @@ from math import inf
 
 from . import graph as gr
 from .automata import (Budget, apply_mask, bfs_closure, bfs_tree, cycle_nodes,
-                       pair_moves, shortest_cycle, shortest_path, tree_path)
-from .codes import arrow_graph, reversed_code
+                       nontrivial_components, pair_moves, shortest_cycle,
+                       shortest_path, tarjan_scc, tree_path)
+from .codes import arrow_graph, image_presentation, reversed_code
 from .decision import (Decision, inconclusive, inconclusive_on_budget,
                        out_of_budget, proved, refuted)
 from .errors import (BudgetExceeded, InvariantViolation, NotIrreducible,
                      NotMagic, WordNotAdmissible)
-from .pointed import (CenteredWord, cylinder_escape, cylinder_image,
-                      uniform_window_bound)
-from .shifts import SoficShift
+from .pointed import CenteredWord, cylinder_escape, cylinder_image
 
 
 def _step_tables(g, x_sym):
@@ -55,11 +54,12 @@ class SweepSpace:
     Over those indexes, free[s] and zone[s, xi] map each pair to the bit
     of its successor (0 where the image side dies), and left and doomed
     are the masks of the left-context pairs and of the pairs from which a
-    free scan can reach a live-U dead-S pair. The image shift is built on
-    first use. The space also holds one sweep's memos, each spending its
-    budget: the transfer monoid and the interior decision's layers, id
-    actions and distances, whose states are scan masks over the universe
-    (see interior_nonempty)."""
+    free scan can reach a live-U dead-S pair; live is the mask of the
+    pairs with live S. The space also holds one sweep's memos, each
+    spending its budget: the transfer monoid, and the layers, id
+    actions, distances and bad runs of the interior and openness
+    decisions, whose states are scan masks over the universe (see
+    interior_nonempty and _open_offset)."""
 
     def __init__(self, code, budget=None):
         self.code = code
@@ -126,16 +126,14 @@ class SweepSpace:
             [i for i, (u, v) in enumerate(self.pairs) if u and not v],
             back.__getitem__)
         self.doomed = sum(1 << i for i in self._doom_parent)
+        self.live = sum(1 << i for i, (_, v) in enumerate(self.pairs) if v)
         self.index = index
         # the transfer monoid: joint (image, zone-thread) table pairs as ids
         self.tables, self.ids, self.products = [], {}, {}
         self.layers = [frozenset([self.left])]
         self.cycle_start = None
-        self._reached, self._distances = {}, {}
-
-    @cached_property
-    def image(self):
-        return SoficShift.from_graph(self.g)
+        self._actions, self._reached = {}, {}
+        self._distances, self._runs = {}, {}
 
     def intern(self, pair):
         i = self.ids.get(pair)
@@ -196,13 +194,12 @@ class SweepSpace:
             m = r + (m - r) % (len(layers) - r)
         return m, layers[m]
 
-    def reached(self, q, ids):
-        """The ids met at layer state q so far, ids included, grouped by
-        the distance of the state each maps q to (inf where it maps q to
-        0). An id maps each pair (U, S) of q to (tu U, ts S), dropped
-        where tu U = 0. One budget state per new (id, q)."""
-        seen, by = self._reached.setdefault(q, (set(), {}))
-        for i in ids - seen:
+    def action(self, q, i):
+        """Scan mask q mapped across the zone by joint table i: each pair
+        (U, S) of q to (tu U, ts S), dropped where tu U = 0. One budget
+        state per new (q, i)."""
+        q2 = self._actions.get((q, i))
+        if q2 is None:
             self.budget.spend()
             tu, ts = self.tables[i]
             q2 = 0
@@ -210,33 +207,72 @@ class SweepSpace:
                 u, s = self.pairs[b]
                 if q >> b & 1 and (u := apply_mask(tu, u)):
                     q2 |= 1 << self.index[u, apply_mask(ts, s)]
-            d = self.distance(q2) if q2 else inf
-            by.setdefault(d, set()).add(i)
-            seen.add(i)
+            self._actions[q, i] = q2
+        return q2
+
+    def reached(self, q, ids):
+        """The ids met at layer state q so far, ids included, grouped by
+        the distance of the state each maps q to (inf where it maps q to
+        0)."""
+        seen, by = self._reached.setdefault(q, (set(), {}))
+        for i in ids - seen:
+            q2 = self.action(q, i)
+            by.setdefault(self.distance(q2) if q2 else inf, set()).add(i)
+        seen |= ids
         return by
+
+    def _explore(self, known, q, inner):
+        """The masks reachable from q through inner masks (those with
+        inner(x)) whose value is not in known, a budget state each, and
+        the free successors of the inner ones among them."""
+        succ = {}
+
+        def expand(x):
+            if x in known or not inner(x):
+                return ()
+            succ[x] = self.free_moves(x)
+            return succ[x]
+        new = [x for x in bfs_closure([q], expand) if x not in known]
+        self.budget.spend(len(new))
+        return new, succ
 
     def distance(self, q):
         """Least number of free steps from scan mask q to one with no
         doomed pair, or inf. The unclean states reachable from q whose
-        distance is unknown are explored together, a budget state each,
-        and relaxed until no distance drops."""
+        distance is unknown are explored together and relaxed until no
+        distance drops."""
         known = self._distances
         if q not in known:
-            succ = {}
-
-            def expand(x):
-                if x in known or not x & self.doomed:
-                    return ()
-                succ[x] = self.free_moves(x)
-                return succ[x]
-            new = [x for x in bfs_closure([q], expand) if x not in known]
-            self.budget.spend(len(new))
+            new, succ = self._explore(known, q, lambda x: x & self.doomed)
             known.update((x, inf if x in succ else 0) for x in new)
             drops = True
             while drops:
                 drops = [(x, d) for x, ys in succ.items()
                          if (d := 1 + min(known[y] for y in ys)) < known[x]]
                 known.update(drops)
+        return known[q]
+
+    def bad_run(self, q):
+        """Longest run of free steps from scan mask q through bad masks,
+        those holding a live-S pair and a doomed pair: -1 where q is not
+        bad, inf where the run can go on forever. The masks reachable
+        from q through bad masks whose run is unknown are explored
+        together. Their strongly connected components come successors
+        first, so each bad mask's run follows from its successors', and
+        a component with a cycle runs forever."""
+        known = self._runs
+        if q not in known:
+            new, succ = self._explore(
+                known, q, lambda x: x & self.doomed and x & self.live)
+            known.update((x, -1) for x in new if x not in succ)
+            bad = list(succ)
+            at = {x: i for i, x in enumerate(bad)}
+            adj = [[at[y] for y in succ[x] if y in at] for x in bad]
+            comp, _ = tarjan_scc(len(bad), adj)
+            cyclic = nontrivial_components(len(bad), adj, comp)
+            for i in sorted(range(len(bad)), key=comp.__getitem__):
+                known[bad[i]] = inf if comp[i] in cyclic else \
+                    1 + max(known[y] for y in succ[bad[i]])
         return known[q]
 
     def left_word(self, i):
@@ -693,7 +729,7 @@ def _pattern_payload(code, space, pat, direction):
         return cycv[(i - len(chain)) % len(cycv)]
 
     au = cylinder_image(code, u)
-    y = space.image
+    y = image_presentation(code)
     probes = []
     for t in (u.center + 1, u.center + 3):
         window = tuple(rho_at(anchor + d) for d in range(-t, t + 1))
@@ -718,12 +754,46 @@ def _pattern_payload(code, space, pat, direction):
     }
 
 
+def _open_offset(space, profile):
+    """Least m such that no id of profile maps a state of F_m to a mask
+    whose bad run is m or longer, or None: then c + m is the least
+    uniform window half-length, at least the zone's center c, of the
+    zone's cylinder image f([u]).
+
+    Windows of m free symbols, an image word across the zone and m free
+    symbols scan, from the left-context pairs, to exactly the m-step
+    free continuations of id images of states of F_m. A scan holds the
+    full restart's image, whose S holds every other pair's, so (the
+    arrow graph being essential) it holds a live-S pair exactly when the
+    window is read in f([u]), and a doomed pair exactly when some left
+    context and right continuation leave f([u]): when the window's
+    cylinder does. A pair whose free step is live-S or doomed is so
+    itself, so every mask before a bad one is bad, and some m-step
+    continuation of z ends bad exactly when z's bad run is m or longer.
+    F_m and the runs are the same for every zone word, so m depends on
+    the profile alone. Longer windows span smaller cylinders, so the
+    test is monotone in m; the layers repeat from space.cycle_start on,
+    so an infinite run from a cycle layer fails it at infinitely many m,
+    hence at all, and otherwise it passes past the cycle layers' runs.
+    """
+    for m in count():
+        j, layer = space.layer(m)
+        run = max((space.bad_run(q) for x in layer for i in profile
+                   if (q := space.action(x, i))), default=-1)
+        if run < m:
+            return m
+        if j < m and run == inf:
+            return None
+
+
 def check_open(code, l_max=4, k_max=12, budget=None):
     """Is the code an open map onto its image? Refuted via a verified
     limit-escape pattern; proved when every cylinder image up to the
-    saturation level is open with a uniform witness length at most
-    k_max; inconclusive otherwise. A profile met again takes the bound
-    of its first word."""
+    saturation level is open, each profile's offset (see _open_offset)
+    at most k_max; inconclusive otherwise, also on an infinite offset,
+    which shows a cylinder image is not open but carries no witness. A
+    zone word of half-width c reports the half-length k = c + offset.
+    """
     def start(space):
         pat = _limit_escape_pattern(space)
         if pat is not None:
@@ -733,25 +803,16 @@ def check_open(code, l_max=4, k_max=12, budget=None):
         pat = _limit_escape_pattern(rspace)
         if pat is not None:
             return refuted(_pattern_payload(rcode, rspace, pat, "left"))
-        y = space.image
-        bounds = {}
 
         def visit(level, prof, word):
-            if prof not in bounds:
-                # the least k <= k_max at which every central
-                # (2k+1)-window of the cylinder image spans a cylinder
-                # inside it; such a k exists for some bound exactly when
-                # the image set is open
-                au = cylinder_image(code, CenteredWord.central(word))
-                bounds[prof] = uniform_window_bound(au, y, k_max,
-                                                    space.budget)
-            if bounds[prof] is None:
+            m = _open_offset(space, prof[0])
+            if m is None or m > k_max:
                 return inconclusive({
                     "reason": "no uniform witness length within bound",
                     "zone": list(word),
                     "k_max": k_max,
                 })
-            return {"k": bounds[prof]}
+            return {"k": level + m}
         return visit
 
     return _level_sweep(code, budget, l_max, start)

@@ -224,68 +224,10 @@ def contains_cylinder(a, y, w, budget=None):
     return cylinder_escape(a, y, w, budget) is None
 
 
-def uniform_window_bound(a, y, k_max, budget):
-    """Least k <= k_max such that every central (2k+1)-window of the
-    denotation of a spans a cylinder of y inside the denotation, or None.
-
-    The answer of cylinder_escape on every window of window_language,
-    from one subset-product scan per k. A state (U, S, T) holds the
-    y-states that can read the word so far, the threads of
-    cylinder_escape after an arbitrary left context, and the window
-    threads of window_language, started at every vertex at coordinate -k.
-    Phase one is the left-context closure of (U, S). Phase two reads the
-    2k+1 window symbols, dropping a state whose U or T empties; the layer
-    of the k symbols left of the origin grows by one symbol per k, so
-    phase one and those layers are built once for every k. Phase three
-    hunts, from the final (U, S) pairs, a right context that keeps U live
-    and leaves no marked thread: some window escapes exactly when the
-    hunt succeeds. Every discovered state spends one budget unit.
-    """
-    if a.is_empty:
-        return 0  # no windows at all
-    yg = y.presentation
-    plain, origin, unmarked, marked = _thread_tables(a, yg.symbols)
-    free = pair_moves([(s, table, plain[s]) for s, table in yg.fwd.items()])
-    left, _ = bfs_tree([(yg.full_mask, unmarked)], free, budget)
-    spend = budget.spend
-
-    def advance(layer, tables, keep):
-        moves = [(u_table, tables[sym]) for sym, u_table in yg.fwd.items()]
-        nxt = {}
-        for u, s, t in layer:
-            for u_table, table in moves:
-                u2 = apply_mask(u_table, u)
-                if not u2:
-                    continue
-                t2 = apply_mask(table, t) & keep
-                if t2:
-                    q = (u2, apply_mask(table, s), t2)
-                    if q not in nxt:
-                        spend()
-                        nxt[q] = None
-        return nxt
-
-    # the k symbols left of the origin, extended by one symbol per k
-    before = [(u, s, unmarked) for u, s in left]
-    for k in range(k_max + 1):
-        if k:
-            before = advance(before, plain, -1)
-        # from the origin on only marked threads can still witness
-        layer = advance(before, origin, marked)
-        for _ in range(k):
-            layer = advance(layer, plain, marked)
-        seeds = {(u, s): None for u, s, _ in layer}
-        _, bad = bfs_tree(seeds, free, budget, lambda p: not p[1] & marked)
-        if bad is None:
-            return k
-    return None
-
-
 def window_language(a, k):
     """All central (2k+1)-windows of points in the denotation, in
     lexicographic order. The list grows exponentially in k: this is a
-    reference and exploration helper; uniform_window_bound decides the
-    windows' containment without listing them."""
+    reference and exploration helper."""
     if a.is_empty:
         return []
     g = a.graph

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from shiftlab import fixtures
-from shiftlab.automata import apply_mask
+from shiftlab.automata import (Budget, apply_mask, bfs_tree, pair_moves,
+                               tree_path)
 from shiftlab.errors import (
     AlphabetMismatch,
     NotRightResolving,
@@ -234,6 +235,48 @@ def test_sublanguage_counterexample_is_a_shortest_word():
             words_of_length(g2, len(w)))
         assert w == min(missing)
     assert 30 < found < 150
+
+
+def _dequeue_goal_counterexample(g1, g2, budget):
+    """The counterexample search with its goal tested at dequeue only, so
+    every pair queued before the first B-empty pair is still expanded.
+    Returns the word, or None, and the pairs discovered up to and
+    including the goal pair (all of them when there is none), each a
+    budget state."""
+    t1, t2 = trim(g1), trim(g2)
+    if t1.n == 0:
+        return None, 0
+    dead = (0,) * t2.n
+    expand = pair_moves([(s, t1.fwd[s], t2.fwd.get(s, dead))
+                         for s in t1.symbols])
+    parent, goal = bfs_tree([(t1.full_mask, t2.full_mask)], expand, budget,
+                            lambda pair: not pair[1])
+    if goal is None:
+        return None, budget.used
+    # the seed is the first pair and spends nothing
+    return tuple(tree_path(parent, goal)[1]), list(parent).index(goal)
+
+
+def test_sublanguage_counterexample_stops_at_the_first_goal():
+    """Same word as the search that expands until the goal is dequeued,
+    spending only the pairs discovered up to the goal pair: less wherever
+    pairs were queued after it."""
+    rng = random.Random(5)
+    found = saved = 0
+    for i in range(400):
+        g1 = gen_labeled_graph(rng, 6, 3)
+        if i % 2:
+            g2 = gen_labeled_graph(rng, 6, 3)
+        else:
+            drop = rng.choice(g1.edges)
+            g2 = LabeledGraph.make(g1.alphabet, g1.vertices,
+                                   [tuple(e) for e in g1.edges if e != drop])
+        got, want = Budget(10**9), Budget(10**9)
+        word = sublanguage_counterexample(g1, g2, got)
+        assert (word, got.used) == _dequeue_goal_counterexample(g1, g2, want)
+        found += word is not None
+        saved += got.used < want.used
+    assert found > 100 and saved > 50
 
 
 def test_disjoint_union_presents_both_pieces():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,10 +8,11 @@ from shiftlab import fixtures, openness
 from shiftlab.automata import (Budget, apply_mask, bfs_closure, bfs_tree,
                                cycle_nodes, pair_moves, shortest_cycle)
 from shiftlab.codes import (SlidingBlockCode, arrow_graph, cover_code,
-                            image_presentation, reversed_code)
+                            image_presentation, is_bi_closing,
+                            is_finite_to_one, reversed_code)
 from shiftlab.decision import inconclusive, proved, refuted
 from shiftlab.errors import InvariantViolation
-from shiftlab.graph import LabeledGraph, words_of_length
+from shiftlab.graph import LabeledGraph, is_irreducible, words_of_length
 from shiftlab.io import graph_from_json
 from shiftlab.openness import (
     RetractDecision,
@@ -23,14 +25,14 @@ from shiftlab.openness import (
 )
 from shiftlab.pointed import (
     CenteredWord,
+    _thread_tables,
     contains_cylinder,
     contains_periodic_point,
     cylinder_image,
-    uniform_window_bound,
     window_language,
 )
 from shiftlab.properties import gen_labeled_graph
-from shiftlab.shifts import SoficShift
+from shiftlab.shifts import SoficShift, is_sft
 
 
 def test_fig1_semi_open_refuted_on_the_isolated_loop():
@@ -59,7 +61,8 @@ def test_fig1_refutation_reverifies_through_interior():
     dec = interior_nonempty(space, zone)
     assert dec.is_refuted
     esc = dec.payload["escape"]
-    assert not contains_cylinder(cylinder_image(code, zone), space.image,
+    assert not contains_cylinder(cylinder_image(code, zone),
+                                 image_presentation(code),
                                  CenteredWord(tuple(esc["word"]),
                                               esc["center"]))
 
@@ -130,6 +133,45 @@ def test_open_proved_implies_semi_open_proved():
         semi_dec, _ = check_semi_open(code)
         if open_dec.is_proved:
             assert semi_dec.is_proved
+
+
+def test_open_agrees_with_bi_closing_on_sft_images():
+    """An oracle that runs none of check_open's machinery: a finite-to-one
+    factor code from an irreducible shift of finite type onto a shift of
+    finite type is open exactly when it is constant-to-one, exactly when
+    it is bi-closing (Lind and Marcus, An Introduction to Symbolic
+    Dynamics and Coding, ch. 8; Jung, "Open maps between shift spaces",
+    Ergodic Theory Dynam. Systems 29 (2009)). Where the domain graph is
+    irreducible and is_sft of the domain, is_sft of the image and
+    is_finite_to_one are all Proved, check_open and is_bi_closing never
+    decide opposite verdicts. The image hypothesis is needed: the even
+    cover's image is strictly sofic, and it is bi-closing but not open."""
+    rng = random.Random(1)
+    pairs = Counter()
+    for i in range(400):
+        g = gen_labeled_graph(rng, 6, 3, accept=is_irreducible)
+        if i % 2 == 0:
+            code = cover_code(g)
+        else:
+            images = [str(j) for j in range(rng.randint(1, 3))]
+            code = SlidingBlockCode.make(
+                SoficShift.from_graph(g), 0, 0,
+                {(s,): rng.choice(images)
+                 for s in sorted({e.label for e in g.edges})})
+        if not (is_sft(code.domain).is_proved
+                and is_sft(image_presentation(code)).is_proved
+                and is_finite_to_one(code).is_proved):
+            continue
+        opened, _ = check_open(code)
+        closing = is_bi_closing(code)
+        pair = (opened.verdict, closing.verdict)
+        assert pair not in {("Proved", "Refuted"), ("Refuted", "Proved")}, i
+        pairs[pair] += 1
+    assert pairs["Proved", "Proved"] > 200
+    assert pairs["Refuted", "Refuted"] >= 1
+    even = fixtures.even_cover()
+    assert not is_sft(image_presentation(even)).is_proved
+    assert check_open(even)[0].is_refuted and is_bi_closing(even).is_proved
 
 
 def test_retract_decisions_even_cover():
@@ -409,19 +451,19 @@ def test_open_profile_sweep_matches_per_word_sweep():
             continue  # refuted by a limit-escape pattern before any sweep
         outcomes.add((dec.verdict, dec.payload.get("reason")))
         space = SweepSpace(code)
-        bounds = {}
+        y = image_presentation(code)
 
         def verdict(level, word, prof):
-            # whether a uniform window half-length within k_max exists is
-            # shared by profile-equal words, but the least one is not: as
-            # check_open does, the entry takes the profile's first bound
-            k_word = _uniform_bound(code, space, word, 4)
-            k_u = bounds.setdefault(prof, k_word)
-            if k_u is None:
+            # each word's own least bound b, sought up to k_max beyond
+            # the zone's half-width; the offset max(b - c, 0) is shared
+            # by profile-equal words
+            b = _uniform_bound(code, y, word, level + 4)
+            if b is None:
                 return inconclusive({
                     "reason": "no uniform witness length within bound",
-                    "zone": list(word), "k_max": 4}), k_word is None
-            return {"k": k_u}, k_word is None
+                    "zone": list(word), "k_max": 4}), None
+            offset = max(b - level, 0)
+            return {"k": level + offset}, offset
 
         _assert_sweeps_agree(dec, table, _per_word_sweep(space, 2, verdict))
     assert outcomes == {
@@ -836,8 +878,8 @@ def test_interior_states_are_scan_masks():
 
 def _memo_entries(space):
     # the first layer is the seed, not a memo entry
-    return (sum(map(len, space.layers)) - 1 + len(space._distances)
-            + sum(len(seen) for seen, _ in space._reached.values()))
+    return (sum(map(len, space.layers)) - 1 + len(space._actions)
+            + len(space._distances))
 
 
 def test_interior_decisions_spend_once_per_memo_entry(monkeypatch):
@@ -955,10 +997,72 @@ def test_pair_universe_and_doom_tree_match_brute_force():
     assert walked > 100
 
 
-def _uniform_bound(code, space, word, k_max):
-    """check_open's uniform bound of one zone word."""
+# -- check_open's uniform bound against the window scan ----------------------
+
+
+def uniform_window_bound(a, y, k_max, budget):
+    """The reference uniform bound: the least k <= k_max such that every
+    central (2k+1)-window of the denotation of a spans a cylinder of y
+    inside the denotation, or None.
+
+    The answer of cylinder_escape on every window of window_language,
+    from one subset-product scan per k. A state (U, S, T) holds the
+    y-states that can read the word so far, the threads of
+    cylinder_escape after an arbitrary left context, and the window
+    threads of window_language, started at every vertex at coordinate -k.
+    Phase one is the left-context closure of (U, S). Phase two reads the
+    2k+1 window symbols, dropping a state whose U or T empties; the layer
+    of the k symbols left of the origin grows by one symbol per k, so
+    phase one and those layers are built once for every k. Phase three
+    hunts, from the final (U, S) pairs, a right context that keeps U live
+    and leaves no marked thread: some window escapes exactly when the
+    hunt succeeds. Every discovered state spends one budget unit.
+    """
+    if a.is_empty:
+        return 0  # no windows at all
+    yg = y.presentation
+    plain, origin, unmarked, marked = _thread_tables(a, yg.symbols)
+    free = pair_moves([(s, table, plain[s]) for s, table in yg.fwd.items()])
+    left, _ = bfs_tree([(yg.full_mask, unmarked)], free, budget)
+    spend = budget.spend
+
+    def advance(layer, tables, keep):
+        moves = [(u_table, tables[sym]) for sym, u_table in yg.fwd.items()]
+        nxt = {}
+        for u, s, t in layer:
+            for u_table, table in moves:
+                u2 = apply_mask(u_table, u)
+                if not u2:
+                    continue
+                t2 = apply_mask(table, t) & keep
+                if t2:
+                    q = (u2, apply_mask(table, s), t2)
+                    if q not in nxt:
+                        spend()
+                        nxt[q] = None
+        return nxt
+
+    # the k symbols left of the origin, extended by one symbol per k
+    before = [(u, s, unmarked) for u, s in left]
+    for k in range(k_max + 1):
+        if k:
+            before = advance(before, plain, -1)
+        # from the origin on only marked threads can still witness
+        layer = advance(before, origin, marked)
+        for _ in range(k):
+            layer = advance(layer, plain, marked)
+        seeds = {(u, s): None for u, s, _ in layer}
+        _, bad = bfs_tree(seeds, free, budget, lambda p: not p[1] & marked)
+        if bad is None:
+            return k
+    return None
+
+
+def _uniform_bound(code, y, word, k_max):
+    """The uniform bound of one zone word, by the window scan; y is the
+    code's image."""
     au = cylinder_image(code, CenteredWord.central(word))
-    return uniform_window_bound(au, space.image, k_max, space.budget)
+    return uniform_window_bound(au, y, k_max, Budget(10**9))
 
 
 def _per_window_bound(code, y, word, k_max):
@@ -975,14 +1079,43 @@ def _per_window_bound(code, y, word, k_max):
 def test_uniform_bound_matches_per_window_reference():
     bounds = set()
     for code in _small_codes(60):
-        space = SweepSpace(code, Budget(10**8))
+        space = SweepSpace(code)
+        y = image_presentation(code)
         for level in range(3):
             for word in _zone_words(space, 2 * level + 1):
-                got = _uniform_bound(code, space, word, 4)
-                assert got == _per_window_bound(code, space.image, word, 4), \
-                    word
+                got = _uniform_bound(code, y, word, 4)
+                assert got == _per_window_bound(code, y, word, 4), word
                 bounds.add(got)
     assert {None, 0, 1, 2, 3} <= bounds
+
+
+def test_open_offset_matches_uniform_window_bound():
+    """On every zone word of levels 0-3, the offset decided on the sweep's
+    memos is max(b - c, 0) for the window scan's least bound b <= 8; where
+    the scan finds none, the offset is infinite or puts c + offset past
+    8. The scan runs up to c + offset only, which checks the same.
+    Deciding a profile again spends no budget."""
+    seen = set()
+    for code in _small_codes(60):
+        space = SweepSpace(code, Budget(10**9))
+        y = image_presentation(code)
+        for level in range(4):
+            for word in _zone_words(space, 2 * level + 1):
+                profile = space.profile(word)
+                offset = openness._open_offset(space, profile)
+                used = space.budget.used
+                assert openness._open_offset(space, profile) == offset
+                assert space.budget.used == used
+                within = offset is not None and level + offset <= 8
+                b = _uniform_bound(code, y, word,
+                                   level + offset if within else 8)
+                if within:
+                    assert b is not None and max(b - level, 0) == offset, \
+                        word
+                else:
+                    assert b is None, word
+                seen.add(offset if offset is None else min(offset, 1))
+    assert seen == {None, 0, 1}
 
 
 # a two-vertex cover code whose window lists grow fast with the radius:
@@ -1006,9 +1139,9 @@ def test_stalling_cover_is_decided_within_the_budget():
     assert dec.to_json()["payload"] == {
         "reason": "no uniform witness length within bound",
         "zone": ["e0"], "k_max": 12}
-    # the sweep spends about 250 states before the window scan, the scan
-    # about 650 more
-    dec, _ = check_open(code, budget=Budget(500))
+    # the sweep spends about 250 states before its first offset decision,
+    # and that decision about 30 more
+    dec, _ = check_open(code, budget=Budget(270))
     assert dec.is_inconclusive
     assert dec.payload["reason"] == "budget"
 
