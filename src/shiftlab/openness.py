@@ -57,9 +57,9 @@ class SweepSpace:
     free scan can reach a live-U dead-S pair; live is the mask of the
     pairs with live S. The space also holds one sweep's memos, each
     spending its budget: the transfer monoid, and the layers, id
-    actions, distances and bad runs of the interior and openness
-    decisions, whose states are scan masks over the universe (see
-    interior_nonempty and _open_offset)."""
+    actions, distances, bad runs and per-(layer, id) bad-run maxima of
+    the interior and openness decisions, whose states are scan masks
+    over the universe (see interior_nonempty and _open_offset)."""
 
     def __init__(self, code, budget=None):
         self.code = code
@@ -133,7 +133,7 @@ class SweepSpace:
         self.layers = [frozenset([self.left])]
         self.cycle_start = None
         self._actions, self._reached = {}, {}
-        self._distances, self._runs = {}, {}
+        self._distances, self._runs, self._id_runs = {}, {}, {}
 
     def intern(self, pair):
         i = self.ids.get(pair)
@@ -274,6 +274,18 @@ class SweepSpace:
                 known[bad[i]] = inf if comp[i] in cyclic else \
                     1 + max(known[y] for y in succ[bad[i]])
         return known[q]
+
+    def id_run(self, j, i):
+        """Longest bad run of a mask that id i maps a state of layers[j]
+        to, or -1 where it maps none to a bad mask; it does not depend on
+        the profile holding i. Memoized per (j, i), so a pair met again
+        spends nothing."""
+        run = self._id_runs.get((j, i))
+        if run is None:
+            run = self._id_runs[j, i] = max(
+                (self.bad_run(q) for x in self.layers[j]
+                 if (q := self.action(x, i))), default=-1)
+        return run
 
     def left_word(self, i):
         return tuple(tree_path(self._left_parent, self.pairs[i])[1])
@@ -500,30 +512,31 @@ class LiftingTable:
         }
 
 
-def _level_sweep(code, budget, l_max, start):
+def _level_sweep(code, budget, l_max, start, fallback=None):
     """Visit the profiles of levels 0..l_max in order of least zone word.
 
-    start(space) gets the code's SweepSpace and returns visit, or a
-    Decision that ends the check before any level. visit(level, prof,
-    word) gets the profile and its least word at this level, whether the
-    profile is new or met at an earlier level; it returns the profile's
-    witness entry, which carries its half-length "k", or a Decision that
-    ends the sweep. A level that brings no new profile proves
-    saturation. A budget running out anywhere, in the space, in start or
-    in a visit, ends the sweep Inconclusive. Returns (decision, table).
+    start(space) gets the code's SweepSpace and returns visit. visit(level,
+    prof, word) gets the profile and its least word at this level, whether
+    the profile is new or met at an earlier level; it returns the
+    profile's witness entry, which carries its half-length "k", or a
+    Decision that ends the sweep. A level that brings no new profile
+    proves saturation. When the sweep ends without Proved, and fallback
+    is given, fallback(space) may still return a Decision that replaces
+    the sweep's, with the table of the levels visited; it returns None
+    to keep the sweep's decision. A budget running out anywhere, in the
+    space, in a visit or in the fallback, ends the check Inconclusive.
+    Returns (decision, table).
     """
     entries = []
     witnesses = {}
-    seen = set()
-    saturation_level = None
 
     def stop(dec):
         return dec, LiftingTable(tuple(entries), witnesses, None, None)
-    try:
-        space = SweepSpace(code, budget)
+
+    def sweep(space):
         visit = start(space)
-        if isinstance(visit, Decision):
-            return stop(visit)
+        seen = set()
+        saturation_level = None
         for level, profiles in zip(range(l_max + 1), _profile_levels(space)):
             k_level = 0
             grew = False
@@ -539,20 +552,29 @@ def _level_sweep(code, budget, l_max, start):
             if level > 0 and not grew:
                 saturation_level = level
                 break
+        uniform = max((k - l for l, k in entries), default=0)
+        table = LiftingTable(tuple(entries), witnesses, uniform,
+                             saturation_level)
+        if saturation_level is None:
+            return inconclusive({
+                "reason": "level profiles did not saturate",
+                "levels_checked": l_max + 1,
+            }), table
+        return proved({
+            "levels": len(entries),
+            "saturation_level": saturation_level,
+            "uniform_offset": uniform,
+        }), table
+    try:
+        space = SweepSpace(code, budget)
+        dec, table = sweep(space)
+        if fallback is not None and not dec.is_proved:
+            found = fallback(space)
+            if found is not None:
+                return stop(found)
     except BudgetExceeded as exc:
         return stop(out_of_budget(exc))
-    uniform = max((k - l for l, k in entries), default=0)
-    table = LiftingTable(tuple(entries), witnesses, uniform, saturation_level)
-    if saturation_level is None:
-        return inconclusive({
-            "reason": "level profiles did not saturate",
-            "levels_checked": l_max + 1,
-        }), table
-    return proved({
-        "levels": len(entries),
-        "saturation_level": saturation_level,
-        "uniform_offset": uniform,
-    }), table
+    return dec, table
 
 
 def check_semi_open(code, l_max=4, *, budget=None):
@@ -666,8 +688,8 @@ def _skeleton_pattern(space, c1, deep, b1, anchor, b2, c2, h):
 
 
 # the zone half-widths tried per skeleton. A miss decides nothing (the
-# caller goes on to the level sweep), and each further width costs one
-# more scan of every skeleton, so the catalogue stays small
+# caller keeps the level sweep's decision), and each further width costs
+# one more scan of every skeleton, so the catalogue stays small
 _ESCAPE_H_MAX = 2
 
 
@@ -771,15 +793,16 @@ def _open_offset(space, profile):
     itself, so every mask before a bad one is bad, and some m-step
     continuation of z ends bad exactly when z's bad run is m or longer.
     F_m and the runs are the same for every zone word, so m depends on
-    the profile alone. Longer windows span smaller cylinders, so the
-    test is monotone in m; the layers repeat from space.cycle_start on,
-    so an infinite run from a cycle layer fails it at infinitely many m,
-    hence at all, and otherwise it passes past the cycle layers' runs.
+    the profile alone, and the longest run is a max over the profile's
+    ids of each id's run from F_m (SweepSpace.id_run). Longer windows
+    span smaller cylinders, so the test is monotone in m; the layers
+    repeat from space.cycle_start on, so an infinite run from a cycle
+    layer fails it at infinitely many m, hence at all, and otherwise it
+    passes past the cycle layers' runs.
     """
     for m in count():
-        j, layer = space.layer(m)
-        run = max((space.bad_run(q) for x in layer for i in profile
-                   if (q := space.action(x, i))), default=-1)
+        j, _ = space.layer(m)
+        run = max((space.id_run(j, i) for i in profile), default=-1)
         if run < m:
             return m
         if j < m and run == inf:
@@ -787,23 +810,17 @@ def _open_offset(space, profile):
 
 
 def check_open(code, l_max=4, k_max=12, budget=None):
-    """Is the code an open map onto its image? Refuted via a verified
-    limit-escape pattern; proved when every cylinder image up to the
-    saturation level is open, each profile's offset (see _open_offset)
-    at most k_max; inconclusive otherwise, also on an infinite offset,
-    which shows a cylinder image is not open but carries no witness. A
-    zone word of half-width c reports the half-length k = c + offset.
+    """Is the code an open map onto its image? Proved when every cylinder
+    image up to the saturation level is open, each profile's offset (see
+    _open_offset) at most k_max; a zone word of half-width c reports the
+    half-length k = c + offset. Refuted via a verified limit-escape
+    pattern, searched for on the code and then on its reversed code only
+    when the sweep does not prove: a Proved check spends nothing on the
+    search, and a Refuted one carries the table of the levels the sweep
+    visited. Inconclusive otherwise, also on an infinite offset, which
+    shows a cylinder image is not open but carries no witness.
     """
     def start(space):
-        pat = _limit_escape_pattern(space)
-        if pat is not None:
-            return refuted(_pattern_payload(code, space, pat, "right"))
-        rcode = reversed_code(code)
-        rspace = SweepSpace(rcode, space.budget)
-        pat = _limit_escape_pattern(rspace)
-        if pat is not None:
-            return refuted(_pattern_payload(rcode, rspace, pat, "left"))
-
         def visit(level, prof, word):
             m = _open_offset(space, prof[0])
             if m is None or m > k_max:
@@ -815,7 +832,18 @@ def check_open(code, l_max=4, k_max=12, budget=None):
             return {"k": level + m}
         return visit
 
-    return _level_sweep(code, budget, l_max, start)
+    def fallback(space):
+        pat = _limit_escape_pattern(space)
+        if pat is not None:
+            return refuted(_pattern_payload(code, space, pat, "right"))
+        rcode = reversed_code(code)
+        rspace = SweepSpace(rcode, space.budget)
+        pat = _limit_escape_pattern(rspace)
+        if pat is not None:
+            return refuted(_pattern_payload(rcode, rspace, pat, "left"))
+        return None
+
+    return _level_sweep(code, budget, l_max, start, fallback)
 
 
 # -- right/left continuing with retract ---------------------------------------

@@ -128,11 +128,18 @@ def test_open_fixture_verdicts():
 
 
 def test_open_proved_implies_semi_open_proved():
-    for code in (fixtures.golden_cover(), fixtures.even_cover()):
+    """An open code maps every cylinder to an open set, which has
+    nonempty interior, so an open code is semi-open: on 200 seeded codes
+    of at most 5 vertices and the fixtures, no code is open-Proved while
+    semi-open-Refuted."""
+    pairs = Counter()
+    for code in _with_fixtures(_small_codes(200, vertices=5)):
         open_dec, _ = check_open(code, l_max=4, k_max=6)
         semi_dec, _ = check_semi_open(code)
-        if open_dec.is_proved:
-            assert semi_dec.is_proved
+        pairs[open_dec.verdict, semi_dec.verdict] += 1
+    assert pairs["Proved", "Refuted"] == 0
+    assert pairs["Proved", "Proved"] > 150
+    assert pairs["Refuted", "Refuted"] > 5
 
 
 def test_open_agrees_with_bi_closing_on_sft_images():
@@ -448,7 +455,7 @@ def test_open_profile_sweep_matches_per_word_sweep():
     for code in _small_codes(60):
         dec, table = check_open(code, l_max=2, k_max=4)
         if "direction" in dec.payload:
-            continue  # refuted by a limit-escape pattern before any sweep
+            continue  # refuted by a limit-escape pattern after the sweep
         outcomes.add((dec.verdict, dec.payload.get("reason")))
         space = SweepSpace(code)
         y = image_presentation(code)
@@ -478,8 +485,12 @@ def test_smaller_budget_only_truncates(monkeypatch):
     Inconclusive "budget" with a truncated table: its entries a prefix
     of the unbounded table's, its witnesses a subset. At that budget they
     return the unbounded decision and table. The limits step through
-    every phase that spends: the pair universes, both limit-escape
-    searches and the level sweep."""
+    every phase that spends: the pair universe and the level sweep, then,
+    for check_open codes the sweep does not prove, the limit-escape
+    search on the code, the reversed code's pair universe and its
+    search. Every code of the seed-4 corpus the sweep does not prove is
+    refuted on the right side, so the corpus adds a code refuted only on
+    the left side, which reaches the reversed code's phases."""
     running = []
     exits = set()
 
@@ -492,7 +503,9 @@ def test_smaller_budget_only_truncates(monkeypatch):
             running.pop()
             return out
         return run
-    for code in _with_fixtures(_small_codes(8, seed=4, vertices=3)):
+    left_refuted = _small_codes(8, seed=3, vertices=3)[7]
+    for code in _with_fixtures(_small_codes(8, seed=4, vertices=3)
+                               + [left_refuted]):
         for check in (check_semi_open, check_open):
             budget = Budget(10**9)
             dec, table = check(code, budget=budget)
@@ -1116,6 +1129,102 @@ def test_open_offset_matches_uniform_window_bound():
                     assert b is None, word
                 seen.add(offset if offset is None else min(offset, 1))
     assert seen == {None, 0, 1}
+
+
+# -- check_open's phase order against the pattern-first reference ------------
+
+
+def _unmemoized_open_offset(space, profile):
+    """_open_offset with the max over F_m taken over every (state, id)
+    pair at every m, not over each id's memoized run."""
+    for m in itertools.count():
+        j, layer = space.layer(m)
+        run = max((space.bad_run(q) for x in layer for i in profile
+                   if (q := space.action(x, i))), default=-1)
+        if run < m:
+            return m
+        if j < m and run == float("inf"):
+            return None
+
+
+def _pattern_first_check_open(code, l_max=4, k_max=12):
+    """check_open's decision with the limit-escape searches run before
+    the sweep, on the code and then on its reversed code, and the
+    unmemoized offsets, at an ample budget."""
+    budget = Budget(10**9)
+    space = SweepSpace(code, budget)
+    pat = openness._limit_escape_pattern(space)
+    if pat is not None:
+        return refuted(openness._pattern_payload(code, space, pat, "right"))
+    rcode = reversed_code(code)
+    rspace = SweepSpace(rcode, budget)
+    pat = openness._limit_escape_pattern(rspace)
+    if pat is not None:
+        return refuted(openness._pattern_payload(rcode, rspace, pat, "left"))
+
+    def start(sweep_space):
+        def visit(level, prof, word):
+            m = _unmemoized_open_offset(sweep_space, prof[0])
+            if m is None or m > k_max:
+                return inconclusive({
+                    "reason": "no uniform witness length within bound",
+                    "zone": list(word), "k_max": k_max})
+            return {"k": level + m}
+        return visit
+    return openness._level_sweep(code, budget, l_max, start)[0]
+
+
+def test_sweep_first_matches_pattern_first(monkeypatch):
+    """Running the limit-escape searches only after a sweep that does not
+    prove gives the pattern-first decision on every code, and a Proved
+    check never searches."""
+    searches = []
+    search = openness._limit_escape_pattern
+
+    def spy(space):
+        searches.append(space.code)
+        return search(space)
+    monkeypatch.setattr(openness, "_limit_escape_pattern", spy)
+    outcomes = Counter()
+    for code in _with_fixtures(_small_codes(60)):
+        searches.clear()
+        dec, _ = check_open(code, budget=Budget(10**9))
+        if dec.is_proved:
+            assert not searches
+        else:
+            assert searches[0] is code
+        assert dec.to_json() == _pattern_first_check_open(code).to_json()
+        outcomes[dec.verdict, dec.payload.get("direction")] += 1
+    assert {("Proved", None), ("Refuted", "right"), ("Refuted", "left"),
+            ("Inconclusive", None)} <= set(outcomes)
+
+
+def test_open_offset_memo_matches_unmemoized_max(monkeypatch):
+    """Every level profile's offset from the per-(layer, id) runs equals
+    the unmemoized max over F_m, spending the same budget in step with
+    it; so does a whole check_open, decision and table included."""
+    offsets = set()
+    for code in _with_fixtures(_small_codes(60)):
+        memo = SweepSpace(code, Budget(10**9))
+        plain = SweepSpace(code, Budget(10**9))
+        for _, level, other in zip(range(4), openness._profile_levels(memo),
+                                   openness._profile_levels(plain)):
+            assert list(level) == list(other)
+            for prof in level:
+                offset = openness._open_offset(memo, prof[0])
+                assert _unmemoized_open_offset(plain, prof[0]) == offset
+                assert memo.budget.used == plain.budget.used
+                offsets.add(offset)
+        budget = Budget(10**9)
+        dec, table = check_open(code, budget=budget)
+        with monkeypatch.context() as m:
+            m.setattr(openness, "_open_offset", _unmemoized_open_offset)
+            reference = Budget(10**9)
+            ref_dec, ref_table = check_open(code, budget=reference)
+        assert dec.to_json() == ref_dec.to_json()
+        assert table.to_json() == ref_table.to_json()
+        assert budget.used == reference.used
+    assert {None, 0, 1} <= offsets
 
 
 # a two-vertex cover code whose window lists grow fast with the radius:
