@@ -167,10 +167,9 @@ def _recode(code, base):
     base = gr.trim(base)
     w = code.window
     if w == 1:
-        edges = [Edge(e.id, e.src, e.dst, code.table[(e.label,)])
-                 for e in base.edges]
-        g = LabeledGraph.make(code.codomain_alphabet, base.vertices, edges)
-        return Recoded(gr.trim(g), MappingProxyType(
+        g = gr.relabeled_trim(base, code.codomain_alphabet,
+                              lambda e: code.table[(e.label,)])
+        return Recoded(g, MappingProxyType(
             {e.id: e.label for e in base.edges}))
 
     # enumerate paths of length w-1 (vertices) and w (edges)

@@ -226,6 +226,16 @@ def trim(g):
     return g if t is None else t
 
 
+def relabeled_trim(g, alphabet, label):
+    """trim(g) with each edge e labeled label(e) over alphabet, vertex
+    and edge order kept. Trimming reads only vertices and edges, so the
+    relabeled graph is marked as its own trim without trimming it."""
+    t = trim(g)
+    return _trimmed(LabeledGraph.make(
+        alphabet, t.vertices,
+        (Edge(e.id, e.src, e.dst, label(e)) for e in t.edges)))
+
+
 def is_right_resolving(g):
     try:
         check_right_resolving(g)

@@ -44,6 +44,28 @@ def _step_tables(g, x_sym):
                  for tables in (zt, xt))
 
 
+class _Memo(dict):
+    """A dict that computes a missing value as make(key) and keeps it;
+    a hit stays a plain dict lookup."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _intern(tables, ids, pair):
+    """The id of a joint table pair, appended to tables when new."""
+    i = ids.get(pair)
+    if i is None:
+        i = ids[pair] = len(tables)
+        tables.append(pair)
+    return i
+
+
 class SweepSpace:
     """Subset-pair machinery for one code: step tables and the pair
     universe. The arrow graph steps per produced symbol by its own fwd
@@ -128,36 +150,31 @@ class SweepSpace:
         self.doomed = sum(1 << i for i in self._doom_parent)
         self.live = sum(1 << i for i, (_, v) in enumerate(self.pairs) if v)
         self.index = index
-        # the transfer monoid: joint (image, zone-thread) table pairs as ids
-        self.tables, self.ids, self.products = [], {}, {}
+        # the transfer monoid: joint (image, zone-thread) table pairs as
+        # ids, and per pair (i, j) of ids the id of joint table i then
+        # joint table j, composed once. The memo holds no reference to
+        # the space, so a space is freed as soon as its last user ends
+        self.tables, self.ids = tables, ids = [], {}
+
+        def product(pair):
+            (tu1, ts1), (tu2, ts2) = tables[pair[0]], tables[pair[1]]
+            return _intern(tables, ids, (_compose(tu1, tu2),
+                                         _compose(ts1, ts2)))
+        self.products = _Memo(product)
         self.layers = [frozenset([self.left])]
         self.cycle_start = None
         self._actions, self._reached = {}, {}
-        self._distances, self._runs, self._id_runs = {}, {}, {}
-
-    def intern(self, pair):
-        i = self.ids.get(pair)
-        if i is None:
-            i = self.ids[pair] = len(self.tables)
-            self.tables.append(pair)
-        return i
-
-    def product(self, i, j):
-        """The id of joint table i then joint table j, composed once."""
-        k = self.products.get((i, j))
-        if k is None:
-            (tu1, ts1), (tu2, ts2) = self.tables[i], self.tables[j]
-            k = self.products[i, j] = self.intern((_compose(tu1, tu2),
-                                                   _compose(ts1, ts2)))
-        return k
+        self._distances, self._runs = {}, {}
+        # per stored layer, the runs id_run has computed from it by id
+        self.id_runs = [{}]
 
     @cached_property
     def symbol_profiles(self):
         """Per zone symbol, its profile: the ids of its joint tables, one
         per image symbol, and its admissibility table."""
-        return {xi: (frozenset(self.intern((self.ut[s],
-                                            self.zt.get((s, xi), self._zero)))
-                               for s in self.symbols), self.xt[xi])
+        return {xi: (frozenset(_intern(self.tables, self.ids, (
+                    self.ut[s], self.zt.get((s, xi), self._zero)))
+                    for s in self.symbols), self.xt[xi])
                 for xi in self.xsymbols}
 
     def profile(self, word):
@@ -165,7 +182,7 @@ class SweepSpace:
         sym = self.symbol_profiles
         ids = sym[word[0]][0]
         for xi in word[1:]:
-            ids = frozenset(self.product(i, j)
+            ids = frozenset(self.products[i, j]
                             for i in ids for j in sym[xi][0])
         return ids
 
@@ -189,6 +206,7 @@ class SweepSpace:
             else:
                 self.budget.spend(len(nxt))
                 layers.append(nxt)
+                self.id_runs.append({})
         if m >= len(layers):
             r = self.cycle_start
             m = r + (m - r) % (len(layers) - r)
@@ -202,11 +220,15 @@ class SweepSpace:
         if q2 is None:
             self.budget.spend()
             tu, ts = self.tables[i]
+            pairs, index = self.pairs, self.index
             q2 = 0
-            for b in range(q.bit_length()):
-                u, s = self.pairs[b]
-                if q >> b & 1 and (u := apply_mask(tu, u)):
-                    q2 |= 1 << self.index[u, apply_mask(ts, s)]
+            rest = q
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u, s = pairs[low.bit_length() - 1]
+                if u := apply_mask(tu, u):
+                    q2 |= 1 << index[u, apply_mask(ts, s)]
             self._actions[q, i] = q2
         return q2
 
@@ -280,9 +302,10 @@ class SweepSpace:
         to, or -1 where it maps none to a bad mask; it does not depend on
         the profile holding i. Memoized per (j, i), so a pair met again
         spends nothing."""
-        run = self._id_runs.get((j, i))
+        runs = self.id_runs[j]
+        run = runs.get(i)
         if run is None:
-            run = self._id_runs[j, i] = max(
+            run = runs[i] = max(
                 (self.bad_run(q) for x in self.layers[j]
                  if (q := self.action(x, i))), default=-1)
         return run
@@ -443,38 +466,49 @@ def _profile_levels(space):
 
     The joint tables are ids of the space's monoid, so a profile is a
     frozenset of ids with its admissibility table, and the product of
-    two ids is composed once and looked up after that. The admissible
-    joins of each (x, P) are kept for the whole sweep, so a profile met
-    again at a later level costs no join. A join spends one budget state
-    per pair product, before it is built.
+    two ids is composed once and looked up after that. Per zone symbol x
+    and id j, the row x.j holds the products of x's ids with j, and per
+    zone symbol y and id i, the row i.y those of i with y's, each built
+    on first use; so x.P is the union of P's x-rows, and (x.P).y the
+    union of x.P's y-rows. Admissibility tables are composed once per
+    pair of tables. The admissible joins of each (x, P) are kept for the
+    whole sweep, so a profile met again at a later level costs no join.
+    A join spends one budget state per pair product, before it is built.
     """
-    products = space.products
-
-    def join(p1, p2, adm):
-        space.budget.spend(len(p1[0]) * len(p2[0]))
-        out = set()
-        for i in p1[0]:
-            for j in p2[0]:
-                k = products.get((i, j))
-                out.add(space.product(i, j) if k is None else k)
-        return frozenset(out), adm
-
     sym = space.symbol_profiles
+    products = space.products
+    # per zone symbol, its left rows x.j and its right rows i.y by id
+    left = {x: {} for x in space.xsymbols}
+    right = {y: {} for y in space.xsymbols}
+    # per pair of admissibility tables, their composition, or None where
+    # it is all zero: the joined word is not admissible
+    adms = _Memo(lambda pair: (t if any(t := _compose(*pair)) else None))
+    spend = space.budget.spend
 
     def joins_of(x, prof):
         """The admissible joins (y, x.P.y) of x and P, in order of y."""
-        adm = _compose(sym[x][1], prof[1])
-        if not any(adm):
+        ids, adm = prof
+        adm = adms[sym[x][1], adm]
+        if adm is None:
             return ()
-        left = join(sym[x], prof, adm)
+        xs, rows = sym[x][0], left[x]
+        spend(len(xs) * len(ids))
+        for j in ids.difference(rows):
+            rows[j] = frozenset([products[i, j] for i in xs])
+        xp = frozenset().union(*map(rows.__getitem__, ids))
         out = []
         for y in space.xsymbols:
-            adm = _compose(left[1], sym[y][1])
-            if any(adm):
-                out.append((y, join(left, sym[y], adm)))
+            adm_y = adms[adm, sym[y][1]]
+            if adm_y is not None:
+                ys, rows = sym[y][0], right[y]
+                spend(len(xp) * len(ys))
+                for i in xp.difference(rows):
+                    rows[i] = frozenset([products[i, k] for k in ys])
+                out.append((y, (frozenset().union(*map(rows.__getitem__, xp)),
+                                adm_y)))
         return out
 
-    joins = {}
+    joins = {x: {} for x in space.xsymbols}
     level = {}
     for xi in space.xsymbols:
         level.setdefault(sym[xi], (xi,))
@@ -482,10 +516,11 @@ def _profile_levels(space):
         yield level
         nxt = {}
         for x in space.xsymbols:
+            known = joins[x]
             for prof, word in level.items():
-                found = joins.get((x, prof))
+                found = known.get(prof)
                 if found is None:
-                    found = joins[x, prof] = joins_of(x, prof)
+                    found = known[prof] = joins_of(x, prof)
                 for y, joined in found:
                     nxt.setdefault(joined, (x,) + word + (y,))
         level = nxt
@@ -521,12 +556,16 @@ def _level_sweep(code, budget, l_max, start, fallback=None):
     profile's witness entry, which carries its half-length "k", or a
     Decision that ends the sweep. A level that brings no new profile
     proves saturation. When the sweep ends without Proved, and fallback
-    is given, fallback(space) may still return a Decision that replaces
-    the sweep's, with the table of the levels visited; it returns None
-    to keep the sweep's decision. A budget running out anywhere, in the
-    space, in a visit or in the fallback, ends the check Inconclusive.
+    is given, fallback(space, stopped) may still return a Decision that
+    replaces the sweep's, with the table of the levels visited; stopped
+    tells whether a visit's Decision ended the sweep, and fallback
+    returns None to keep the sweep's decision. A budget running out
+    anywhere, in the space, in a visit or in the fallback, ends the
+    check Inconclusive. A negative l_max raises InvariantViolation.
     Returns (decision, table).
     """
+    if l_max < 0:
+        raise InvariantViolation("l_max must be >= 0", l_max)
     entries = []
     witnesses = {}
 
@@ -543,7 +582,7 @@ def _level_sweep(code, budget, l_max, start, fallback=None):
             for prof, word in profiles.items():
                 entry = visit(level, prof, word)
                 if isinstance(entry, Decision):
-                    return stop(entry)
+                    return stop(entry), True
                 grew |= prof not in seen
                 seen.add(prof)
                 witnesses[",".join(word)] = entry
@@ -556,25 +595,25 @@ def _level_sweep(code, budget, l_max, start, fallback=None):
         table = LiftingTable(tuple(entries), witnesses, uniform,
                              saturation_level)
         if saturation_level is None:
-            return inconclusive({
+            return (inconclusive({
                 "reason": "level profiles did not saturate",
                 "levels_checked": l_max + 1,
-            }), table
-        return proved({
+            }), table), False
+        return (proved({
             "levels": len(entries),
             "saturation_level": saturation_level,
             "uniform_offset": uniform,
-        }), table
+        }), table), False
     try:
         space = SweepSpace(code, budget)
-        dec, table = sweep(space)
-        if fallback is not None and not dec.is_proved:
-            found = fallback(space)
+        swept, stopped = sweep(space)
+        if fallback is not None and not swept[0].is_proved:
+            found = fallback(space, stopped)
             if found is not None:
                 return stop(found)
     except BudgetExceeded as exc:
         return stop(out_of_budget(exc))
-    return dec, table
+    return swept
 
 
 def check_semi_open(code, l_max=4, *, budget=None):
@@ -802,7 +841,10 @@ def _open_offset(space, profile):
     """
     for m in count():
         j, _ = space.layer(m)
-        run = max((space.id_run(j, i) for i in profile), default=-1)
+        try:
+            run = max(map(space.id_runs[j].__getitem__, profile), default=-1)
+        except KeyError:  # an id whose run is not known yet
+            run = max((space.id_run(j, i) for i in profile), default=-1)
         if run < m:
             return m
         if j < m and run == inf:
@@ -814,12 +856,31 @@ def check_open(code, l_max=4, k_max=12, budget=None):
     image up to the saturation level is open, each profile's offset (see
     _open_offset) at most k_max; a zone word of half-width c reports the
     half-length k = c + offset. Refuted via a verified limit-escape
-    pattern, searched for on the code and then on its reversed code only
-    when the sweep does not prove: a Proved check spends nothing on the
+    pattern, searched for on the code and then on its reversed code when
+    a visit stopped the sweep (an offset that is infinite or past k_max),
+    or when l_max < _ESCAPE_H_MAX: a Proved check spends nothing on the
     search, and a Refuted one carries the table of the levels the sweep
     visited. Inconclusive otherwise, also on an infinite offset, which
-    shows a cylinder image is not open but carries no witness.
+    shows a cylinder image is not open but carries no witness. A
+    negative l_max or k_max raises InvariantViolation.
+
+    A sweep that ends unsaturated, with l_max >= _ESCAPE_H_MAX, skips the
+    search, which could find nothing. A pattern's zone u has half-width
+    h <= _ESCAPE_H_MAX, and its limit point lies in f([u]) by
+    construction; its escapes at every scale show that no cylinder
+    around that point lies in f([u]), so f([u]) is not open. A finite
+    offset m for u's profile shows that every window of half-length
+    c + m read in f([u]) spans a cylinder inside it, so f([u]) is open.
+    An unsaturated sweep visited every admissible zone word of
+    half-width h <= l_max and found a finite offset for each, so no
+    pattern exists on the code. Reversal is a homeomorphism that maps
+    the reversed code's cylinder image of a zone word to the code's
+    cylinder image of the reversed zone word, which the sweep also
+    visited, so none exists on the reversed code either.
     """
+    if k_max < 0:
+        raise InvariantViolation("k_max must be >= 0", k_max)
+
     def start(space):
         def visit(level, prof, word):
             m = _open_offset(space, prof[0])
@@ -832,7 +893,9 @@ def check_open(code, l_max=4, k_max=12, budget=None):
             return {"k": level + m}
         return visit
 
-    def fallback(space):
+    def fallback(space, stopped):
+        if not stopped and l_max >= _ESCAPE_H_MAX:
+            return None  # an unsaturated sweep: no pattern exists
         pat = _limit_escape_pattern(space)
         if pat is not None:
             return refuted(_pattern_payload(code, space, pat, "right"))

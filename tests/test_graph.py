@@ -21,6 +21,7 @@ from shiftlab.graph import (
     is_irreducible,
     is_right_resolving,
     is_sublanguage,
+    relabeled_trim,
     reverse,
     scc_components,
     shift_equal,
@@ -114,6 +115,13 @@ def test_trim_is_memoized_and_its_own_trim():
             assert t is g
         else:
             cut += 1
+        # relabeling commutes with trimming, and its result is its own trim
+        names = {"0": "x", "1": "y"}
+        r = relabeled_trim(g, ["x", "y"], lambda e: names[e.label])
+        assert r == trim(LabeledGraph.make(
+            ["x", "y"], g.vertices,
+            [(e.id, e.src, e.dst, names[e.label]) for e in g.edges]))
+        assert trim(r) is r
     assert cut > 100
 
 

@@ -166,6 +166,18 @@ def test_cli_check_open(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("mode,bound", [("semi-open", "--lmax"),
+                                        ("open", "--lmax"),
+                                        ("open", "--kmax")])
+def test_cli_check_rejects_negative_bounds(capsys, mode, bound):
+    rc = cli.main(["check", mode,
+                   "-x", str(FIXTURE_DIR / "golden_cover_shift.json"),
+                   "-c", str(FIXTURE_DIR / "golden_cover_code.json"),
+                   bound, "-2"])
+    assert rc == 3
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 def test_cli_check_right_continuing(capsys):
     rc, out = _run(capsys, "check", "right-continuing",
                    "-x", str(FIXTURE_DIR / "golden_cover_shift.json"),

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from shiftlab import fixtures, openness
+from shiftlab import graph as gr
 from shiftlab.automata import (Budget, apply_mask, bfs_closure, bfs_tree,
                                cycle_nodes, pair_moves, shortest_cycle)
 from shiftlab.codes import (SlidingBlockCode, arrow_graph, cover_code,
@@ -12,7 +13,8 @@ from shiftlab.codes import (SlidingBlockCode, arrow_graph, cover_code,
                             is_finite_to_one, reversed_code)
 from shiftlab.decision import inconclusive, proved, refuted
 from shiftlab.errors import InvariantViolation
-from shiftlab.graph import LabeledGraph, is_irreducible, words_of_length
+from shiftlab.graph import (Edge, LabeledGraph, is_irreducible,
+                            words_of_length)
 from shiftlab.io import graph_from_json
 from shiftlab.openness import (
     RetractDecision,
@@ -179,6 +181,43 @@ def test_open_agrees_with_bi_closing_on_sft_images():
     even = fixtures.even_cover()
     assert not is_sft(image_presentation(even)).is_proved
     assert check_open(even)[0].is_refuted and is_bi_closing(even).is_proved
+
+
+def test_open_agrees_with_bi_continuing():
+    """An oracle between two engines that share only the pair universe:
+    check_open (the offset sweep) and the retract machine. An open code
+    is right- and left-continuing with retract its uniform offset, and a
+    limit-escape pattern fails continuing on its own side at every
+    retract. On 200 seeded codes of at most 5 vertices, reducible domains
+    included, and the fixtures: a Proved check_open has both sides
+    Proved at retract uniform_offset, and a Refuted one has its
+    pattern's side Refuted at retracts 0-8."""
+    outcomes = Counter()
+    for code in _with_fixtures(_small_codes(200, vertices=5)):
+        dec, _ = check_open(code, budget=Budget(150_000))
+        if dec.is_proved:
+            n = dec.payload["uniform_offset"]
+            for side in ("right", "left"):
+                assert check_right_continuing_retract(code, n, side) \
+                    .is_proved, (code, side, n)
+        elif dec.is_refuted:
+            side = dec.payload["direction"]
+            for n in range(9):
+                assert check_right_continuing_retract(code, n, side) \
+                    .is_refuted, (code, side, n)
+        outcomes[dec.verdict, dec.payload.get("direction")] += 1
+    assert outcomes["Proved", None] > 150
+    assert outcomes["Refuted", "right"] > 5
+    assert outcomes["Refuted", "left"] > 0
+
+
+def test_sweeps_reject_negative_bounds():
+    code = fixtures.golden_cover()
+    for check in (check_semi_open, check_open):
+        with pytest.raises(InvariantViolation):
+            check(code, -1)
+    with pytest.raises(InvariantViolation):
+        check_open(code, k_max=-1)
 
 
 def test_retract_decisions_even_cover():
@@ -1131,6 +1170,30 @@ def test_open_offset_matches_uniform_window_bound():
     assert seen == {None, 0, 1}
 
 
+def test_one_block_arrow_graph_is_a_trimmed_relabeling():
+    """At window 1 the arrow graph is the trimmed domain presentation
+    with each edge labeled by the code's table, and it is its own trim,
+    no trim run on it again: equal, vertex and edge order included, to
+    a freshly built relabeling trimmed from scratch."""
+    checked = 0
+    for code in _with_fixtures(_small_codes(60)):
+        if code.window != 1:
+            continue
+        pres = code.domain.presentation
+        fresh = gr.trim(LabeledGraph.make(
+            code.codomain_alphabet, pres.vertices,
+            [Edge(e.id, e.src, e.dst, code.table[(e.label,)])
+             for e in pres.edges]))
+        a = arrow_graph(code)
+        # graphs compare their vertex and edge tuples, order included
+        assert a.graph == fresh
+        assert gr.trim(a.graph) is a.graph
+        assert dict(a.x_sym) == {e.id: pres.by_id[e.id].label
+                                 for e in fresh.edges}
+        checked += 1
+    assert checked > 60
+
+
 # -- check_open's phase order against the pattern-first reference ------------
 
 
@@ -1147,6 +1210,22 @@ def _unmemoized_open_offset(space, profile):
             return None
 
 
+def _sweep_alone(code, l_max=4, k_max=12, budget=None):
+    """The decision of check_open's level sweep with the unmemoized
+    offsets and no limit-escape search, at an ample budget."""
+    def start(space):
+        def visit(level, prof, word):
+            m = _unmemoized_open_offset(space, prof[0])
+            if m is None or m > k_max:
+                return inconclusive({
+                    "reason": "no uniform witness length within bound",
+                    "zone": list(word), "k_max": k_max})
+            return {"k": level + m}
+        return visit
+    budget = budget if budget is not None else Budget(10**9)
+    return openness._level_sweep(code, budget, l_max, start)[0]
+
+
 def _pattern_first_check_open(code, l_max=4, k_max=12):
     """check_open's decision with the limit-escape searches run before
     the sweep, on the code and then on its reversed code, and the
@@ -1161,23 +1240,16 @@ def _pattern_first_check_open(code, l_max=4, k_max=12):
     pat = openness._limit_escape_pattern(rspace)
     if pat is not None:
         return refuted(openness._pattern_payload(rcode, rspace, pat, "left"))
-
-    def start(sweep_space):
-        def visit(level, prof, word):
-            m = _unmemoized_open_offset(sweep_space, prof[0])
-            if m is None or m > k_max:
-                return inconclusive({
-                    "reason": "no uniform witness length within bound",
-                    "zone": list(word), "k_max": k_max})
-            return {"k": level + m}
-        return visit
-    return openness._level_sweep(code, budget, l_max, start)[0]
+    return _sweep_alone(code, l_max, k_max, budget)
 
 
 def test_sweep_first_matches_pattern_first(monkeypatch):
-    """Running the limit-escape searches only after a sweep that does not
-    prove gives the pattern-first decision on every code, and a Proved
-    check never searches."""
+    """Searching for limit-escape patterns only after a sweep that does
+    not prove, and only when a visit stopped it or l_max is below the
+    patterns' zone half-widths, gives the pattern-first decision on every
+    code at l_max 1, 2 and 4: an unsaturated sweep that found a finite
+    offset for every zone word of half-width <= 2 leaves no pattern to
+    find (see check_open)."""
     searches = []
     search = openness._limit_escape_pattern
 
@@ -1185,18 +1257,28 @@ def test_sweep_first_matches_pattern_first(monkeypatch):
         searches.append(space.code)
         return search(space)
     monkeypatch.setattr(openness, "_limit_escape_pattern", spy)
-    outcomes = Counter()
-    for code in _with_fixtures(_small_codes(60)):
-        searches.clear()
-        dec, _ = check_open(code, budget=Budget(10**9))
-        if dec.is_proved:
-            assert not searches
-        else:
-            assert searches[0] is code
-        assert dec.to_json() == _pattern_first_check_open(code).to_json()
-        outcomes[dec.verdict, dec.payload.get("direction")] += 1
-    assert {("Proved", None), ("Refuted", "right"), ("Refuted", "left"),
-            ("Inconclusive", None)} <= set(outcomes)
+    skipped = Counter()
+    for l_max in (1, 2, 4):
+        outcomes = Counter()
+        for code in _with_fixtures(_small_codes(60)):
+            alone = _sweep_alone(code, l_max)
+            stopped = alone.payload.get("reason") == \
+                "no uniform witness length within bound"
+            searches.clear()
+            dec, _ = check_open(code, l_max, budget=Budget(10**9))
+            if not alone.is_proved and (
+                    stopped or l_max < openness._ESCAPE_H_MAX):
+                assert searches[0] is code
+            else:
+                assert not searches
+                skipped[l_max] += not alone.is_proved
+            assert dec.to_json() == \
+                _pattern_first_check_open(code, l_max).to_json()
+            outcomes[dec.verdict, dec.payload.get("direction")] += 1
+        assert {("Proved", None), ("Refuted", "right"), ("Refuted", "left"),
+                ("Inconclusive", None)} <= set(outcomes)
+    # unsaturated sweeps skip the search at l_max 2 and 4 only
+    assert skipped[1] == 0 and skipped[2] > 0 and skipped[4] > 0
 
 
 def test_open_offset_memo_matches_unmemoized_max(monkeypatch):
@@ -1228,7 +1310,8 @@ def test_open_offset_memo_matches_unmemoized_max(monkeypatch):
 
 
 # a two-vertex cover code whose window lists grow fast with the radius:
-# listing the windows of every radius up to the default k_max takes minutes
+# the window scan that once decided its uniform bound listed them for
+# minutes; the offset sweep decides it in milliseconds
 STALLING_GRAPH = {
     "alphabet": ["0", "1", "2"],
     "vertices": ["v0", "v2"],
