@@ -322,7 +322,7 @@ def _has_eda(g):
     return None
 
 
-def _has_ida(g, budget=None):
+def _has_ida(g, budget):
     """A word cycling at p, cycling at q, and leading p to q (p != q)."""
     n = g.n
     vx = g.vindex
@@ -347,8 +347,6 @@ def _has_ida(g, budget=None):
                         out.add((vx[ea.dst], vx[eb.dst], vx[ec.dst]))
         return out
 
-    if budget is None:
-        budget = Budget(where="ambiguity pattern")
     for p in range(n):
         for q in range(n):
             if p == q:
@@ -379,32 +377,56 @@ def is_finite_to_one(code):
 
 
 def _finite_to_one(code):
-    """is_finite_to_one, raising BudgetExceeded when the budget runs out."""
+    """is_finite_to_one, raising BudgetExceeded when the budget runs out.
+
+    The Decision is memoized in code.memo with the states the ambiguity
+    search spent, or None when the doubled-cycle test refuted first. A
+    memo hit replays a fresh build's spends in its order: determinize of
+    the domain (itself a memo hit), the recorded states on a fresh
+    Budget(where="ambiguity pattern"), then both entropy calls of a
+    Proved verdict. So a warm call runs out where a cold one does; a
+    search that runs out stores nothing.
+    """
     d = gr.determinize(code.domain.presentation)
-    a = arrow_graph(code, d)
-    g = a.graph
+    memo = code.memo.get("finite-to-one")
+    if memo is None:
+        memo = code.memo["finite-to-one"] = _ambiguity_verdict(
+            arrow_graph(code, d).graph)
+    elif memo[1] is not None:
+        Budget(where="ambiguity pattern").spend(memo[1])
+    dec = memo[0]
+    if dec.is_proved:
+        # finite-to-one factor maps preserve entropy; disagreement means a bug
+        h_dom = sh.entropy(code.domain)
+        h_img = sh.entropy(image_presentation(code))
+        if not (h_dom == h_img or abs(h_dom - h_img) <= 1e-9):
+            raise ConsistencyFault(
+                "finite-to-one entropy audit",
+                f"domain {h_dom!r} vs image {h_img!r}",
+            )
+    return dec
+
+
+def _ambiguity_verdict(g):
+    """(Decision, states spent) of the two ambiguity patterns on an arrow
+    graph over a right-resolving presentation; the states are None when
+    the doubled-cycle test refutes before the budgeted search runs."""
     eda = _has_eda(g)
     if eda is not None:
         return refuted({"pattern": "doubled cycle",
                         "edges": [eda[0], eda[1]],
                         "note": "two distinct equally-producing cycles "
-                                "through one state"})
-    ida = _has_ida(g)
-    if ida is not None:
-        return refuted({"pattern": "cycle to cycle",
-                        "states": [ida[0], ida[1]],
-                        "note": "one produced word cycles at both states "
-                                "and also leads the first to the second"})
-    dec = proved({"states": g.n, "edges": len(g.edges)})
-    # finite-to-one factor maps preserve entropy; disagreement means a bug
-    h_dom = sh.entropy(code.domain)
-    h_img = sh.entropy(image_presentation(code))
-    if not (h_dom == h_img or abs(h_dom - h_img) <= 1e-9):
-        raise ConsistencyFault(
-            "finite-to-one entropy audit",
-            f"domain {h_dom!r} vs image {h_img!r}",
-        )
-    return dec
+                                "through one state"}), None
+    budget = Budget(where="ambiguity pattern")
+    ida = _has_ida(g, budget)
+    if ida is None:
+        dec = proved({"states": g.n, "edges": len(g.edges)})
+    else:
+        dec = refuted({"pattern": "cycle to cycle",
+                       "states": [ida[0], ida[1]],
+                       "note": "one produced word cycles at both states "
+                               "and also leads the first to the second"})
+    return dec, budget.used
 
 
 # -- degree ------------------------------------------------------------------

@@ -290,12 +290,30 @@ def determinize(g, budget=None):
     Starts from the full vertex set of the trimmed graph, so the subset
     automaton accepts exactly the language; the result is trimmed again
     because subset states can fail to be bi-extendable.
+
+    The result and the states its construction spent are memoized on the
+    trimmed graph. A memo hit spends the recorded count on the budget
+    (the caller's, or a fresh Budget(where="determinize")), so every call
+    spends, and runs out, as a fresh build does; a build that runs out
+    stores nothing. The empty graph is its own result and stores nothing.
     """
     t = trim(g)
     if t.n == 0:
         return t
     if budget is None:
         budget = Budget(where="determinize")
+    memo = t.__dict__.get("determinized")
+    if memo is not None:
+        d, cost = memo
+        budget.spend(cost)
+        return d
+    spent = budget.used
+    d = _subset_construction(t, budget)
+    t.__dict__["determinized"] = (d, budget.used - spent)
+    return d
+
+
+def _subset_construction(t, budget):
     fwd = t.fwd
 
     def expand(mask):
@@ -448,7 +466,15 @@ def _perron_value(mat):
 
 def spectral_radius(g):
     """Largest Perron root over the nontrivial strongly connected
-    components of the edge-count matrix; 0.0 when there are none."""
+    components of the edge-count matrix; 0.0 when there are none.
+    Computed once per graph and memoized on it."""
+    radius = g.__dict__.get("spectral_radius")
+    if radius is None:
+        radius = g.__dict__["spectral_radius"] = _spectral_radius(g)
+    return radius
+
+
+def _spectral_radius(g):
     best = 0.0
     for c in scc_components(g):
         if c.trivial:

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -29,9 +31,10 @@ from shiftlab.codes import (
 )
 from shiftlab.decision import Decision
 from shiftlab.errors import (BudgetExceeded, DomainMismatch, NotFiniteToOne,
-                             ReducibleShift)
+                             ParseError, ReducibleShift)
 from shiftlab.graph import Edge, LabeledGraph
 from shiftlab.io import graph_from_json, graph_to_json
+from shiftlab.openness import check_right_continuing_retract
 from shiftlab.properties import gen_labeled_graph, gen_right_resolving_graph
 from shiftlab.shifts import (SoficShift, fischer_cover, full_shift, is_sft,
                              shift_equal)
@@ -183,31 +186,57 @@ def test_closing_refutations_give_two_image_equal_points():
     assert refuted >= 20
 
 
+def _cold_then_warm(monkeypatch, build, fill, limit):
+    """build()'s objects twice, with SHIFTLAB_STATE_BUDGET set to limit:
+    first fresh, then with their memos filled by fill(objects) at the
+    default budget. A memo hit replays the states a fresh build spends,
+    so both passes must run out at the same place."""
+    for warm in (False, True):
+        monkeypatch.delenv("SHIFTLAB_STATE_BUDGET", raising=False)
+        objects = build()
+        if warm:
+            fill(objects)
+        monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", str(limit))
+        yield objects
+
+
+def _decide_all(pairs):
+    return [check(x) for check, x in pairs]
+
+
 def test_exhausted_default_budget_is_inconclusive(monkeypatch):
     """A one-state budget runs out in determinize, before any search of
     is_sft or is_finite_to_one; both checks return the budget
-    Inconclusive instead of raising."""
-    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "1")
-    for dec in (is_sft(fixtures.even_shift()), is_sft(fixtures.golden_shift()),
-                is_finite_to_one(fixtures.even_cover()),
-                is_finite_to_one(fixtures.phase_doubling_code())):
-        assert dec.is_inconclusive
-        assert dec.payload == {
-            "reason": "budget",
-            "detail": "state budget 1 exceeded in determinize"}
+    Inconclusive instead of raising, cold or warm."""
+    def build():
+        return [(is_sft, fixtures.even_shift()),
+                (is_sft, fixtures.golden_shift()),
+                (is_finite_to_one, fixtures.even_cover()),
+                (is_finite_to_one, fixtures.phase_doubling_code())]
+    for pairs in _cold_then_warm(monkeypatch, build, _decide_all, 1):
+        for dec in _decide_all(pairs):
+            assert dec.is_inconclusive
+            assert dec.payload == {
+                "reason": "budget",
+                "detail": "state budget 1 exceeded in determinize"}
 
 
 def test_closing_checks_are_inconclusive_on_exhausted_budget(monkeypatch):
     """A one-state budget runs out in determinize on either side; every
-    closing check returns the budget Inconclusive instead of raising."""
-    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "1")
-    even = fixtures.even_cover()
-    for check in (is_right_closing, is_left_closing, is_bi_closing):
-        dec = check(even)
-        assert dec.is_inconclusive, check.__name__
-        assert dec.payload == {
-            "reason": "budget",
-            "detail": "state budget 1 exceeded in determinize"}
+    closing check returns the budget Inconclusive instead of raising,
+    cold or warm."""
+    checks = (is_right_closing, is_left_closing, is_bi_closing)
+
+    def fill(even):
+        for check in checks:
+            assert check(even).is_proved
+    for even in _cold_then_warm(monkeypatch, fixtures.even_cover, fill, 1):
+        for check in checks:
+            dec = check(even)
+            assert dec.is_inconclusive, check.__name__
+            assert dec.payload == {
+                "reason": "budget",
+                "detail": "state budget 1 exceeded in determinize"}
 
 
 @pytest.mark.parametrize("right, left, verdict", [
@@ -229,16 +258,122 @@ def test_bi_closing_is_proved_only_when_both_sides_are(monkeypatch, right,
 def test_degree_raises_budget_exceeded_not_not_finite_to_one(monkeypatch):
     """An exhausted budget is not a refutation: degree lets BudgetExceeded
     through, whether the finite-to-one check runs out in determinize or in
-    its ambiguity search."""
-    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "1")
-    with pytest.raises(BudgetExceeded, match="in determinize"):
-        degree(fixtures.even_cover())
-    code = cover_code(gen_labeled_graph(random.Random(21), 4, 2))
-    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "2")
-    assert is_finite_to_one(code).payload["detail"] == (
-        "state budget 2 exceeded in ambiguity pattern")
-    with pytest.raises(BudgetExceeded, match="in ambiguity pattern"):
-        degree(code)
+    its ambiguity search, cold or warm."""
+    def fill(code):
+        assert "exceeded" not in str(_outcome(degree, code))
+    for even in _cold_then_warm(monkeypatch, fixtures.even_cover, fill, 1):
+        with pytest.raises(BudgetExceeded, match="in determinize"):
+            degree(even)
+
+    def build():
+        return cover_code(gen_labeled_graph(random.Random(21), 4, 2))
+    for code in _cold_then_warm(monkeypatch, build, fill, 2):
+        assert is_finite_to_one(code).payload["detail"] == (
+            "state budget 2 exceeded in ambiguity pattern")
+        with pytest.raises(BudgetExceeded, match="in ambiguity pattern"):
+            degree(code)
+
+
+def _outcome(check, *args):
+    """JSON of a check's result, or the text of the exception it raised."""
+    try:
+        out = check(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(out, Decision):
+        return out.to_json()
+    if isinstance(out, LabeledGraph):
+        return graph_to_json(out)
+    if isinstance(out, codes.DegreeResult):
+        return [out.degree, out.word, out.index, out.fiber_edges]
+    return out
+
+
+_MEMO_CHECKS = (
+    ("is_finite_to_one", is_finite_to_one),
+    ("degree", degree),
+    ("is_sft(image)", lambda code: is_sft(image_presentation(code))),
+    ("entropy", lambda code: sh.entropy(code.domain)),
+    ("fischer_cover(image)",
+     lambda code: fischer_cover(image_presentation(code))),
+    ("is_bi_closing", is_bi_closing),
+)
+
+
+def test_memo_hits_replay_what_a_fresh_build_spends(monkeypatch):
+    """On the code fixtures and 40 seeded cover codes, every budget from
+    1 to 100 gives each check the same outcome on a code whose memos a
+    default budget filled as on a freshly built one. Past the first
+    budget where a fresh build does not run out, nothing can change, so
+    the sweep over budgets stops there."""
+    rng = random.Random(21)
+    builders = list(fixtures.COVERS.values())
+    for _ in range(40):
+        g = gen_labeled_graph(rng, 5, 3)
+        builders.append(lambda g=g: cover_code(LabeledGraph.make(
+            g.alphabet, g.vertices, g.edges)))
+    compared = exhausted = 0
+    for build in builders:
+        warm = build()
+        for _, check in _MEMO_CHECKS:
+            _outcome(check, warm)
+        for name, check in _MEMO_CHECKS:
+            for limit in range(1, 101):
+                monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", str(limit))
+                cold = _outcome(check, build())
+                assert _outcome(check, warm) == cold, (name, limit)
+                compared += 1
+                if "exceeded in" not in str(cold):
+                    break
+                exhausted += 1
+            monkeypatch.delenv("SHIFTLAB_STATE_BUDGET")
+    assert exhausted > 300 and compared > exhausted
+
+
+def test_malformed_budget_is_a_parse_error_on_a_memo_hit(monkeypatch):
+    code = fixtures.even_cover()
+    assert is_finite_to_one(code).is_proved
+    d = gr.determinize(code.domain.presentation)
+    assert gr.determinize(code.domain.presentation) is d
+    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "lots")
+    for check in (lambda: gr.determinize(code.domain.presentation),
+                  lambda: sh.entropy(code.domain),
+                  lambda: is_finite_to_one(code)):
+        with pytest.raises(ParseError, match="SHIFTLAB_STATE_BUDGET: not a nonnegative"):
+            check()
+
+
+def test_memoized_machinery_is_freed_by_reference_counting():
+    """No memo makes a reference cycle: with the cycle collector off, a
+    code, its presentations and the graphs memoized on them die as soon
+    as the last outside reference goes. Determinizing a graph with no
+    cycle returns its empty trim and leaves nothing on either graph."""
+    gc.disable()
+    try:
+        code = cover_code(gen_labeled_graph(random.Random(21), 5, 3))
+        for _, check in _MEMO_CHECKS:
+            _outcome(check, code)
+        check_right_continuing_retract(code, 1, "bi")
+        presentation = code.domain.presentation
+        image = image_presentation(code).presentation
+        assert "finite-to-one" in code.memo
+        assert "determinized" in presentation.__dict__
+        refs = [weakref.ref(x) for x in (
+            code, presentation, image, gr.determinize(presentation),
+            gr.determinize(image), code.reversal)]
+        del code, presentation, image
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+        g = LabeledGraph.make(["0"], ["a", "b"], [("e", "a", "b", "0")])
+        t = gr.determinize(g)
+        assert t.n == 0 and t is gr.trim(g)
+        assert "determinized" not in g.__dict__
+        assert "determinized" not in t.__dict__
+        ref = weakref.ref(g)
+        del g, t
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_periodic_preimage_counts():

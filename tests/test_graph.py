@@ -95,16 +95,26 @@ def _reference_trim(g):
         keep = live
 
 
-def test_trim_is_memoized_and_its_own_trim():
+def _random_graphs():
+    """300 seeded graphs of 1-6 vertices over {0, 1}, many not trimmed."""
     rng = random.Random(8)
-    cut = 0
     for _ in range(300):
         n = rng.randint(1, 6)
         vertices = [f"v{i}" for i in range(n)]
-        g = LabeledGraph.make(
+        yield LabeledGraph.make(
             ["0", "1"], vertices,
             [(f"e{j}", rng.choice(vertices), rng.choice(vertices),
               rng.choice("01")) for j in range(rng.randint(0, 2 * n))])
+
+
+def _copy(g):
+    """An equal graph that shares no memo with g."""
+    return LabeledGraph.make(g.alphabet, g.vertices, g.edges)
+
+
+def test_trim_is_memoized_and_its_own_trim():
+    cut = 0
+    for g in _random_graphs():
         t = trim(g)
         assert trim(g) is t and trim(t) is t
         keep, edges = _reference_trim(g)
@@ -123,6 +133,30 @@ def test_trim_is_memoized_and_its_own_trim():
             [(e.id, e.src, e.dst, names[e.label]) for e in g.edges]))
         assert trim(r) is r
     assert cut > 100
+
+
+def test_determinize_and_spectral_radius_are_memoized():
+    """A memo hit returns the graph a fresh build on an equal graph
+    returns, vertex and edge order included, and spends the same states;
+    a second call returns the same object. The empty result is the
+    trimmed input itself and carries no memo."""
+    built = 0
+    for g in _random_graphs():
+        fresh_budget, warm_budget = Budget(10**6), Budget(10**6)
+        fresh = determinize(_copy(g), fresh_budget)
+        d = determinize(g)
+        assert determinize(g, warm_budget) is d
+        assert d == fresh and d.vertices == fresh.vertices
+        assert d.edges == fresh.edges
+        assert warm_budget.used == fresh_budget.used
+        t = trim(g)
+        if t.n == 0:
+            assert d is t and "determinized" not in t.__dict__
+            continue
+        built += 1
+        radius = spectral_radius(d)
+        assert spectral_radius(d) == radius == spectral_radius(_copy(d))
+    assert built > 100
 
 
 def test_scc_components_and_subgraph():

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from shiftlab import fixtures, theorems
+from shiftlab import codes, fixtures, theorems
+from shiftlab import graph as gr
 from shiftlab.codes import fiber_product
 from shiftlab.decision import audit, proved, refuted
 from shiftlab.errors import ConsistencyFault
@@ -109,13 +110,45 @@ def test_composition_context_certificates():
 def test_certificates_on_exhausted_budget_rest_on_proved_hypotheses(
         monkeypatch):
     # determinize, the semi-open sweep and the SFT check all run out at
-    # budget 1; only certificates whose checks spend no budget remain
-    monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "1")
-    certs = certificates(fixtures.even_cover())
-    assert {c.tag for c in certs} == {"ThmFiniteCover", "ThmRRMagic"}
-    for cert in certs:
-        for line in cert.hypotheses:
-            assert line.endswith(": Proved")
+    # budget 1, also on a code whose memos a default budget filled; only
+    # certificates whose checks spend no budget remain
+    for warm in (False, True):
+        monkeypatch.delenv("SHIFTLAB_STATE_BUDGET", raising=False)
+        code = fixtures.even_cover()
+        if warm:
+            assert {c.tag for c in certificates(code)} == EVEN_TAGS
+        monkeypatch.setenv("SHIFTLAB_STATE_BUDGET", "1")
+        certs = certificates(code)
+        assert {c.tag for c in certs} == {"ThmFiniteCover", "ThmRRMagic"}
+        for cert in certs:
+            for line in cert.hypotheses:
+                assert line.endswith(": Proved")
+
+
+def test_certificates_build_each_subset_construction_once(monkeypatch):
+    """The hypotheses certificates checks all start from determinized
+    presentations; each presentation is determinized at most once, and
+    each code's ambiguity patterns are searched at most once."""
+    built, searched = [], []
+    subset_construction = gr._subset_construction
+    ambiguity_verdict = codes._ambiguity_verdict
+
+    def spy_subsets(t, budget):
+        built.append(t)
+        return subset_construction(t, budget)
+
+    def spy_ambiguity(g):
+        searched.append(g)
+        return ambiguity_verdict(g)
+    monkeypatch.setattr(gr, "_subset_construction", spy_subsets)
+    monkeypatch.setattr(codes, "_ambiguity_verdict", spy_ambiguity)
+    for name, build in fixtures.COVERS.items():
+        built.clear()
+        searched.clear()
+        certificates(build())
+        assert built, name
+        assert len({id(t) for t in built}) == len(built), name
+        assert len(searched) == 1, name
 
 
 def test_nonwandering_report_fig1():
