@@ -42,8 +42,11 @@ for name, code in (("golden", golden), ("even", even)):
     opn, _ = check_open(code, l_max=4, k_max=6)
     print("open:", opn.verdict)
     if opn.is_refuted:
-        print("escaping direction:", opn.payload["direction"],
-              "at zone", opn.payload["zone"]["word"])
+        point = opn.payload["limit_point"]
+        print("limit point escaping the cylinder image of zone",
+              opn.payload["zone"]["word"], "- past cycle",
+              point["past_cycle"], "chain", point["chain"],
+              "future cycle", point["future_cycle"])
 
 # openness of the golden cover shows up again as right-continuity with
 # retract 0; the even cover refutes it at every tested retract

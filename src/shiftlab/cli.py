@@ -233,8 +233,9 @@ def _parser():
     p.add_argument("-c", "--code", required=True)
     p.add_argument("--lmax", type=int, default=4)
     p.add_argument("--kmax", type=int, default=12,
-                   help="check open only: the largest uniform window "
-                        "half-length beyond the zone's half-width")
+                   help="check open only: the largest finite uniform "
+                        "window half-length beyond the zone's half-width "
+                        "it reports; an infinite one is refuted")
     p.add_argument("--retract", type=int, default=0)
     p.add_argument("--side", choices=("right", "left", "bi"), default="right")
     p.add_argument("--report")

@@ -24,7 +24,8 @@ from .decision import (Decision, inconclusive, inconclusive_on_budget,
                        out_of_budget, proved, refuted)
 from .errors import (BudgetExceeded, InvariantViolation, NotIrreducible,
                      NotMagic, WordNotAdmissible)
-from .pointed import CenteredWord, cylinder_escape, cylinder_image
+from .pointed import (CenteredWord, cylinder_escape, cylinder_image,
+                      reads_window)
 
 
 def _step_tables(g, x_sym):
@@ -547,22 +548,18 @@ class LiftingTable:
         }
 
 
-def _level_sweep(code, budget, l_max, start, fallback=None):
+def _level_sweep(code, budget, l_max, start):
     """Visit the profiles of levels 0..l_max in order of least zone word.
 
     start(space) gets the code's SweepSpace and returns visit. visit(level,
     prof, word) gets the profile and its least word at this level, whether
     the profile is new or met at an earlier level; it returns the
     profile's witness entry, which carries its half-length "k", or a
-    Decision that ends the sweep. A level that brings no new profile
-    proves saturation. When the sweep ends without Proved, and fallback
-    is given, fallback(space, stopped) may still return a Decision that
-    replaces the sweep's, with the table of the levels visited; stopped
-    tells whether a visit's Decision ended the sweep, and fallback
-    returns None to keep the sweep's decision. A budget running out
-    anywhere, in the space, in a visit or in the fallback, ends the
-    check Inconclusive. A negative l_max raises InvariantViolation.
-    Returns (decision, table).
+    Decision that ends the sweep with the table of the levels visited. A
+    level that brings no new profile proves saturation. A budget running
+    out anywhere, in the space or in a visit, ends the check
+    Inconclusive. A negative l_max raises InvariantViolation. Returns
+    (decision, table).
     """
     if l_max < 0:
         raise InvariantViolation("l_max must be >= 0", l_max)
@@ -582,7 +579,7 @@ def _level_sweep(code, budget, l_max, start, fallback=None):
             for prof, word in profiles.items():
                 entry = visit(level, prof, word)
                 if isinstance(entry, Decision):
-                    return stop(entry), True
+                    return stop(entry)
                 grew |= prof not in seen
                 seen.add(prof)
                 witnesses[",".join(word)] = entry
@@ -595,25 +592,19 @@ def _level_sweep(code, budget, l_max, start, fallback=None):
         table = LiftingTable(tuple(entries), witnesses, uniform,
                              saturation_level)
         if saturation_level is None:
-            return (inconclusive({
+            return inconclusive({
                 "reason": "level profiles did not saturate",
                 "levels_checked": l_max + 1,
-            }), table), False
-        return (proved({
+            }), table
+        return proved({
             "levels": len(entries),
             "saturation_level": saturation_level,
             "uniform_offset": uniform,
-        }), table), False
+        }), table
     try:
-        space = SweepSpace(code, budget)
-        swept, stopped = sweep(space)
-        if fallback is not None and not swept[0].is_proved:
-            found = fallback(space, stopped)
-            if found is not None:
-                return stop(found)
+        return sweep(SweepSpace(code, budget))
     except BudgetExceeded as exc:
         return stop(out_of_budget(exc))
-    return swept
 
 
 def check_semi_open(code, l_max=4, *, budget=None):
@@ -659,160 +650,130 @@ def _orbit_tail(start, step):
     return order[seen[cur]:]
 
 
-def _edge_scan(space, p, edges, zone_steps=False):
-    """Pair value p, a single bit over the universe indexes, scanned
-    along edges by free steps, or by zone steps with zone_steps set. The
-    edges read an admissible word, so the scan stays live."""
-    for e in edges:
-        p = apply_mask(space.zone[e.label, space.x_sym[e.id]] if zone_steps
-                       else space.free[e.label], p)
-        if not p:
-            raise InvariantViolation("admissible scan stays live", e.id)
-    return p
+def _limit_point(space, word, profile):
+    """The labels c1^inf b1 v b2 c2^inf of a limit point for a zone word
+    whose profile has an infinite offset (see check_open), as the past
+    cycle c1, the chain b1 v b2, the index in the chain of the zone's
+    center and the future cycle c2; v is an image word read across the
+    zone. Every mask it visits is already in a memo of the sweep, so it
+    spends no budget.
+
+    An id of the profile maps a state x of a cycle layer to a mask whose
+    bad run is infinite. The past walks back from x, each state to the
+    least state of the layer before it that steps to it, until a (layer,
+    state) repeats: the walk's cycle reads c1, and its way back to x
+    reads b1. v is an image word whose joint table is that id, found
+    over the products the sweep's joins composed: each zone word's
+    profile joins its outer symbols around its inner word's, so every
+    joined id keeps a back-pointer to the id it came from. The future
+    takes the least free step to a mask whose bad run is infinite until
+    a mask repeats: b2, then the cycle c2. A missing step raises
+    InvariantViolation."""
+    layers, start = space.layers, space.cycle_start
+    actions, runs = space._actions, space._runs
+    found = next(((j, i, x) for j in range(start, len(layers))
+                  for i in sorted(profile) for x in sorted(layers[j])
+                  if runs.get(actions.get((x, i))) == inf), None)
+    if found is None:
+        raise InvariantViolation("an infinite run from a cycle layer", word)
+    j, target, x = found
+
+    def walk(state, step):
+        # the symbols step reads from state until a state repeats, cut
+        # where the repeated state was first met
+        seen, read = {}, []
+        while state not in seen:
+            seen[state] = len(read)
+            moved = step(state)
+            if moved is None:
+                raise InvariantViolation("a step of the limit point", word)
+            state, s = moved
+            read.append(s)
+        return read[:seen[state]], read[seen[state]:]
+
+    def back(state):
+        j, q = state
+        j = j - 1 if j > start else len(layers) - 1
+        return next((((j, p), s) for p in sorted(layers[j])
+                     for s in space.symbols
+                     if apply_mask(space.free[s], p) == q), None)
+
+    def forth(q):
+        return next(((q2, s) for s in space.symbols
+                     if runs.get(q2 := apply_mask(space.free[s], q)) == inf),
+                    None)
+    b1, c1 = walk((j, x), back)
+    b2, c2 = walk(actions[x, target], forth)
+
+    def symbol_ids(xi):
+        # per id of zone symbol xi's joint tables, its least image symbol
+        return {space.ids[space.ut[s], space.zt.get((s, xi), space._zero)]: s
+                for s in reversed(space.symbols)}
+    c = len(word) // 2
+    center = symbol_ids(word[c])
+    joins = []  # per half-width, back-pointers of the left and right join
+    ids = center
+    for d in range(1, c + 1):
+        left = {}
+        for i, s in symbol_ids(word[c - d]).items():
+            for k in ids:
+                left.setdefault(space.products[i, k], (k, s))
+        ids = {}
+        for k in left:
+            for i, s in symbol_ids(word[c + d]).items():
+                ids.setdefault(space.products[k, i], (k, s))
+        joins.append((left, ids))
+    head, tail = [], []
+    i = target
+    for left, right in reversed(joins):
+        i, s = right[i]
+        tail.append(s)
+        i, s = left[i]
+        head.append(s)
+    v = head + [center[i]] + tail[::-1]
+    return {
+        "past_cycle": c1[::-1],
+        "chain": b1[::-1] + v + b2,
+        "anchor_step": len(b1) + c,
+        "future_cycle": c2,
+    }
 
 
-def _deep_values(space, c1):
-    """Deep pair values at a chain start after the past cycle c1: the
-    recurrent values of the full-restart scan along c1, at every phase.
-    In order of the pairs themselves, so that the budget spent before a
-    success does not depend on the indexing."""
-    deep = set()
-    for phase in range(len(c1)):
-        # bit 0 is the full restart pair
-        seed = _edge_scan(space, 1, c1[len(c1) - phase:])
-        deep.update(_orbit_tail(seed, lambda p: _edge_scan(space, p, c1)))
-    return sorted(deep, key=lambda q: space.pairs[q.bit_length() - 1])
+def _refutation(code, space, word, profile):
+    """The Refuted payload of a zone word whose profile has an infinite
+    offset: the zone, its limit point (see _limit_point) and probes.
+    Each probe is the limit point's window at half-length c + 1 or c + 3,
+    checked with the containment engine to be a word of the cylinder
+    image f([u]) that escapes it; a failure signals an internal bug. The
+    escape searches spend the sweep's budget."""
+    point = _limit_point(space, word, profile)
+    u = CenteredWord.central(word)
+    chain = point["chain"]
 
-
-def _skeleton_pattern(space, c1, deep, b1, anchor, b2, c2, h):
-    """Exact check of one limit-escape skeleton: is the point reading
-    the labels along c1^inf b1 anchor b2 c2^inf a limit of points
-    escaping the image of its own zone window of half-width h?
-
-    deep holds the past cycle's deep values (see _deep_values); a
-    skeleton succeeds when some deep value, pushed through the zone,
-    recurs inside the doomed region along the future cycle. Every
-    success embeds genuine escapes at all scales.
-    """
-    # pad bridges with whole cycles so the zone fits inside them
-    eff_b1 = list(b1)
-    while len(eff_b1) < h:
-        eff_b1 = list(c1) + eff_b1
-    eff_b2 = list(b2)
-    while len(eff_b2) < h:
-        eff_b2 = eff_b2 + list(c2)
-    zone_left = eff_b1[len(eff_b1) - h:] if h else []
-    free_left = eff_b1[:len(eff_b1) - h] if h else eff_b1
-    zone = zone_left + [anchor] + eff_b2[:h]
-    free_right = eff_b2[h:]
-    for q in deep:
-        space.budget.spend()
-        q2 = _edge_scan(space, _edge_scan(space, q, free_left), zone,
-                        zone_steps=True)
-        q2 = _edge_scan(space, q2, free_right)
-        # recurrent pair values along the future cycle, all phases
-        tail = _orbit_tail((q2, 0),
-                           lambda t: (_edge_scan(space, t[0], [c2[t[1]]]),
-                                      (t[1] + 1) % len(c2)))
-        if any(p & space.doomed for p, _ in tail):
-            return {
-                "past_cycle": [e.label for e in c1],
-                "chain": [e.label for e in b1 + [anchor] + b2],
-                "anchor_step": len(b1),
-                "future_cycle": [e.label for e in c2],
-                "zone": CenteredWord(tuple(space.x_sym[e.id] for e in zone),
-                                     h),
-            }
-    return None
-
-
-# the zone half-widths tried per skeleton. A miss decides nothing (the
-# caller keeps the level sweep's decision), and each further width costs
-# one more scan of every skeleton, so the catalogue stays small
-_ESCAPE_H_MAX = 2
-
-
-def _limit_escape_pattern(space):
-    """Search over skeletons (past cycle, bridge, anchor edge, bridge,
-    future cycle) for a verified limit-escape pattern. Finding one is
-    sound; exhausting the catalogue is best effort only, so the caller
-    must not conclude openness from a miss."""
-    g = space.g
-    vx = g.vindex
-    n = g.n
-    eadj = [[] for _ in range(n)]
-    for e in sorted(g.edges, key=lambda e: e.id):
-        eadj[vx[e.src]].append((vx[e.dst], e))
-    cycles = {}
-    for i in sorted(cycle_nodes(n, g.adj)):
-        cycles[i] = shortest_cycle(eadj, i)
-        if cycles[i] is None:
-            raise InvariantViolation("cycle exists through cycle node")
-    # a search tree's path to a node is its shortest path from the root,
-    # so one tree per vertex gives every bridge
-    trees = [bfs_tree([v], eadj.__getitem__)[0] for v in range(n)]
-    deep = {}  # per past cycle, computed on first use
-    for anchor in sorted(g.edges, key=lambda e: e.id):
-        after = trees[vx[anchor.dst]]
-        ends = [(j, tree_path(after, j)[1]) for j in cycles if j in after]
-        for i in cycles:
-            if vx[anchor.src] not in trees[i]:
-                continue
-            b1 = tree_path(trees[i], vx[anchor.src])[1]
-            if ends and i not in deep:
-                deep[i] = _deep_values(space, cycles[i])
-            for j, b2 in ends:
-                for h in range(_ESCAPE_H_MAX + 1):
-                    space.budget.spend()
-                    pat = _skeleton_pattern(space, cycles[i], deep[i], b1,
-                                            anchor, b2, cycles[j], h)
-                    if pat is not None:
-                        return pat
-    return None
-
-
-def _pattern_payload(code, space, pat, direction):
-    """Attach verified escape probes to a pattern and serialize it. The
-    probes re-derive, with the independent containment scanner, that the
-    limit point's windows escape the zone's cylinder image at two
-    scales; any failure signals an internal bug."""
-    u = pat["zone"]
-    anchor = pat["anchor_step"]
-    chain = pat["chain"]
-
-    def rho_at(i):
-        if 0 <= i < len(chain):
-            return chain[i]
+    def label(i):
         if i < 0:
-            cycv = pat["past_cycle"]
-            return cycv[i % len(cycv)]
-        cycv = pat["future_cycle"]
-        return cycv[(i - len(chain)) % len(cycv)]
+            return point["past_cycle"][i % len(point["past_cycle"])]
+        if i < len(chain):
+            return chain[i]
+        cycle = point["future_cycle"]
+        return cycle[(i - len(chain)) % len(cycle)]
 
     au = cylinder_image(code, u)
     y = image_presentation(code)
     probes = []
     for t in (u.center + 1, u.center + 3):
-        window = tuple(rho_at(anchor + d) for d in range(-t, t + 1))
-        esc = cylinder_escape(au, y, CenteredWord(window, t),
-                              space.budget)
+        window = CenteredWord(tuple(label(point["anchor_step"] + d)
+                                    for d in range(-t, t + 1)), t)
+        esc = cylinder_escape(au, y, window, space.budget) \
+            if reads_window(au, window) else None
         if esc is None:
-            raise InvariantViolation(
-                "pattern escape at every scale",
-                f"scale {t} zone {u.word}")
-        probes.append({"scale": t, "window": list(window),
+            raise InvariantViolation("limit point windows read in the "
+                                     "cylinder image escape it",
+                                     f"scale {t} zone {u.word}")
+        probes.append({"scale": t, "window": list(window.word),
                        "escape": esc.to_json()})
-    return {
-        "direction": direction,
-        "zone": u.to_json(),
-        "limit_point": {
-            "past_cycle": pat["past_cycle"],
-            "chain": chain,
-            "anchor_step": anchor,
-            "future_cycle": pat["future_cycle"],
-        },
-        "probes": probes,
-    }
+    return {"direction": "right", "zone": u.to_json(), "limit_point": point,
+            "probes": probes}
 
 
 def _open_offset(space, profile):
@@ -855,28 +816,45 @@ def check_open(code, l_max=4, k_max=12, budget=None):
     """Is the code an open map onto its image? Proved when every cylinder
     image up to the saturation level is open, each profile's offset (see
     _open_offset) at most k_max; a zone word of half-width c reports the
-    half-length k = c + offset. Refuted via a verified limit-escape
-    pattern, searched for on the code and then on its reversed code when
-    a visit stopped the sweep (an offset that is infinite or past k_max),
-    or when l_max < _ESCAPE_H_MAX: a Proved check spends nothing on the
-    search, and a Refuted one carries the table of the levels the sweep
-    visited. Inconclusive otherwise, also on an infinite offset, which
-    shows a cylinder image is not open but carries no witness. A
-    negative l_max or k_max raises InvariantViolation.
+    half-length k = c + offset. Refuted on the first visited profile
+    whose offset is infinite, with that zone's limit point and its
+    verified escape probes (see _refutation), and the table of the
+    levels the sweep visited. Inconclusive when a finite offset exceeds
+    k_max, when the level profiles do not saturate within l_max levels,
+    or out of budget. A negative l_max or k_max raises
+    InvariantViolation.
 
-    A sweep that ends unsaturated, with l_max >= _ESCAPE_H_MAX, skips the
-    search, which could find nothing. A pattern's zone u has half-width
-    h <= _ESCAPE_H_MAX, and its limit point lies in f([u]) by
-    construction; its escapes at every scale show that no cylinder
-    around that point lies in f([u]), so f([u]) is not open. A finite
+    Openness is decided cylinder by cylinder: f is open exactly when
+    every cylinder image f([u]) is, since cylinders form a base. A finite
     offset m for u's profile shows that every window of half-length
-    c + m read in f([u]) spans a cylinder inside it, so f([u]) is open.
-    An unsaturated sweep visited every admissible zone word of
-    half-width h <= l_max and found a finite offset for each, so no
-    pattern exists on the code. Reversal is a homeomorphism that maps
-    the reversed code's cylinder image of a zone word to the code's
-    cylinder image of the reversed zone word, which the sweep also
-    visited, so none exists on the reversed code either.
+    c + m read in f([u]) spans a cylinder inside it, so f([u]) is open;
+    past the saturation level every profile repeats one already decided.
+
+    An infinite offset always yields the limit point, so the builder
+    never fails on it. _open_offset returns None only at a cycle layer
+    j (one that recurs), where an id i of the profile maps a state x of
+    layers[j] to a mask q with an infinite bad run. Past: every state of
+    a cycle layer is a free step of a state of the cycle layer before
+    it, so the walk back from x never stops and, the states being
+    finitely many, repeats a (layer, state) z: z reads the cycle c1 back
+    to itself and b1 on to x. Zone: i lies in the profile, so some image
+    word v read across the zone word u has joint table i. Future: a mask
+    with an infinite bad run is bad and has a free successor with an
+    infinite bad run, so the walk forward from q never stops and repeats
+    a mask: b2, then c2. Every state is in a memo, so nothing is spent.
+
+    The point p = c1^inf b1 . v . b2 c2^inf lies in f([u]) and no
+    cylinder around it does. z is the scan from the left-context pairs
+    along some word w, so x is the scan along w c1^n b1 for every n.
+    Scans only shrink along longer left words, since a free step keeps
+    the left-context pairs among themselves, so the scan along any
+    suffix of c1^inf b1 contains x. Scans are monotone, so the scan of p's window of any half-length t >= c
+    contains the mask reached from q along the first t - c symbols of
+    b2 c2^inf, which is bad; and a superset of a bad mask is bad. A bad
+    scan holds a live-S pair, so the window is read in f([u]), and a
+    doomed pair, so the window's cylinder leaves f([u]). f([u]) is
+    closed, so p lies in it, with no cylinder around p inside it: f([u])
+    is not open, and neither is f.
     """
     if k_max < 0:
         raise InvariantViolation("k_max must be >= 0", k_max)
@@ -884,7 +862,9 @@ def check_open(code, l_max=4, k_max=12, budget=None):
     def start(space):
         def visit(level, prof, word):
             m = _open_offset(space, prof[0])
-            if m is None or m > k_max:
+            if m is None:
+                return refuted(_refutation(code, space, word, prof[0]))
+            if m > k_max:
                 return inconclusive({
                     "reason": "no uniform witness length within bound",
                     "zone": list(word),
@@ -893,20 +873,7 @@ def check_open(code, l_max=4, k_max=12, budget=None):
             return {"k": level + m}
         return visit
 
-    def fallback(space, stopped):
-        if not stopped and l_max >= _ESCAPE_H_MAX:
-            return None  # an unsaturated sweep: no pattern exists
-        pat = _limit_escape_pattern(space)
-        if pat is not None:
-            return refuted(_pattern_payload(code, space, pat, "right"))
-        rcode = reversed_code(code)
-        rspace = SweepSpace(rcode, space.budget)
-        pat = _limit_escape_pattern(rspace)
-        if pat is not None:
-            return refuted(_pattern_payload(rcode, rspace, pat, "left"))
-        return None
-
-    return _level_sweep(code, budget, l_max, start, fallback)
+    return _level_sweep(code, budget, l_max, start)
 
 
 # -- right/left continuing with retract ---------------------------------------

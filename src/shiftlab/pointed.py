@@ -218,6 +218,19 @@ def cylinder_escape(a, y, w, budget=None):
                         len(left) + w.center)
 
 
+def reads_window(a, w):
+    """Is the positioned word w the window of some point in the
+    denotation? Scan w from every unmarked thread, crossing a marked edge
+    at w's center: the window is read exactly when a marked thread
+    survives, since every vertex of the trimmed graph lies on a
+    bi-infinite path."""
+    plain, origin, threads, marked = _thread_tables(a, a.graph.symbols)
+    for j, s in enumerate(w.word):
+        threads = apply_mask((origin if j == w.center else plain)[s],
+                             threads)
+    return bool(threads & marked)
+
+
 def contains_cylinder(a, y, w, budget=None):
     """Is every point of y matching the positioned word w in the
     denotation of a? Exact; see cylinder_escape for the witness form."""

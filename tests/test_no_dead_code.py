@@ -2,7 +2,9 @@
 somewhere other than its own definition, in the Python files under src,
 tests, bench and demos. Exempt are dunder methods, which Python calls, and
 methods that override an attribute of a base class, which the base class
-calls (for example an argparse parser's error)."""
+calls (for example an argparse parser's error). And no module but
+__init__ imports a name it never uses, so a deletion leaves no stale
+import behind."""
 
 from __future__ import annotations
 
@@ -52,3 +54,25 @@ def test_every_definition_is_named_elsewhere():
                   if words[name] <= defined[name]
                   and not _exempt(module, owner, name))
     assert not dead, "defined but never named: " + ", ".join(dead)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module under src/shiftlab imports is read somewhere
+    in it; only __init__ imports names to re-export them."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    unused.append(f"{path.stem}.{name}")
+    assert not unused, "imported but never used: " + ", ".join(unused)

@@ -7,7 +7,8 @@ import pytest
 from shiftlab import fixtures, openness
 from shiftlab import graph as gr
 from shiftlab.automata import (Budget, apply_mask, bfs_closure, bfs_tree,
-                               cycle_nodes, pair_moves, shortest_cycle)
+                               cycle_nodes, pair_moves, shortest_cycle,
+                               tree_path)
 from shiftlab.codes import (SlidingBlockCode, arrow_graph, cover_code,
                             image_presentation, is_bi_closing,
                             is_finite_to_one, reversed_code)
@@ -187,11 +188,11 @@ def test_open_agrees_with_bi_continuing():
     """An oracle between two engines that share only the pair universe:
     check_open (the offset sweep) and the retract machine. An open code
     is right- and left-continuing with retract its uniform offset, and a
-    limit-escape pattern fails continuing on its own side at every
+    code that is not open fails continuing on some side at every
     retract. On 200 seeded codes of at most 5 vertices, reducible domains
     included, and the fixtures: a Proved check_open has both sides
-    Proved at retract uniform_offset, and a Refuted one has its
-    pattern's side Refuted at retracts 0-8."""
+    Proved at retract uniform_offset, and a Refuted one is bi Refuted at
+    retracts 0-8."""
     outcomes = Counter()
     for code in _with_fixtures(_small_codes(200, vertices=5)):
         dec, _ = check_open(code, budget=Budget(150_000))
@@ -201,14 +202,12 @@ def test_open_agrees_with_bi_continuing():
                 assert check_right_continuing_retract(code, n, side) \
                     .is_proved, (code, side, n)
         elif dec.is_refuted:
-            side = dec.payload["direction"]
             for n in range(9):
-                assert check_right_continuing_retract(code, n, side) \
-                    .is_refuted, (code, side, n)
-        outcomes[dec.verdict, dec.payload.get("direction")] += 1
-    assert outcomes["Proved", None] > 150
-    assert outcomes["Refuted", "right"] > 5
-    assert outcomes["Refuted", "left"] > 0
+                assert check_right_continuing_retract(code, n, "bi") \
+                    .is_refuted, (code, n)
+        outcomes[dec.verdict] += 1
+    assert outcomes["Proved"] > 150
+    assert outcomes["Refuted"] > 5
 
 
 def test_sweeps_reject_negative_bounds():
@@ -493,8 +492,6 @@ def test_open_profile_sweep_matches_per_word_sweep():
     outcomes = set()
     for code in _small_codes(60):
         dec, table = check_open(code, l_max=2, k_max=4)
-        if "direction" in dec.payload:
-            continue  # refuted by a limit-escape pattern after the sweep
         outcomes.add((dec.verdict, dec.payload.get("reason")))
         space = SweepSpace(code)
         y = image_presentation(code)
@@ -511,9 +508,16 @@ def test_open_profile_sweep_matches_per_word_sweep():
             offset = max(b - level, 0)
             return {"k": level + offset}, offset
 
-        _assert_sweeps_agree(dec, table, _per_word_sweep(space, 2, verdict))
+        reference = _per_word_sweep(space, 2, verdict)
+        if dec.is_refuted:
+            # an infinite offset: the reference finds no bound either,
+            # first on the same zone word
+            assert reference[0].payload["zone"] == dec.payload["zone"]["word"]
+            dec = reference[0]
+        _assert_sweeps_agree(dec, table, reference)
     assert outcomes == {
         ("Proved", None),
+        ("Refuted", None),
         ("Inconclusive", "no uniform witness length within bound"),
         ("Inconclusive", "level profiles did not saturate"),
     }
@@ -542,9 +546,7 @@ def test_smaller_budget_only_truncates(monkeypatch):
             running.pop()
             return out
         return run
-    left_refuted = _small_codes(8, seed=3, vertices=3)[7]
-    for code in _with_fixtures(_small_codes(8, seed=4, vertices=3)
-                               + [left_refuted]):
+    for code in _with_fixtures(_small_codes(8, seed=4, vertices=3)):
         for check in (check_semi_open, check_open):
             budget = Budget(10**9)
             dec, table = check(code, budget=budget)
@@ -553,8 +555,8 @@ def test_smaller_budget_only_truncates(monkeypatch):
                                  *range(0, used, used // 60 + 1), used}):
                 with monkeypatch.context() as m:
                     m.setattr(openness, "SweepSpace", tracked(SweepSpace))
-                    m.setattr(openness, "_limit_escape_pattern",
-                              tracked(openness._limit_escape_pattern))
+                    m.setattr(openness, "_refutation",
+                              tracked(openness._refutation))
                     got, got_table = check(code, budget=Budget(limit))
                 if limit == used:
                     assert got.to_json() == dec.to_json()
@@ -569,8 +571,7 @@ def test_smaller_budget_only_truncates(monkeypatch):
                 assert got_table.saturation_level is None
                 exits.add(running[-1] if running else "other")
                 running.clear()
-    assert exits == {"SweepSpace 0", "SweepSpace 1", "_limit_escape_pattern 0",
-                     "_limit_escape_pattern 1", "other"}
+    assert exits == {"SweepSpace 0", "_refutation 0", "other"}
 
 
 # -- the level sweep against joins of explicit tables -------------------------
@@ -1194,7 +1195,100 @@ def test_one_block_arrow_graph_is_a_trimmed_relabeling():
     assert checked > 60
 
 
-# -- check_open's phase order against the pattern-first reference ------------
+# -- check_open's refutations against the limit-escape pattern search --------
+
+
+def _edge_scan(space, p, edges, zone_steps=False):
+    """Pair value p, a single bit over the universe indexes, scanned
+    along edges by free steps, or by zone steps with zone_steps set. The
+    edges read an admissible word, so the scan stays live."""
+    for e in edges:
+        p = apply_mask(space.zone[e.label, space.x_sym[e.id]] if zone_steps
+                       else space.free[e.label], p)
+        if not p:
+            raise InvariantViolation("admissible scan stays live", e.id)
+    return p
+
+
+def _deep_values(space, c1):
+    """Deep pair values at a chain start after the past cycle c1: the
+    recurrent values of the full-restart scan along c1, at every phase,
+    in order of the pairs themselves."""
+    deep = set()
+    for phase in range(len(c1)):
+        # bit 0 is the full restart pair
+        seed = _edge_scan(space, 1, c1[len(c1) - phase:])
+        deep.update(openness._orbit_tail(
+            seed, lambda p: _edge_scan(space, p, c1)))
+    return sorted(deep, key=lambda q: space.pairs[q.bit_length() - 1])
+
+
+def _skeleton_pattern(space, c1, deep, b1, anchor, b2, c2, h):
+    """Exact check of one limit-escape skeleton: is the point reading
+    the labels along c1^inf b1 anchor b2 c2^inf a limit of points
+    escaping the image of its own zone window of half-width h? It is
+    when some deep value of the past cycle, pushed through the zone,
+    recurs inside the doomed region along the future cycle."""
+    # pad bridges with whole cycles so the zone fits inside them
+    eff_b1 = list(b1)
+    while len(eff_b1) < h:
+        eff_b1 = list(c1) + eff_b1
+    eff_b2 = list(b2)
+    while len(eff_b2) < h:
+        eff_b2 = eff_b2 + list(c2)
+    zone_left = eff_b1[len(eff_b1) - h:] if h else []
+    free_left = eff_b1[:len(eff_b1) - h] if h else eff_b1
+    zone = zone_left + [anchor] + eff_b2[:h]
+    free_right = eff_b2[h:]
+    for q in deep:
+        q2 = _edge_scan(space, _edge_scan(space, q, free_left), zone,
+                        zone_steps=True)
+        q2 = _edge_scan(space, q2, free_right)
+        # recurrent pair values along the future cycle, all phases
+        tail = openness._orbit_tail(
+            (q2, 0), lambda t: (_edge_scan(space, t[0], [c2[t[1]]]),
+                                (t[1] + 1) % len(c2)))
+        if any(p & space.doomed for p, _ in tail):
+            return CenteredWord(tuple(space.x_sym[e.id] for e in zone), h)
+    return None
+
+
+# the zone half-widths tried per skeleton
+ESCAPE_H_MAX = 2
+
+
+def _limit_escape_pattern(space):
+    """The zone of the first verified limit-escape pattern over the
+    skeletons (shortest past cycle, bridge, anchor edge, bridge, shortest
+    future cycle) and zone half-widths up to ESCAPE_H_MAX, or None. A
+    pattern is sound; a miss decides nothing."""
+    g = space.g
+    vx = g.vindex
+    n = g.n
+    eadj = [[] for _ in range(n)]
+    for e in sorted(g.edges, key=lambda e: e.id):
+        eadj[vx[e.src]].append((vx[e.dst], e))
+    cycles = {i: shortest_cycle(eadj, i) for i in sorted(cycle_nodes(n, g.adj))}
+    # a search tree's path to a node is its shortest path from the root,
+    # so one tree per vertex gives every bridge
+    trees = [bfs_tree([v], eadj.__getitem__)[0] for v in range(n)]
+    deep = {}  # per past cycle, computed on first use
+    for anchor in sorted(g.edges, key=lambda e: e.id):
+        after = trees[vx[anchor.dst]]
+        ends = [(j, tree_path(after, j)[1]) for j in cycles if j in after]
+        for i in cycles:
+            if vx[anchor.src] not in trees[i]:
+                continue
+            b1 = tree_path(trees[i], vx[anchor.src])[1]
+            if ends and i not in deep:
+                deep[i] = _deep_values(space, cycles[i])
+            for j, b2 in ends:
+                for h in range(ESCAPE_H_MAX + 1):
+                    zone = _skeleton_pattern(space, cycles[i], deep[i], b1,
+                                             anchor, b2, cycles[j], h)
+                    if zone is not None:
+                        return zone
+    return None
 
 
 def _unmemoized_open_offset(space, profile):
@@ -1211,8 +1305,9 @@ def _unmemoized_open_offset(space, profile):
 
 
 def _sweep_alone(code, l_max=4, k_max=12, budget=None):
-    """The decision of check_open's level sweep with the unmemoized
-    offsets and no limit-escape search, at an ample budget."""
+    """(decision, table) of check_open's level sweep with the unmemoized
+    offsets, stopping Inconclusive on any offset past k_max, infinite
+    ones included, at an ample budget."""
     def start(space):
         def visit(level, prof, word):
             m = _unmemoized_open_offset(space, prof[0])
@@ -1223,62 +1318,81 @@ def _sweep_alone(code, l_max=4, k_max=12, budget=None):
             return {"k": level + m}
         return visit
     budget = budget if budget is not None else Budget(10**9)
-    return openness._level_sweep(code, budget, l_max, start)[0]
+    return openness._level_sweep(code, budget, l_max, start)
 
 
 def _pattern_first_check_open(code, l_max=4, k_max=12):
-    """check_open's decision with the limit-escape searches run before
-    the sweep, on the code and then on its reversed code, and the
-    unmemoized offsets, at an ample budget."""
+    """The decision of the check_open that searched for limit-escape
+    patterns before its sweep, on the code and then on its reversed code:
+    Refuted with the pattern's side and zone, else the sweep's decision."""
     budget = Budget(10**9)
-    space = SweepSpace(code, budget)
-    pat = openness._limit_escape_pattern(space)
-    if pat is not None:
-        return refuted(openness._pattern_payload(code, space, pat, "right"))
-    rcode = reversed_code(code)
-    rspace = SweepSpace(rcode, budget)
-    pat = openness._limit_escape_pattern(rspace)
-    if pat is not None:
-        return refuted(openness._pattern_payload(rcode, rspace, pat, "left"))
-    return _sweep_alone(code, l_max, k_max, budget)
+    for side, searched in (("right", code), ("left", reversed_code(code))):
+        zone = _limit_escape_pattern(SweepSpace(searched, budget))
+        if zone is not None:
+            return refuted({"direction": side, "zone": zone.to_json()})
+    return _sweep_alone(code, l_max, k_max, budget)[0]
 
 
-def test_sweep_first_matches_pattern_first(monkeypatch):
-    """Searching for limit-escape patterns only after a sweep that does
-    not prove, and only when a visit stopped it or l_max is below the
-    patterns' zone half-widths, gives the pattern-first decision on every
-    code at l_max 1, 2 and 4: an unsaturated sweep that found a finite
-    offset for every zone word of half-width <= 2 leaves no pattern to
-    find (see check_open)."""
-    searches = []
-    search = openness._limit_escape_pattern
+def _open_corpus():
+    """_small_codes(60), reducible domains included, the fixtures, a code
+    that only the reversed code's pattern search refutes, two codes whose
+    first infinite offset is at level 1 (most are at level 0), and the
+    pool codes the pattern search misses."""
+    return _with_fixtures(_small_codes(60)) + [
+        _small_codes(8, seed=3, vertices=3)[7],
+        _small_codes(6, seed=74, vertices=5, alphabet=4)[5],
+        _small_codes(4, seed=76, vertices=6, alphabet=3)[3],
+        *_pattern_misses()]
 
-    def spy(space):
-        searches.append(space.code)
-        return search(space)
-    monkeypatch.setattr(openness, "_limit_escape_pattern", spy)
-    skipped = Counter()
+
+def test_sweep_refutes_what_the_pattern_search_refutes(monkeypatch):
+    """The limit-point builder against the pattern search it replaced, at
+    l_max 1, 2 and 4 on _open_corpus(): check_open refutes every code the
+    pattern-first reference refutes, and the six codes it misses, and no
+    verdict is Proved on one side and Refuted on the other. A decision
+    that is not Refuted is the
+    sweep's alone, table and spend included; a Refuted one has the
+    table of the sweep alone, which stops on no bound at the same zone.
+    The builder spends no budget and composes no new product."""
+    build = openness._limit_point
+    built = []
+
+    def spy(space, word, profile):
+        def state():
+            return space.budget.used, len(space.products), len(space.tables)
+        before = state()
+        point = build(space, word, profile)
+        assert state() == before
+        built.append(point)
+        return point
+    monkeypatch.setattr(openness, "_limit_point", spy)
+    reducible_refuted = 0
     for l_max in (1, 2, 4):
         outcomes = Counter()
-        for code in _with_fixtures(_small_codes(60)):
-            alone = _sweep_alone(code, l_max)
-            stopped = alone.payload.get("reason") == \
-                "no uniform witness length within bound"
-            searches.clear()
-            dec, _ = check_open(code, l_max, budget=Budget(10**9))
-            if not alone.is_proved and (
-                    stopped or l_max < openness._ESCAPE_H_MAX):
-                assert searches[0] is code
+        for code in _open_corpus():
+            budget = Budget(10**9)
+            dec, table = check_open(code, l_max, budget=budget)
+            alone_budget = Budget(10**9)
+            alone, alone_table = _sweep_alone(code, l_max,
+                                              budget=alone_budget)
+            reference = _pattern_first_check_open(code, l_max)
+            assert {dec.verdict, reference.verdict} != {"Proved", "Refuted"}
+            assert dec.is_refuted or not reference.is_refuted, code
+            assert table.to_json() == alone_table.to_json()
+            if dec.is_refuted:
+                assert alone.payload == {
+                    "reason": "no uniform witness length within bound",
+                    "zone": dec.payload["zone"]["word"], "k_max": 12}
+                reducible_refuted += not is_irreducible(
+                    code.domain.presentation)
             else:
-                assert not searches
-                skipped[l_max] += not alone.is_proved
-            assert dec.to_json() == \
-                _pattern_first_check_open(code, l_max).to_json()
-            outcomes[dec.verdict, dec.payload.get("direction")] += 1
+                assert dec.to_json() == alone.to_json()
+                assert budget.used == alone_budget.used
+            outcomes[dec.verdict, reference.payload.get("direction")] += 1
         assert {("Proved", None), ("Refuted", "right"), ("Refuted", "left"),
-                ("Inconclusive", None)} <= set(outcomes)
-    # unsaturated sweeps skip the search at l_max 2 and 4 only
-    assert skipped[1] == 0 and skipped[2] > 0 and skipped[4] > 0
+                ("Inconclusive", None)} <= set(outcomes), l_max
+        assert outcomes["Refuted", None] >= 6
+    assert built and reducible_refuted
 
 
 def test_open_offset_memo_matches_unmemoized_max(monkeypatch):
@@ -1327,15 +1441,140 @@ STALLING_GRAPH = {
 
 def test_stalling_cover_is_decided_within_the_budget():
     code = cover_code(graph_from_json(STALLING_GRAPH))
-    dec, _ = check_open(code, budget=Budget(150_000))
-    assert dec.to_json()["payload"] == {
-        "reason": "no uniform witness length within bound",
-        "zone": ["e0"], "k_max": 12}
-    # the sweep spends about 250 states before its first offset decision,
-    # and that decision about 30 more
-    dec, _ = check_open(code, budget=Budget(270))
-    assert dec.is_inconclusive
-    assert dec.payload["reason"] == "budget"
+    budget = Budget(150_000)
+    dec, _ = check_open(code, budget=budget)
+    assert dec.is_refuted
+    assert dec.payload["zone"]["word"] == ["e0"]
+    # the sweep and the probes spend a few dozen states
+    small, _ = check_open(code, budget=Budget(270))
+    assert small.to_json() == dec.to_json()
+    short, _ = check_open(code, budget=Budget(budget.used - 1))
+    assert short.payload["reason"] == "budget"
+
+
+# open-check pool codes (bench/workloads.py) that the pattern search does
+# not refute, though each has an infinite offset at level 0; with the
+# stall they are all such codes of the pool. Edges as (id, src, dst, label)
+PATTERN_MISSES = {
+    "open#97": ("012", [("e0", "v1", "v1", "1"), ("e1", "v1", "v0", "0"),
+                        ("e2", "v0", "v1", "1"), ("e3", "v0", "v1", "0")]),
+    "open#240": ("01", [
+        ("e0", "v3", "v0", "0"), ("e1", "v4", "v1", "1"),
+        ("e2", "v1", "v2", "1"), ("e3", "v2", "v3", "1"),
+        ("e4", "v2", "v4", "0"), ("e5", "v1", "v2", "1"),
+        ("e6", "v4", "v0", "1"), ("e7", "v1", "v0", "1"),
+        ("e8", "v0", "v1", "1"), ("e9", "v2", "v4", "0"),
+        ("e10", "v1", "v0", "0")]),
+    "open#285": ("012", [("e0", "v2", "v3", "0"), ("e3", "v2", "v2", "2"),
+                         ("e4", "v3", "v2", "0"), ("e6", "v3", "v3", "1")]),
+    "open#468": ("012", [
+        ("e0", "v1", "v2", "2"), ("e1", "v2", "v1", "1"),
+        ("e3", "v2", "v4", "1"), ("e5", "v1", "v2", "1"),
+        ("e6", "v4", "v4", "0"), ("e7", "v4", "v2", "2")]),
+    "open#556": ("012", [
+        ("e0", "v0", "v1", "1"), ("e1", "v1", "v2", "2"),
+        ("e2", "v0", "v2", "2"), ("e3", "v0", "v2", "0"),
+        ("e4", "v1", "v1", "2"), ("e5", "v1", "v2", "2"),
+        ("e6", "v2", "v0", "0")]),
+}
+
+
+def _pattern_misses():
+    """The cover codes of the stall and of PATTERN_MISSES."""
+    graphs = [STALLING_GRAPH]
+    for alphabet, edges in PATTERN_MISSES.values():
+        graphs.append({
+            "alphabet": list(alphabet),
+            "vertices": sorted({v for _, *ends, _ in edges for v in ends}),
+            "edges": [{"id": i, "src": a, "dst": b, "label": s}
+                      for i, a, b, s in edges]})
+    return [cover_code(graph_from_json(g)) for g in graphs]
+
+
+def _limit_label(point, i):
+    """The limit point's label at index i of its chain."""
+    chain = point["chain"]
+    if i < 0:
+        return point["past_cycle"][i % len(point["past_cycle"])]
+    if i < len(chain):
+        return chain[i]
+    return point["future_cycle"][(i - len(chain)) % len(point["future_cycle"])]
+
+
+def _future_masks(code, payload):
+    """The scan masks of the limit point right of its zone, from the
+    left-context pairs, one per state (position, cycle phase) until a
+    state repeats: the scan holds the past cycle's stable mask, then
+    reads the rest of the chain, the zone by zone steps, then the
+    future cycle."""
+    space = SweepSpace(code)
+    point = payload["limit_point"]
+    u = payload["zone"]["word"]
+
+    def scan(q, word):
+        for s in word:
+            q = apply_mask(space.free[s], q)
+        return q
+    past = openness._orbit_tail(space.left,
+                                lambda q: scan(q, point["past_cycle"]))
+    assert len(past) == 1  # scans shrink to a fixed point
+    chain = point["chain"]
+    start = point["anchor_step"] - len(u) // 2
+    q = scan(past[0], chain[:start])
+    for s, xi in zip(chain[start:], u):
+        q = apply_mask(space.zone[s, xi], q)
+    masks = []
+    for s in chain[start + len(u):]:
+        masks.append(q)
+        q = scan(q, s)
+    cycle = point["future_cycle"]
+    seen = set()
+    phase = 0
+    while (q, phase) not in seen:
+        seen.add((q, phase))
+        masks.append(q)
+        q = scan(q, cycle[phase])
+        phase = (phase + 1) % len(cycle)
+    return space, masks
+
+
+def test_refutation_probes_recheck():
+    """Every Refuted check_open of _open_corpus(), re-checked apart from
+    the sweep. Each probe is
+    the limit point's window at its scale; it is a central window of the
+    zone's cylinder image (window_language) and escapes that image
+    (cylinder_escape, at a budget of its own). On the pair universe, the
+    limit point's scan right of the zone stays bad (a live-S pair and a
+    doomed pair) at every position, so its windows at every scale are
+    read in the cylinder image and escape it."""
+    codes, decisions = [], []
+    for code in _open_corpus():
+        dec, _ = check_open(code, budget=Budget(150_000))
+        if dec.is_refuted:
+            codes.append(code)
+            decisions.append(dec)
+    assert len(decisions) > 15
+    assert {dec.payload["zone"]["center"] for dec in decisions} == {0, 1}
+    for code, dec in zip(codes, decisions):
+        payload = dec.payload
+        point = payload["limit_point"]
+        u = CenteredWord(tuple(payload["zone"]["word"]),
+                         payload["zone"]["center"])
+        au = cylinder_image(code, u)
+        y = image_presentation(code)
+        assert [p["scale"] for p in payload["probes"]] == \
+            [u.center + 1, u.center + 3]
+        for probe in payload["probes"]:
+            t = probe["scale"]
+            window = tuple(_limit_label(point, point["anchor_step"] + d)
+                           for d in range(-t, t + 1))
+            assert list(window) == probe["window"]
+            assert window in window_language(au, t)
+            esc = openness.cylinder_escape(au, y, CenteredWord(window, t))
+            assert esc is not None and esc.to_json() == probe["escape"]
+        space, masks = _future_masks(code, payload)
+        assert all(q & space.doomed and q & space.live for q in masks), \
+            payload
 
 
 # -- the retract check against the triple machine -----------------------------

@@ -20,6 +20,7 @@ from shiftlab.pointed import (
     contains_periodic_point,
     cylinder_escape,
     cylinder_image,
+    reads_window,
     window_language,
 )
 from shiftlab.properties import gen_labeled_graph
@@ -193,3 +194,21 @@ def test_window_language_matches_escape_verdicts():
         inside = contains_cylinder(a, y, CenteredWord.central(word))
         if inside:
             assert word in wins
+
+
+def test_reads_window_matches_window_language():
+    """A positioned word is read in a cylinder image exactly when it is
+    one of the image's central windows: every word of length 1, 3 and 5
+    over the image alphabet, on 60 random cylinder images."""
+    rng = random.Random(7)
+    cache = {}
+    read = 0
+    for _ in range(60):
+        a, y, _ = _random_instance(rng)
+        for k in range(3):
+            windows = set(window_language(a, k))
+            for word in _all_words(y.presentation.symbols, 2 * k + 1, cache):
+                inside = reads_window(a, CenteredWord(word, k))
+                assert inside == (word in windows)
+                read += inside
+    assert read > 200
