@@ -1,6 +1,6 @@
 """Low-level kernels: SCCs on integer adjacency, subset (bitmask) stepping,
-breadth-first closures and search trees, shortest paths and cycles, and
-the global exploration budget.
+breadth-first closures and search trees, shortest paths and cycles, the
+global exploration budget and the memo that replays a build's spend.
 
 Everything here works on small integers so the graph layer can stay
 immutable and hashable while searches run on flat arrays.
@@ -41,6 +41,25 @@ class Budget:
         self.used += amount
         if self.used > self.limit:
             raise BudgetExceeded(self.limit, self.where)
+
+
+def memoized(memo, key, build, budget):
+    """memo[key]'s value, built by build() under budget on a miss.
+
+    The memo keeps (value, states the build spent on budget). A hit spends
+    those states on the budget it is given, so a warm call spends, and
+    runs out, exactly where a cold one does; a build that runs out of
+    budget stores nothing.
+    """
+    entry = memo.get(key)
+    if entry is not None:
+        value, cost = entry
+        budget.spend(cost)
+        return value
+    spent = budget.used
+    value = build()
+    memo[key] = (value, budget.used - spent)
+    return value
 
 
 def tarjan_scc(n, adj):

@@ -17,8 +17,8 @@ from types import MappingProxyType
 from . import graph as gr
 from . import shifts as sh
 from .automata import (Budget, apply_mask, bfs_closure, bfs_tree,
-                       cycle_nodes, nontrivial_components, shortest_cycle,
-                       shortest_path, tarjan_scc, tree_path)
+                       cycle_nodes, memoized, nontrivial_components,
+                       shortest_cycle, shortest_path, tarjan_scc, tree_path)
 from .decision import inconclusive_on_budget, proved, refuted
 from .errors import (
     AlphabetMismatch,
@@ -379,22 +379,17 @@ def is_finite_to_one(code):
 def _finite_to_one(code):
     """is_finite_to_one, raising BudgetExceeded when the budget runs out.
 
-    The Decision is memoized in code.memo with the states the ambiguity
-    search spent, or None when the doubled-cycle test refuted first. A
-    memo hit replays a fresh build's spends in its order: determinize of
-    the domain (itself a memo hit), the recorded states on a fresh
-    Budget(where="ambiguity pattern"), then both entropy calls of a
-    Proved verdict. So a warm call runs out where a cold one does; a
-    search that runs out stores nothing.
+    The ambiguity verdict is memoized in code.memo through
+    automata.memoized, on a fresh Budget(where="ambiguity pattern"), so a
+    warm call spends what a cold one does in its order: determinize of
+    the domain (itself a memo hit), the ambiguity search's states, then
+    both entropy calls of a Proved verdict.
     """
     d = gr.determinize(code.domain.presentation)
-    memo = code.memo.get("finite-to-one")
-    if memo is None:
-        memo = code.memo["finite-to-one"] = _ambiguity_verdict(
-            arrow_graph(code, d).graph)
-    elif memo[1] is not None:
-        Budget(where="ambiguity pattern").spend(memo[1])
-    dec = memo[0]
+    budget = Budget(where="ambiguity pattern")
+    dec = memoized(code.memo, "finite-to-one",
+                   lambda: _ambiguity_verdict(arrow_graph(code, d).graph,
+                                              budget), budget)
     if dec.is_proved:
         # finite-to-one factor maps preserve entropy; disagreement means a bug
         h_dom = sh.entropy(code.domain)
@@ -407,26 +402,22 @@ def _finite_to_one(code):
     return dec
 
 
-def _ambiguity_verdict(g):
-    """(Decision, states spent) of the two ambiguity patterns on an arrow
-    graph over a right-resolving presentation; the states are None when
-    the doubled-cycle test refutes before the budgeted search runs."""
+def _ambiguity_verdict(g, budget):
+    """The two ambiguity patterns on an arrow graph over a right-resolving
+    presentation; only the cycle-to-cycle search spends the budget."""
     eda = _has_eda(g)
     if eda is not None:
         return refuted({"pattern": "doubled cycle",
                         "edges": [eda[0], eda[1]],
                         "note": "two distinct equally-producing cycles "
-                                "through one state"}), None
-    budget = Budget(where="ambiguity pattern")
+                                "through one state"})
     ida = _has_ida(g, budget)
     if ida is None:
-        dec = proved({"states": g.n, "edges": len(g.edges)})
-    else:
-        dec = refuted({"pattern": "cycle to cycle",
-                       "states": [ida[0], ida[1]],
-                       "note": "one produced word cycles at both states "
-                               "and also leads the first to the second"})
-    return dec, budget.used
+        return proved({"states": g.n, "edges": len(g.edges)})
+    return refuted({"pattern": "cycle to cycle",
+                    "states": [ida[0], ida[1]],
+                    "note": "one produced word cycles at both states "
+                            "and also leads the first to the second"})
 
 
 # -- degree ------------------------------------------------------------------
@@ -554,23 +545,25 @@ def _closing_refutation(code, side):
     for i, row in enumerate(fbare):
         for j in row:
             frev[j].append(i)
-    fwd_ok = set(bfs_closure(sorted(cycle_nodes(nn, fbare)),
-                             lambda i: frev[i]))
+    fcyc = cycle_nodes(nn, fbare)
+    fwd_ok = set(bfs_closure(sorted(fcyc), lambda i: frev[i]))
 
     for node in reach:
         for split in off_adj[node]:
             if split[0] in fwd_ok:
                 return _closing_witness(
-                    x_of, node, split, cyc, diag_adj, full_adj,
-                    fwd_ok, side)
+                    x_of, node, split, cyc, diag_adj, full_adj, fcyc, side)
     return None
 
 
-def _closing_witness(x_of, node, split, cyc, diag_adj, full_adj, fwd_ok, side):
+def _closing_witness(x_of, node, split, cyc, diag_adj, full_adj, fcyc, side):
     """Eventually periodic pair of domain symbol sequences, as words.
 
     Shape: (past cycle)^inf bridge split tail (future cycle)^inf, with
-    both sides equal through the bridge and differing at the split.
+    both sides equal through the bridge and differing at the split. The
+    tail and future cycle search the full pair graph: a node that reaches
+    a cycle (in fcyc) is entered only from nodes that also reach one, so
+    their least shortest paths stay among forward-viable nodes.
     """
     rev = [[] for _ in diag_adj]
     for i, row in enumerate(diag_adj):
@@ -580,12 +573,9 @@ def _closing_witness(x_of, node, split, cyc, diag_adj, full_adj, fwd_ok, side):
     bridge.reverse()
     past = shortest_cycle(diag_adj, anchor)
 
-    viable = [[(j, step) for j, step in row if j in fwd_ok]
-              for row in full_adj]
-    vcyc = cycle_nodes(len(viable), [[j for j, _ in row] for row in viable])
     after, (e, f) = split
-    _, tail_anchor, tail = shortest_path(viable, [after], vcyc.__contains__)
-    future = shortest_cycle(viable, tail_anchor)
+    _, tail_anchor, tail = shortest_path(full_adj, [after], fcyc.__contains__)
+    future = shortest_cycle(full_adj, tail_anchor)
 
     def xs(steps, k):
         return [x_of[step[k].id] for step in steps]

@@ -104,14 +104,12 @@ class Certificate:
     hypotheses: tuple
     conclusion: str
 
-    def to_decision(self, extra=None):
+    def to_decision(self):
         payload = {
             "certificate": self.tag,
             "hypotheses": list(self.hypotheses),
             "conclusion": self.conclusion,
         }
-        if extra:
-            payload.update(extra)
         return Decision(PROVED, payload, provenance=f"certificate:{self.tag}")
 
 

@@ -21,6 +21,7 @@ from .automata import (
     bfs_closure,
     bfs_tree,
     cycle_nodes,
+    memoized,
     nontrivial_components,
     pair_moves,
     tarjan_scc,
@@ -171,6 +172,12 @@ class LabeledGraph:
         return _trimmed(subgraph(self, (self.vertices[i]
                                         for i in sorted(keep))))
 
+    @cached_property
+    def memo(self):
+        """Derived data that other functions build for this graph, by
+        name; the graph is immutable, so no entry goes stale."""
+        return {}
+
     def names_of(self, mask):
         return tuple(v for i, v in enumerate(self.vertices) if mask >> i & 1)
 
@@ -291,26 +298,17 @@ def determinize(g, budget=None):
     automaton accepts exactly the language; the result is trimmed again
     because subset states can fail to be bi-extendable.
 
-    The result and the states its construction spent are memoized on the
-    trimmed graph. A memo hit spends the recorded count on the budget
-    (the caller's, or a fresh Budget(where="determinize")), so every call
-    spends, and runs out, as a fresh build does; a build that runs out
-    stores nothing. The empty graph is its own result and stores nothing.
+    The result is memoized on the trimmed graph through automata.memoized,
+    on the caller's budget or a fresh Budget(where="determinize"). The
+    empty graph is its own result and stores nothing.
     """
     t = trim(g)
     if t.n == 0:
         return t
     if budget is None:
         budget = Budget(where="determinize")
-    memo = t.__dict__.get("determinized")
-    if memo is not None:
-        d, cost = memo
-        budget.spend(cost)
-        return d
-    spent = budget.used
-    d = _subset_construction(t, budget)
-    t.__dict__["determinized"] = (d, budget.used - spent)
-    return d
+    return memoized(t.memo, "determinized",
+                    lambda: _subset_construction(t, budget), budget)
 
 
 def _subset_construction(t, budget):
@@ -467,10 +465,10 @@ def _perron_value(mat):
 def spectral_radius(g):
     """Largest Perron root over the nontrivial strongly connected
     components of the edge-count matrix; 0.0 when there are none.
-    Computed once per graph and memoized on it."""
-    radius = g.__dict__.get("spectral_radius")
+    Computed once per graph and memoized in its memo."""
+    radius = g.memo.get("spectral radius")
     if radius is None:
-        radius = g.__dict__["spectral_radius"] = _spectral_radius(g)
+        radius = g.memo["spectral radius"] = _spectral_radius(g)
     return radius
 
 

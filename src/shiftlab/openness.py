@@ -17,8 +17,8 @@ from math import inf
 
 from . import graph as gr
 from .automata import (Budget, apply_mask, bfs_closure, bfs_tree, cycle_nodes,
-                       nontrivial_components, pair_moves, shortest_cycle,
-                       shortest_path, tarjan_scc, tree_path)
+                       memoized, nontrivial_components, pair_moves,
+                       shortest_cycle, shortest_path, tarjan_scc, tree_path)
 from .codes import arrow_graph, image_presentation, reversed_code
 from .decision import (Decision, inconclusive, inconclusive_on_budget,
                        out_of_budget, proved, refuted)
@@ -935,9 +935,9 @@ def _retract_verdict(code, retract, side):
 
     Only the retract window depends on the bound: the sweep space, the
     locked closure and the limit sets are built once per code (and once
-    for its reversed code) by _retract_limits. Each call still spends
-    their recorded cost on its own budget, so verdicts, payloads and the
-    budget boundary are those of a fresh build.
+    for its reversed code) by _retract_limits and memoized through
+    automata.memoized, so verdicts, payloads and the budget boundary are
+    those of a fresh build.
     """
     if side == "bi":
         right = _retract_verdict(code, retract, "right")
@@ -966,27 +966,20 @@ def _retract_verdict(code, retract, side):
 class _RetractLimits:
     """The bound-independent part of one code's right-side retract check:
     the sweep's free tables and doomed mask, the arrow graph's out-edge
-    rows as (dst, produced symbol), the lower and upper limit-state sets,
-    and the budget states their construction spent."""
+    rows as (dst, produced symbol), and the lower and upper limit-state
+    sets."""
 
     free: dict
     doomed: int
     out: dict
     lower: tuple
     upper: tuple
-    cost: int
 
 
 def _retract_limits(code, budget):
-    """The code's _RetractLimits, built at most once per code. A memo hit
-    spends the recorded cost on the budget, so every call spends what a
-    fresh build spends; a build that runs out of budget stores nothing.
-    Only the lean tables are kept, never the SweepSpace."""
-    limits = code.memo.get("retract limits")
-    if limits is not None:
-        budget.spend(limits.cost)
-        return limits
-    spent = budget.used
+    """The code's _RetractLimits, built under budget. The retract check
+    memoizes it in code.memo through automata.memoized; only the lean
+    tables are kept, never the SweepSpace."""
     space = SweepSpace(code, budget)
     g = space.g
     out_edges = {v: sorted(g.out[v], key=lambda e: e.id) for v in g.vertices}
@@ -1032,15 +1025,14 @@ def _retract_limits(code, budget):
                                                 adj.__getitem__, budget))
     out = {v: tuple((e.dst, e.label) for e in es)
            for v, es in out_edges.items()}
-    limits = code.memo["retract limits"] = _RetractLimits(
-        space.free, space.doomed, out, lower, upper, budget.used - spent)
-    return limits
+    return _RetractLimits(space.free, space.doomed, out, lower, upper)
 
 
 @inconclusive_on_budget
 def _right_retract_verdict(code, retract):
     budget = Budget(where="retract check")
-    limits = _retract_limits(code, budget)
+    limits = memoized(code.memo, "retract limits",
+                      lambda: _retract_limits(code, budget), budget)
 
     def escapes(states):
         # retract window first: the lift may deviate, the image is

@@ -45,23 +45,6 @@ class CenteredWord:
                                      f"got length {len(word)}")
         return cls(word, (len(word) - 1) // 2)
 
-    @property
-    def start(self):
-        # coordinate of the first symbol
-        return -self.center
-
-    @property
-    def end(self):
-        # coordinate one past the last symbol
-        return len(self.word) - self.center
-
-    @property
-    def half(self):
-        return max(self.center, len(self.word) - 1 - self.center)
-
-    def text(self):
-        return "".join(self.word)
-
     def to_json(self):
         return {"word": list(self.word), "center": self.center}
 

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from shiftlab.automata import (Budget, bfs_tree, cycle_nodes, shortest_cycle,
-                               shortest_path)
+from shiftlab.automata import (Budget, bfs_tree, cycle_nodes, memoized,
+                               shortest_cycle, shortest_path)
 from shiftlab.errors import BudgetExceeded
 
 
@@ -111,4 +111,70 @@ def test_bfs_tree_budget_raises_past_the_limit():
         bfs_tree([0], rows.__getitem__, Budget(2))
     budget = Budget(3)
     bfs_tree([0], rows.__getitem__, budget)
+    assert budget.used == 3
+
+
+def _spending_build(states, builds):
+    """A build that spends states one at a time on the budget it is
+    handed, records the call and returns the count."""
+    def build(budget):
+        builds.append(states)
+        for _ in range(states):
+            budget.spend()
+        return states
+    return build
+
+
+def _call(memo, build, budget):
+    return memoized(memo, "key", lambda: build(budget), budget)
+
+
+def test_memoized_stores_nothing_when_the_build_runs_out():
+    memo, builds = {}, []
+    build = _spending_build(5, builds)
+    with pytest.raises(BudgetExceeded):
+        _call(memo, build, Budget(4))
+    assert memo == {} and builds == [5]
+    budget = Budget(5)
+    assert _call(memo, build, budget) == 5
+    assert builds == [5, 5] and budget.used == 5
+    assert memo == {"key": (5, 5)}
+
+
+def test_memoized_hit_runs_out_exactly_where_a_build_does():
+    for cost in range(4):
+        warm, builds = {}, []
+        build = _spending_build(cost, builds)
+        _call(warm, build, Budget(10**6))
+        for limit in range(max(cost - 1, 0), cost + 2):
+            # a budget that has not run out yet, fresh or part spent
+            for used in range(min(limit, 1) + 1):
+                outcomes = []
+                for memo in ({}, warm):
+                    builds.clear()
+                    budget = Budget(limit)
+                    budget.used = used
+                    try:
+                        value = _call(memo, build, budget)
+                    except BudgetExceeded as exc:
+                        outcomes.append(("raised", str(exc)))
+                    else:
+                        outcomes.append((value, budget.used))
+                # the warm memo never builds again
+                assert builds == [], (cost, limit, used)
+                cold, hit = outcomes
+                assert hit == cold, (cost, limit, used)
+                assert (cold[0] == "raised") == (used + cost > limit)
+        assert warm == {"key": (cost, cost)}
+
+
+def test_memoized_zero_cost_entry_spends_nothing():
+    """A hit on an entry whose build spent nothing leaves even a budget
+    that is spent to its limit as it is."""
+    memo = {}
+    assert _call(memo, _spending_build(0, []), Budget(0)) == 0
+    assert memo == {"key": (0, 0)}
+    budget = Budget(3)
+    budget.used = 3
+    assert memoized(memo, "key", lambda: pytest.fail("built"), budget) == 0
     assert budget.used == 3

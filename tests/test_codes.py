@@ -357,7 +357,7 @@ def test_memoized_machinery_is_freed_by_reference_counting():
         presentation = code.domain.presentation
         image = image_presentation(code).presentation
         assert "finite-to-one" in code.memo
-        assert "determinized" in presentation.__dict__
+        assert "determinized" in presentation.memo
         refs = [weakref.ref(x) for x in (
             code, presentation, image, gr.determinize(presentation),
             gr.determinize(image), code.reversal)]
@@ -367,8 +367,8 @@ def test_memoized_machinery_is_freed_by_reference_counting():
         g = LabeledGraph.make(["0"], ["a", "b"], [("e", "a", "b", "0")])
         t = gr.determinize(g)
         assert t.n == 0 and t is gr.trim(g)
-        assert "determinized" not in g.__dict__
-        assert "determinized" not in t.__dict__
+        assert "determinized" not in g.memo
+        assert "determinized" not in t.memo
         ref = weakref.ref(g)
         del g, t
         assert ref() is None

@@ -151,7 +151,7 @@ def test_determinize_and_spectral_radius_are_memoized():
         assert warm_budget.used == fresh_budget.used
         t = trim(g)
         if t.n == 0:
-            assert d is t and "determinized" not in t.__dict__
+            assert d is t and "determinized" not in t.memo
             continue
         built += 1
         radius = spectral_radius(d)

@@ -2,7 +2,8 @@
 somewhere other than its own definition, in the Python files under src,
 tests, bench and demos. Exempt are dunder methods, which Python calls, and
 methods that override an attribute of a base class, which the base class
-calls (for example an argparse parser's error). And no module but
+calls (for example an argparse parser's error). Every method and
+property is also read as an attribute outside the tests. And no module but
 __init__ imports a name it never uses, so a deletion leaves no stale
 import behind."""
 
@@ -54,6 +55,31 @@ def test_every_definition_is_named_elsewhere():
                   if words[name] <= defined[name]
                   and not _exempt(module, owner, name))
     assert not dead, "defined but never named: " + ", ".join(dead)
+
+
+def test_every_member_is_read_as_an_attribute():
+    """Every method and property of a class under src/shiftlab is read as
+    .name somewhere in the Python files under src, bench and demos; a
+    common name such as text or start counts only as an attribute read,
+    not as a word. Dunders and base-class overrides are exempt."""
+    read = {node.attr
+            for top in ("src", "bench", "demos")
+            for path in sorted((ROOT / top).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            unread += [f"{path.stem}.{cls.name}.{node.name}"
+                       for node in cls.body
+                       if isinstance(node, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                       and node.name not in read
+                       and not _exempt(path.stem, cls.name, node.name)]
+    assert not unread, "never read as an attribute: " + ", ".join(unread)
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -308,7 +308,8 @@ def _fresh(code):
 
 def _retract_cost(code):
     """The budget states the code's memoized retract analysis spent."""
-    return code.memo["retract limits"].cost
+    _, cost = code.memo["retract limits"]
+    return cost
 
 
 def test_retract_memo_hit_changes_nothing(monkeypatch):

@@ -137,9 +137,9 @@ def test_certificates_build_each_subset_construction_once(monkeypatch):
         built.append(t)
         return subset_construction(t, budget)
 
-    def spy_ambiguity(g):
+    def spy_ambiguity(g, budget):
         searched.append(g)
-        return ambiguity_verdict(g)
+        return ambiguity_verdict(g, budget)
     monkeypatch.setattr(gr, "_subset_construction", spy_subsets)
     monkeypatch.setattr(codes, "_ambiguity_verdict", spy_ambiguity)
     for name, build in fixtures.COVERS.items():
