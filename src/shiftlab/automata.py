@@ -1,6 +1,6 @@
 """Low-level kernels: SCCs on integer adjacency, subset (bitmask) stepping,
-breadth-first closures and search trees, shortest paths and cycles, the
-global exploration budget and the memo that replays a build's spend.
+breadth-first closures and search trees, shortest paths and cycles, longest
+runs, the global exploration budget and the memo that replays a build's spend.
 
 Everything here works on small integers so the graph layer can stay
 immutable and hashable while searches run on flat arrays.
@@ -9,6 +9,7 @@ immutable and hashable while searches run on flat arrays.
 from __future__ import annotations
 
 import os
+from math import inf
 
 from .errors import BudgetExceeded, ParseError
 
@@ -232,6 +233,40 @@ def until_goal(expand, is_goal):
                 break
         return out
     return cut
+
+
+def explore(known, seeds, moves, inner, budget):
+    """The nodes reachable from the seeds through inner nodes (those with
+    inner(x)) whose value is not in known, a budget state each, and the
+    successors moves(x) of the inner ones among them."""
+    succ = {}
+
+    def expand(x):
+        if x in known or not inner(x):
+            return ()
+        succ[x] = moves(x)
+        return succ[x]
+    new = [x for x in bfs_closure(seeds, expand) if x not in known]
+    budget.spend(len(new))
+    return new, succ
+
+
+def longest_runs(known, seeds, moves, inner, budget):
+    """Fill known with each node's longest run of steps through inner
+    nodes, for the nodes reachable from the seeds through inner ones: -1
+    off the inner nodes, inf where an inner cycle is reachable. Values in
+    known stay; the new ones are explored together (see explore) and
+    decided by strongly connected component, successors first."""
+    new, succ = explore(known, seeds, moves, inner, budget)
+    known.update((x, -1) for x in new if x not in succ)
+    runs = list(succ)
+    at = {x: i for i, x in enumerate(runs)}
+    adj = [[at[y] for y in succ[x] if y in at] for x in runs]
+    comp, _ = tarjan_scc(len(runs), adj)
+    cyclic = nontrivial_components(len(runs), adj, comp)
+    for i in sorted(range(len(runs)), key=comp.__getitem__):
+        known[runs[i]] = inf if comp[i] in cyclic else \
+            1 + max((known[y] for y in succ[runs[i]]), default=-1)
 
 
 def tree_path(parent, node):

@@ -173,10 +173,12 @@ def load_code(path, domain=None):
 
 
 def graph_to_dot(g):
+    def q(text):  # quoted, with backslashes and quotes escaped
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
     lines = ["digraph shift {", "  rankdir=LR;"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {q(v)};")
     for e in g.edges:
-        lines.append(f'  "{e.src}" -> "{e.dst}" [label="{e.label}"];')
+        lines.append(f"  {q(e.src)} -> {q(e.dst)} [label={q(e.label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,8 +17,8 @@ from math import inf
 
 from . import graph as gr
 from .automata import (Budget, apply_mask, bfs_closure, bfs_tree, cycle_nodes,
-                       memoized, nontrivial_components, pair_moves,
-                       shortest_cycle, shortest_path, tarjan_scc, tree_path)
+                       explore, longest_runs, memoized, pair_moves,
+                       shortest_cycle, shortest_path, tree_path)
 from .codes import arrow_graph, image_presentation, reversed_code
 from .decision import (Decision, inconclusive, inconclusive_on_budget,
                        out_of_budget, proved, refuted)
@@ -244,21 +244,6 @@ class SweepSpace:
         seen |= ids
         return by
 
-    def _explore(self, known, q, inner):
-        """The masks reachable from q through inner masks (those with
-        inner(x)) whose value is not in known, a budget state each, and
-        the free successors of the inner ones among them."""
-        succ = {}
-
-        def expand(x):
-            if x in known or not inner(x):
-                return ()
-            succ[x] = self.free_moves(x)
-            return succ[x]
-        new = [x for x in bfs_closure([q], expand) if x not in known]
-        self.budget.spend(len(new))
-        return new, succ
-
     def distance(self, q):
         """Least number of free steps from scan mask q to one with no
         doomed pair, or inf. The unclean states reachable from q whose
@@ -266,7 +251,8 @@ class SweepSpace:
         distance drops."""
         known = self._distances
         if q not in known:
-            new, succ = self._explore(known, q, lambda x: x & self.doomed)
+            new, succ = explore(known, [q], self.free_moves,
+                                lambda x: x & self.doomed, self.budget)
             known.update((x, inf if x in succ else 0) for x in new)
             drops = True
             while drops:
@@ -277,26 +263,13 @@ class SweepSpace:
 
     def bad_run(self, q):
         """Longest run of free steps from scan mask q through bad masks,
-        those holding a live-S pair and a doomed pair: -1 where q is not
-        bad, inf where the run can go on forever. The masks reachable
-        from q through bad masks whose run is unknown are explored
-        together. Their strongly connected components come successors
-        first, so each bad mask's run follows from its successors', and
-        a component with a cycle runs forever."""
-        known = self._runs
-        if q not in known:
-            new, succ = self._explore(
-                known, q, lambda x: x & self.doomed and x & self.live)
-            known.update((x, -1) for x in new if x not in succ)
-            bad = list(succ)
-            at = {x: i for i, x in enumerate(bad)}
-            adj = [[at[y] for y in succ[x] if y in at] for x in bad]
-            comp, _ = tarjan_scc(len(bad), adj)
-            cyclic = nontrivial_components(len(bad), adj, comp)
-            for i in sorted(range(len(bad)), key=comp.__getitem__):
-                known[bad[i]] = inf if comp[i] in cyclic else \
-                    1 + max(known[y] for y in succ[bad[i]])
-        return known[q]
+        those holding a live-S pair and a doomed pair (see
+        automata.longest_runs)."""
+        if q not in self._runs:
+            longest_runs(self._runs, [q], self.free_moves,
+                         lambda x: x & self.doomed and x & self.live,
+                         self.budget)
+        return self._runs[q]
 
     def id_run(self, j, i):
         """Longest bad run of a mask that id i maps a state of layers[j]
@@ -883,9 +856,10 @@ def check_open(code, l_max=4, k_max=12, budget=None):
 class RetractDecision:
     """Continuing-with-retract verdict at one window size.
 
-    Proved at retract n persists for every wider window: enlarging n
-    only shrinks the locked zone the escape hunt has to survive, so
-    monotonicity holds by construction of the checker.
+    The verdict compares n with two run lengths per side (see
+    _retract_verdict): Proved when n exceeds the upper one, Refuted when
+    n is at most the lower one. So Proved at n persists for every wider
+    window and Refuted for every narrower one, by construction.
     """
 
     side: str
@@ -914,7 +888,9 @@ def check_right_continuing_retract(code, retract=0, side="right"):
     lifted to a point agreeing upstream up to the retract bound?
 
     Sides: "right" is the property as stated, "left" checks the
-    reversed code, "bi" demands both.
+    reversed code, "bi" demands both. A call compares retract with two
+    numbers memoized per side, the longest runs of free steps through
+    doomed states from the lower and upper limit sets.
     """
     if retract < 0:
         raise InvariantViolation("retract must be >= 0", retract)
@@ -933,11 +909,14 @@ def _retract_verdict(code, retract, side):
     count of limit states behind the verdict; no witness point. "left"
     is the reversed code's right side; "bi" needs both sides.
 
-    Only the retract window depends on the bound: the sweep space, the
-    locked closure and the limit sets are built once per code (and once
-    for its reversed code) by _retract_limits and memoized through
-    automata.memoized, so verdicts, payloads and the budget boundary are
-    those of a fresh build.
+    Why two run lengths per code decide it exactly: a pair whose free
+    successor is doomed is doomed itself, so a free step never takes a
+    state with no doomed pair to one with a doomed pair. So n free steps
+    from a set reach a doomed pair exactly when a run of n steps through
+    doomed states starts in it: the set escapes at retract n exactly when
+    n is at most its longest run, monotone in n by construction. Those
+    runs are memoized per code (see _retract_limits), so verdicts,
+    payloads and the budget boundary are those of a fresh build.
     """
     if side == "bi":
         right = _retract_verdict(code, retract, "right")
@@ -962,24 +941,11 @@ def _retract_verdict(code, retract, side):
     return _right_retract_verdict(code, retract)
 
 
-@dataclass(frozen=True)
-class _RetractLimits:
-    """The bound-independent part of one code's right-side retract check:
-    the sweep's free tables and doomed mask, the arrow graph's out-edge
-    rows as (dst, produced symbol), and the lower and upper limit-state
-    sets."""
-
-    free: dict
-    doomed: int
-    out: dict
-    lower: tuple
-    upper: tuple
-
-
 def _retract_limits(code, budget):
-    """The code's _RetractLimits, built under budget. The retract check
-    memoizes it in code.memo through automata.memoized; only the lean
-    tables are kept, never the SweepSpace."""
+    """((lower run, lower size), (upper run, upper size)) of the code's
+    right-side limit-state sets, built under budget, each run the longest
+    from the set's states (-1 where none is doomed). The retract check
+    memoizes these numbers in code.memo through automata.memoized."""
     space = SweepSpace(code, budget)
     g = space.g
     out_edges = {v: sorted(g.out[v], key=lambda e: e.id) for v in g.vertices}
@@ -1001,7 +967,7 @@ def _retract_limits(code, budget):
 
     # every true limit state is reachable from a cycle of the restart
     # closure, so this overapproximates them
-    upper = tuple(order[i] for i in bfs_closure(sorted(cyc), adj.__getitem__))
+    upper = [order[i] for i in bfs_closure(sorted(cyc), adj.__getitem__)]
 
     # stabilized cycle scans are genuine limits, and so is anything
     # they reach: an underapproximation with realizable witnesses
@@ -1021,37 +987,34 @@ def _retract_limits(code, budget):
         # orbit tail is one fixed point
         v = order[i][0]
         lower.add(index[v, _orbit_tail(1, scan)[0]])
-    lower = tuple(order[i] for i in bfs_closure(sorted(lower),
-                                                adj.__getitem__, budget))
-    out = {v: tuple((e.dst, e.label) for e in es)
-           for v, es in out_edges.items()}
-    return _RetractLimits(space.free, space.doomed, out, lower, upper)
+    lower = [order[i] for i in bfs_closure(sorted(lower), adj.__getitem__,
+                                           budget)]
+
+    def free_moves(state):
+        v, p = state
+        return [(e.dst, apply_mask(space.free[e.label], p))
+                for e in out_edges[v]]
+    # each fixed point lies on a cycle of the closure, so lower lies in
+    # upper and upper's doomed states seed every run either set reads
+    runs = {}
+    longest_runs(runs, [t for t in upper if t[1] & space.doomed],
+                 free_moves, lambda t: t[1] & space.doomed, budget)
+    return tuple((max((runs.get(t, -1) for t in states), default=-1),
+                  len(states)) for states in (lower, upper))
 
 
 @inconclusive_on_budget
 def _right_retract_verdict(code, retract):
     budget = Budget(where="retract check")
-    limits = memoized(code.memo, "retract limits",
-                      lambda: _retract_limits(code, budget), budget)
-
-    def escapes(states):
-        # retract window first: the lift may deviate, the image is
-        # still locked to the upstream point
-        frontier = set(states)
-        for _ in range(retract):
-            frontier = {(dst, apply_mask(limits.free[s], p))
-                        for v, p in frontier for dst, s in limits.out[v]}
-            budget.spend()
-        # then a free scan reaches a live-U dead-S pair exactly from
-        # the doomed pairs
-        return any(p & limits.doomed for _, p in frontier)
-
-    if escapes(limits.lower):
+    (lower_run, lower_states), (upper_run, upper_states) = memoized(
+        code.memo, "retract limits", lambda: _retract_limits(code, budget),
+        budget)
+    if retract <= lower_run:
         return refuted({"side": "right", "retract": retract,
-                        "limit_states": len(limits.lower)})
-    if not escapes(limits.upper):
+                        "limit_states": lower_states})
+    if retract > upper_run:
         return proved({"side": "right", "retract": retract,
-                       "limit_states": len(limits.upper)})
+                       "limit_states": upper_states})
     return inconclusive({
         "side": "right",
         "retract": retract,

@@ -1,9 +1,11 @@
 import random
+from math import inf
 
 import pytest
 
-from shiftlab.automata import (Budget, bfs_tree, cycle_nodes, memoized,
-                               shortest_cycle, shortest_path)
+from shiftlab.automata import (Budget, bfs_closure, bfs_tree, cycle_nodes,
+                               longest_runs, memoized, shortest_cycle,
+                               shortest_path)
 from shiftlab.errors import BudgetExceeded
 
 
@@ -112,6 +114,50 @@ def test_bfs_tree_budget_raises_past_the_limit():
     budget = Budget(3)
     bfs_tree([0], rows.__getitem__, budget)
     assert budget.used == 3
+
+
+def oracle_run(rows, inner, start):
+    """Longest walk through inner nodes from start, by stepping every such
+    walk one more step until none is left or one is longer than the node
+    count, so that it repeats a node."""
+    front = {start} & inner
+    for length in range(len(rows) + 1):
+        if not front:
+            return length - 1
+        front = {t for x in front for t, _ in rows[x] if t in inner}
+    return inf
+
+
+def test_longest_runs_match_a_brute_force_longest_walk():
+    runs = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        rows = random_rows(rng, n)
+        inner = {x for x in range(n) if rng.random() < 0.7}
+
+        def moves(x):
+            return [t for t, _ in rows[x]]
+
+        known = {}
+        seeds = rng.sample(range(n), rng.randint(1, n))
+        for _ in range(2):
+            # a second call from overlapping seeds keeps the known runs and
+            # spends one state per new one
+            before = dict(known)
+            budget = Budget(10**6)
+            longest_runs(known, seeds, moves, inner.__contains__, budget)
+            assert known.items() >= before.items(), f"seed {seed}"
+            reach = bfs_closure(seeds,
+                                lambda x: moves(x) if x in inner else ())
+            assert known.keys() == reach.keys() | before.keys(), \
+                f"seed {seed}"
+            assert budget.used == len(known) - len(before), f"seed {seed}"
+            for x, run in known.items():
+                assert run == oracle_run(rows, inner, x), f"seed {seed} {x}"
+            runs |= set(known.values())
+            seeds = rng.sample(range(n), rng.randint(1, n)) + seeds[:1]
+    assert {-1, 0, 1, 2, inf} <= runs
 
 
 def _spending_build(states, builds):

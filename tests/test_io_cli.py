@@ -287,6 +287,18 @@ def test_cli_export_dot(tmp_path, capsys):
     assert rc == 0
     assert out.startswith("digraph shift {")
     assert '"v1" -> "v2" [label="1"]' in out
+    # quotes and backslashes in names and labels are escaped
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps({
+        "alphabet": ['a"'],
+        "vertices": ['v"1', "w\\"],
+        "edges": [{"id": "e", "src": 'v"1', "dst": "w\\", "label": 'a"'}],
+    }))
+    rc, out = _run(capsys, "export-dot", "-i", str(path))
+    assert rc == 0
+    assert out.splitlines()[2:] == [
+        '  "v\\"1";', '  "w\\\\";',
+        '  "v\\"1" -> "w\\\\" [label="a\\""];', "}"]
 
 
 def test_cli_bad_inputs_exit_3(capsys):

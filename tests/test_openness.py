@@ -1693,17 +1693,20 @@ def _undecided_retract_code():
 
 def test_retract_check_matches_triple_machine(monkeypatch):
     """Same verdict, limit_states and every other payload key as the
-    triple machine, on every side and retract 0-3; only the hunt's state
-    count is gone."""
+    triple machine, on every side and retract 0-8 and 40; only the hunt's
+    state count is gone. Some sides have an infinite lower run, and some
+    a lower run of 0 with an infinite upper run, so retract 40 is still
+    Refuted on some and Inconclusive on others."""
     verdicts = set()
     for code in _small_codes(60, seed=11) + [_undecided_retract_code()]:
         for side in ("right", "left", "bi"):
-            for n in range(4):
+            for n in (*range(9), 40):
                 got = check_right_continuing_retract(code, n, side).to_json()
                 with monkeypatch.context() as m:
                     m.setattr(openness, "_right_retract_verdict",
                               _triple_retract_verdict)
                     want = check_right_continuing_retract(code, n, side)
                 assert got == _without_states(want.to_json())
-                verdicts.add((side, got["verdict"]["verdict"]))
+                verdicts.add((n, got["verdict"]["verdict"]))
     assert {v for _, v in verdicts} == {"Proved", "Refuted", "Inconclusive"}
+    assert {(40, "Refuted"), (40, "Inconclusive")} <= verdicts
