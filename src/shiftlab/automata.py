@@ -193,46 +193,33 @@ def bfs_tree(seeds, expand, budget=None, is_goal=None):
 
     expand(x) returns (successor, label) pairs. Returns (parent, goal):
     parent maps every discovered node, in discovery order, to None for a
-    seed or to (predecessor, label); goal is the first dequeued node that
-    satisfies is_goal, at which the search stops, or None. Each discovered
-    node that is not a seed spends one budget unit. Over ordered rows the
-    tree path to each node is its lexicographically least shortest path.
+    seed or to (predecessor, label); goal is the first discovered node
+    that satisfies is_goal (seeds are tested as they are seeded), at
+    which the search stops, or None. In FIFO order that is the first goal
+    dequeued, with the same tree path. Each discovered node that is not a
+    seed spends one budget unit. Over ordered rows the tree path to each
+    node is its lexicographically least shortest path.
     """
     parent = {}
     queue = []
     for s in seeds:
         if s not in parent:
             parent[s] = None
+            if is_goal is not None and is_goal(s):
+                return parent, s
             queue.append(s)
     spend = None if budget is None else budget.spend
     # the queue grows while it is walked; list iteration sees appends
     for x in queue:
-        if is_goal is not None and is_goal(x):
-            return parent, x
         for y, label in expand(x):
             if y not in parent:
                 if spend is not None:
                     spend()
                 parent[y] = (x, label)
+                if is_goal is not None and is_goal(y):
+                    return parent, y
                 queue.append(y)
     return parent, None
-
-
-def until_goal(expand, is_goal):
-    """expand for a bfs_tree with this is_goal, cut once a goal is queued:
-    in FIFO order the first goal discovered is the first dequeued, so the
-    search finds the same goal and path and spends nothing after it."""
-    found = []
-
-    def cut(x):
-        out = []
-        for y, label in () if found else expand(x):
-            out.append((y, label))
-            if is_goal(y):
-                found.append(y)
-                break
-        return out
-    return cut
 
 
 def explore(known, seeds, moves, inner, budget):

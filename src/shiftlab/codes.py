@@ -444,7 +444,9 @@ def degree(code):
     extension steps the end masks by g.fwd, a left one the start masks by
     the reversed graph's fwd, and an edge whose mask empties drops out.
     The degree is the least edge count over all reachable nonempty
-    relations.
+    relations. The breadth-first search stops at the first one-edge
+    relation it discovers; without one, it takes the first least relation
+    in discovery order. The word is that relation's tree path.
 
     Raises NotFiniteToOne only when the code is refuted finite-to-one;
     an exhausted state budget propagates as BudgetExceeded.
@@ -481,16 +483,10 @@ def degree(code):
                     out.append((tuple(rel2), (s, side)))
         return out
 
-    best = []  # the least relation dequeued so far
-
-    def is_least_possible(rel):
-        if not best or len(rel) < len(best[0]):
-            best[:] = [rel]
-        return len(rel) == 1
-
-    parent, _ = bfs_tree(seeds, extensions, Budget(where="degree"),
-                         is_least_possible)
-    rel = best[0]
+    parent, rel = bfs_tree(seeds, extensions, Budget(where="degree"),
+                           lambda rel: len(rel) == 1)
+    if rel is None:
+        rel = min(parent, key=len)
     seed, steps = tree_path(parent, rel)
     word, idx = (seeds[seed],), 0
     for s, side in steps:

@@ -26,7 +26,6 @@ from .automata import (
     pair_moves,
     tarjan_scc,
     tree_path,
-    until_goal,
 )
 from .errors import (
     AlphabetMismatch,
@@ -349,11 +348,8 @@ def find_magic_word(g):
         return [(m2, s) for s, table in fwd.items()
                 if (m2 := apply_mask(table, mask))]
 
-    def singleton(mask):
-        return mask & (mask - 1) == 0
-
-    parent, goal = bfs_tree([t.full_mask], until_goal(expand, singleton),
-                            is_goal=singleton)
+    parent, goal = bfs_tree([t.full_mask], expand,
+                            is_goal=lambda mask: mask & (mask - 1) == 0)
     if goal is None:
         return None
     return tuple(tree_path(parent, goal)[1])
@@ -417,12 +413,8 @@ def sublanguage_counterexample(g1, g2, budget=None):
     dead = (0,) * t2.n
     expand = pair_moves([(s, t1.fwd[s], t2.fwd.get(s, dead))
                          for s in t1.symbols])
-
-    def b_empty(pair):
-        return not pair[1]
-
-    parent, goal = bfs_tree([(t1.full_mask, t2.full_mask)],
-                            until_goal(expand, b_empty), budget, b_empty)
+    parent, goal = bfs_tree([(t1.full_mask, t2.full_mask)], expand, budget,
+                            lambda pair: not pair[1])
     if goal is None:
         return None
     return tuple(tree_path(parent, goal)[1])

@@ -32,6 +32,7 @@ from .errors import (
     GenerationExhausted,
     InvariantViolation,
     NotFiniteToOne,
+    ParseError,
 )
 from .automata import Budget
 from .graph import LabeledGraph
@@ -62,6 +63,13 @@ class TrialConfig:
     trials: int = 200
     max_vertices: int = 6
     max_alphabet: int = 3
+
+    def __post_init__(self):
+        for name, least in (("trials", 0), ("max_vertices", 1),
+                            ("max_alphabet", 1)):
+            if (value := getattr(self, name)) < least:
+                raise ParseError(f"must be at least {least}, got {value}",
+                                 field=name)
 
 
 # -- generators --------------------------------------------------------------
@@ -405,9 +413,13 @@ def proptest(cfg):
 
 def replay(failure):
     """Re-run one serialized failure instance; same classification comes
-    back for a faithful record."""
-    prop = PROPERTIES.get(failure.get("property"))
+    back for a faithful record, and ParseError for a malformed one."""
+    if not (isinstance(failure, dict)
+            and {"property", "instance"} <= failure.keys()):
+        raise ParseError("a failure record is an object with property and "
+                         "instance")
+    prop = PROPERTIES.get(failure["property"])
     if prop is None:
         raise InvariantViolation("unknown property",
-                                 str(failure.get("property")))
+                                 str(failure["property"]))
     return prop.check(failure["instance"])

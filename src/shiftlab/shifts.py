@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import graph as gr
-from .automata import (Budget, apply_mask, bfs_closure,
-                       nontrivial_components, shortest_cycle, shortest_path,
-                       tarjan_scc)
+from .automata import (Budget, apply_mask, bfs_closure, cycle_nodes,
+                       longest_runs, pair_moves, shortest_cycle,
+                       shortest_path)
 from .decision import inconclusive_on_budget, proved, refuted
 from .errors import (
     InvariantViolation,
@@ -186,13 +186,21 @@ def is_sft(x):
     """Decide whether the shift is of finite type, and find the memory.
 
     Works on a right-resolving presentation. For each symbol s the pair
-    (follow set of s u, follow set of u) is tracked while u grows. The
-    word s u violates memory |u| when s u is admissible but its follower
-    language differs from that of u; the shift fails to be SFT exactly
-    when such violations occur at unbounded depth, which over the finite
-    pair graph means: some violating pair is reachable from a cycle.
-    Otherwise the minimal memory is one more than the deepest violation.
-    Inconclusive only when the pair graph exceeds the state budget.
+    (follow set of u, follow set of s u) is tracked while u grows, the
+    live side first (pair_moves). The word s u violates memory |u| when
+    s u is admissible but its follower language differs from that of u;
+    the shift fails to be SFT exactly when such violations occur at
+    unbounded depth, which over the finite pair graph means: some
+    violating pair is reachable from a cycle. Otherwise the minimal
+    memory is one more than the deepest violation.
+
+    One longest_runs search backwards from the violations decides both.
+    Every pair is reached from a seed, so a pair with no predecessor is a
+    seed and a finite run back from a violation is its depth; the run is
+    infinite exactly when a cycle reaches the pair. The least violation
+    with an infinite run is pumped; otherwise the memory is the deepest
+    run plus one, or 1 with no violation. Inconclusive only when the pair
+    graph and the run search (a state per pair) exceed the state budget.
     """
     d = gr.determinize(x.presentation)
     if d.n == 0:
@@ -202,29 +210,21 @@ def is_sft(x):
     full = d.full_mask
     budget = Budget(where="is_sft")
 
-    seeds = []
+    seeds = {}  # seed pair -> the first symbol that gives it
     for s, table in fwd.items():
-        a = apply_mask(table, full)
-        if a:
-            seeds.append(((a, full), s))
+        if a := apply_mask(table, full):
+            seeds.setdefault((full, a), s)
+    step = pair_moves([(s, table, table) for s, table in fwd.items()])
     rows = {}
-
-    def moves(node):
-        a, b = node
-        row = rows[node] = []
-        for s, table in fwd.items():
-            b2 = apply_mask(table, b)
-            if b2:
-                row.append(((apply_mask(table, a), b2), s))
-        return [nxt for nxt, _ in row]
-    order = list(bfs_closure([node for node, _ in seeds], moves, budget))
+    order = list(bfs_closure(seeds, lambda node: [
+        nxt for nxt, _ in rows.setdefault(node, step(node))], budget))
     nodes = {node: idx for idx, node in enumerate(order)}
     succ = [[(nodes[nxt], s) for nxt, s in rows[node]] for node in order]
 
-    # the followers of (a, b) differ iff some continuation kills the small
+    # the followers of (b, a) differ iff some continuation kills the small
     # side while the big side survives; close backwards over those deaths
     lethal = {}
-    for idx, (a, b) in enumerate(order):
+    for idx, (b, a) in enumerate(order):
         for s, table in fwd.items():
             if apply_mask(table, b) and not apply_mask(table, a):
                 lethal[idx] = s
@@ -236,63 +236,35 @@ def is_sft(x):
     differ = bfs_closure(lethal, pred.__getitem__)
     # a violation additionally needs the small side alive: dead small side
     # only says the longer word is inadmissible, which is no constraint
-    bad = {i for i in differ if order[i][0] != 0}
+    bad = sorted(i for i in differ if order[i][1])
+    runs = {}
+    if bad:  # most shifts have none, and the run search has a fixed cost
+        longest_runs(runs, bad, pred.__getitem__, lambda i: True, budget)
 
-    adj = [[j for j, _ in row] for row in succ]
-    comp, _ = tarjan_scc(len(order), adj)
-    alive = nontrivial_components(len(order), adj, comp)
-    cyclic = {i for i in range(len(order)) if comp[i] in alive}
-    after_cycle = set(bfs_closure(sorted(cyclic), lambda i: adj[i]))
-
-    pumped = sorted(bad & after_cycle)
-    if pumped:
-        target = pumped[0]
-        into_target = set(bfs_closure([target], lambda i: pred[i]))
-        payload = _sft_refutation(succ, seeds, nodes, lethal,
-                                  cyclic & into_target, target)
-        return refuted(payload)
-
-    if not bad:
-        return proved({"memory": 1, "pairs": len(order)})
-    # longest seed-to-violation path; every such path avoids cycles here
-    seed_ids = {nodes[node] for node, _ in seeds}
-    depth = {i: 0 for i in seed_ids}
-    # tarjan numbers components in reverse topological order
-    topo = sorted(range(len(order)), key=lambda i: -comp[i])
-    for i in topo:
-        if i not in depth or i in after_cycle:
-            continue
-        for j in adj[i]:
-            if j in after_cycle:
-                continue
-            if depth.get(j, -1) < depth[i] + 1:
-                depth[j] = depth[i] + 1
-    deepest = max(depth[i] for i in bad)
-    return proved({"memory": max(deepest + 1, 1), "pairs": len(order)})
+    target = next((i for i in bad if runs[i] == math.inf), None)
+    if target is not None:
+        cyclic = cycle_nodes(len(order), [[j for j, _ in row] for row in succ])
+        into = cyclic & bfs_closure([target], pred.__getitem__).keys()
+        seed_sym = {nodes[node]: s for node, s in seeds.items()}
+        return refuted(_sft_refutation(succ, seed_sym, lethal, into, target))
+    memory = max((runs[i] for i in bad), default=0) + 1
+    return proved({"memory": memory, "pairs": len(order)})
 
 
-def _sft_refutation(succ, seeds, nodes, lethal, cyclic, target):
+def _sft_refutation(succ, seed_sym, lethal, cyclic, target):
     """Assemble a pumpable witness.
 
     With u(t) = stem cycle^t tail: u(t) extension and symbol u(t) are
     admissible for every t, while symbol u(t) extension never is. Any
     finite memory is exceeded once the pump makes u(t) long enough.
     """
-    seed_ids = []
-    seed_sym = {}
-    for node, s in seeds:
-        i = nodes[node]
-        if i not in seed_sym:
-            seed_sym[i] = s
-            seed_ids.append(i)
-
     def path(sources, goals):
         found = shortest_path(succ, sources, goals.__contains__)
         if found is None:
             raise InvariantViolation("sft witness path", "goal unreachable")
         return found
 
-    seed0, entry, stem = path(seed_ids, cyclic)
+    seed0, entry, stem = path(seed_sym, cyclic)
     cycle = shortest_cycle(succ, entry)
     if cycle is None:
         raise InvariantViolation("sft witness cycle", "no cycle at entry")

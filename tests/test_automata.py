@@ -95,16 +95,27 @@ def test_bfs_tree_spends_per_new_node_and_stops_at_the_first_goal():
         budget = Budget(10**6)
         parent, goal = bfs_tree(seeds, expand, budget, goals.__contains__)
         order = list(parent)
-        assert budget.used == len(parent) - len(set(seeds)), f"seed {seed}"
-        assert all(parent[s] is None for s in seeds)
-        reached = [x for x in order if x in goals]
+        assert budget.used == sum(p is not None for p in parent.values()), \
+            f"seed {seed}"
+        # the goal-free search discovers the same nodes in the same order
+        # with the same tree, and runs on past the goal
+        full, _ = bfs_tree(seeds, rows.__getitem__)
+        assert list(full.items())[:len(order)] == list(parent.items()), \
+            f"seed {seed}"
+        reached = [x for x in full if x in goals]
         if goal is None:
-            assert not reached and expanded == order, f"seed {seed}"
+            assert not reached and expanded == order == list(full), \
+                f"seed {seed}"
+        elif parent[goal] is None:
+            # a seed that is a goal: nothing expanded, nothing spent
+            assert goal == reached[0] == order[-1], f"seed {seed}"
+            assert expanded == [] and budget.used == 0, f"seed {seed}"
         else:
-            # FIFO: the first goal dequeued is the first goal discovered,
-            # and nothing at or after it in discovery order was expanded
-            assert goal == reached[0], f"seed {seed}"
-            assert expanded == order[:order.index(goal)], f"seed {seed}"
+            # the first goal discovered ends the search, and nothing
+            # after the goal's parent was expanded
+            assert goal == reached[0] == order[-1], f"seed {seed}"
+            assert expanded == order[:order.index(parent[goal][0]) + 1], \
+                f"seed {seed}"
 
 
 def test_bfs_tree_budget_raises_past_the_limit():

@@ -279,30 +279,30 @@ def test_sublanguage_counterexample_is_a_shortest_word():
     assert 30 < found < 150
 
 
-def _dequeue_goal_counterexample(g1, g2, budget):
-    """The counterexample search with its goal tested at dequeue only, so
-    every pair queued before the first B-empty pair is still expanded.
-    Returns the word, or None, and the pairs discovered up to and
-    including the goal pair (all of them when there is none), each a
-    budget state."""
+def _goal_free_counterexample(g1, g2):
+    """The counterexample read off a goal-free search over the (A, B)
+    pairs: the first B-empty pair in discovery order. Returns the word,
+    or None, the budget states spent up to and including that pair (the
+    seed spends nothing), and the states of the whole search."""
     t1, t2 = trim(g1), trim(g2)
     if t1.n == 0:
-        return None, 0
+        return None, 0, 0
     dead = (0,) * t2.n
     expand = pair_moves([(s, t1.fwd[s], t2.fwd.get(s, dead))
                          for s in t1.symbols])
-    parent, goal = bfs_tree([(t1.full_mask, t2.full_mask)], expand, budget,
-                            lambda pair: not pair[1])
+    parent, _ = bfs_tree([(t1.full_mask, t2.full_mask)], expand)
+    order = list(parent)
+    goal = next((pair for pair in order if not pair[1]), None)
     if goal is None:
-        return None, budget.used
-    # the seed is the first pair and spends nothing
-    return tuple(tree_path(parent, goal)[1]), list(parent).index(goal)
+        return None, len(order) - 1, len(order) - 1
+    return (tuple(tree_path(parent, goal)[1]), order.index(goal),
+            len(order) - 1)
 
 
 def test_sublanguage_counterexample_stops_at_the_first_goal():
-    """Same word as the search that expands until the goal is dequeued,
-    spending only the pairs discovered up to the goal pair: less wherever
-    pairs were queued after it."""
+    """Same word as the first B-empty pair of the goal-free search,
+    spending only the pairs discovered up to it: less wherever the
+    goal-free search discovers pairs after it."""
     rng = random.Random(5)
     found = saved = 0
     for i in range(400):
@@ -313,11 +313,12 @@ def test_sublanguage_counterexample_stops_at_the_first_goal():
             drop = rng.choice(g1.edges)
             g2 = LabeledGraph.make(g1.alphabet, g1.vertices,
                                    [tuple(e) for e in g1.edges if e != drop])
-        got, want = Budget(10**9), Budget(10**9)
-        word = sublanguage_counterexample(g1, g2, got)
-        assert (word, got.used) == _dequeue_goal_counterexample(g1, g2, want)
+        budget = Budget(10**9)
+        word = sublanguage_counterexample(g1, g2, budget)
+        want, want_used, whole = _goal_free_counterexample(g1, g2)
+        assert (word, budget.used) == (want, want_used)
         found += word is not None
-        saved += got.used < want.used
+        saved += budget.used < whole
     assert found > 100 and saved > 50
 
 

@@ -281,6 +281,30 @@ def test_cli_replay_unreproduced_artifact(tmp_path, capsys):
     assert json.loads(out)["reproduced"] is False
 
 
+def test_cli_replay_malformed_record_exits_3(tmp_path, capsys):
+    artifact = tmp_path / "failure.json"
+    for record in ({"property": "factor-semi-open"}, [1, 2],
+                   {"instance": {}}):
+        artifact.write_text(json.dumps(record))
+        rc = cli.main(["replay", "-i", str(artifact)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (3, ""), record
+        assert "property and instance" in err
+
+
+def test_cli_proptest_rejects_nonsense_sizes_with_exit_3(capsys):
+    for option, value in (("--trials", "-3"), ("--max-vertices", "0"),
+                          ("--max-alphabet", "0")):
+        rc = cli.main(["proptest", "-p", "factor-semi-open", option, value])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (3, ""), option
+        assert option[2:].replace("-", "_") in err and value in err
+    # zero trials is an empty, well-formed run
+    rc, out = _run(capsys, "proptest", "-p", "factor-semi-open",
+                   "--trials", "0")
+    assert rc == 0 and json.loads(out)["trials"] == 0
+
+
 def test_cli_export_dot(tmp_path, capsys):
     rc, out = _run(capsys, "export-dot",
                    "-i", str(FIXTURE_DIR / "golden.json"))

@@ -98,6 +98,44 @@ def test_sft_refutations_pump():
     assert refuted >= 10
 
 
+def _breaks(x, v, max_w):
+    """Is there a symbol s and a word w of length at most max_w with s v
+    and v w admissible but s v w not?"""
+    starts = [s for s in x.alphabet if x.accepts((s,) + v)]
+    stack = [()]
+    while stack:
+        w = stack.pop()
+        for s in x.alphabet:
+            if x.accepts(v + w + (s,)):
+                if any(not x.accepts((t,) + v + w + (s,)) for t in starts):
+                    return True
+                if len(w) + 1 < max_w:
+                    stack.append(w + (s,))
+    return False
+
+
+def test_sft_memory_matches_a_brute_force_break_search():
+    """A proved memory M is tight: some s v w breaks with |v| = M - 1
+    (when M > 1), and none breaks with |v| in M..M+2 (|w| <= 4)."""
+    rng = random.Random(9)
+    checked = deep = 0
+    for trial in range(400):
+        x = SoficShift.from_graph(gen_labeled_graph(rng, 5, 3))
+        dec = is_sft(x)
+        if not dec.is_proved:
+            continue
+        m = dec.payload["memory"]
+        checked += 1
+        if m > 1:
+            deep += 1
+            assert any(_breaks(x, v, 4) for v in x.language(m - 1)), \
+                f"trial {trial} memory {m}"
+        for n in range(m, m + 3):
+            assert not any(_breaks(x, v, 4) for v in x.language(n)), \
+                f"trial {trial} memory {m} breaks at {n}"
+    assert checked > 300 and deep > 10
+
+
 def test_edge_shift_full_language():
     g = fixtures.golden_graph()
     xg = edge_shift(g)
