@@ -58,31 +58,43 @@ class _Memo(dict):
         return value
 
 
-def _intern(tables, ids, pair):
-    """The id of a joint table pair, appended to tables when new."""
-    i = ids.get(pair)
+def _intern(tables, ids, table):
+    """The id of a universe table, appended to tables when new."""
+    i = ids.get(table)
     if i is None:
-        i = ids[pair] = len(tables)
-        tables.append(pair)
+        i = ids[table] = len(tables)
+        tables.append(table)
     return i
 
 
 class SweepSpace:
-    """Subset-pair machinery for one code: step tables and the pair
-    universe. The arrow graph steps per produced symbol by its own fwd
-    (ut), and per (produced, consumed) symbol pair (zt) and per consumed
-    symbol (xt) by _step_tables. The universe's (U, S) pairs are indexed
-    in discovery order: the left-context pairs first, the full restart
-    (full, full) at index 0, then the closure under free and zone steps.
-    Over those indexes, free[s] and zone[s, xi] map each pair to the bit
-    of its successor (0 where the image side dies), and left and doomed
-    are the masks of the left-context pairs and of the pairs from which a
-    free scan can reach a live-U dead-S pair; live is the mask of the
-    pairs with live S. The space also holds one sweep's memos, each
-    spending its budget: the transfer monoid, and the layers, id
-    actions, distances, bad runs and per-(layer, id) bad-run maxima of
-    the interior and openness decisions, whose states are scan masks
-    over the universe (see interior_nonempty and _open_offset)."""
+    """Subset-pair machinery for one code: step tables, the pair universe
+    and the transfer monoid. The arrow graph steps per produced symbol by
+    its own fwd (ut), and per (produced, consumed) symbol pair (zt) and
+    per consumed symbol (xt) by _step_tables. The universe's (U, S) pairs
+    are indexed in discovery order: the left-context pairs first, the
+    full restart (full, full) at index 0, then the closure under free and
+    zone steps. Over those indexes, free[s] and zone[s, xi] map each pair
+    to the bit of its successor (0 where the image side dies), and left
+    and doomed are the masks of the left-context pairs and of the pairs
+    from which a free scan can reach a live-U dead-S pair; live is the
+    mask of the pairs with live S. The space also holds one sweep's
+    memos, each spending its budget: the monoid's products, and the
+    layers, distances, bad runs and per-(layer, id) bad-run maxima of the
+    interior and openness decisions, whose states are scan masks over
+    the universe (see interior_nonempty and _open_offset).
+
+    The monoid's ids are universe tables of the same kind. An image word
+    and a zone word of one length carry joint vertex tables (tu, ts),
+    which map a pair (U, S) to (tu U, ts S), or kill it where tu U = 0.
+    They compose the words' zone steps, and the universe is closed under
+    zone steps, so they map each universe pair into the universe or kill
+    it: each (tu, ts) has a universe table, and the table of a product is
+    the composition of the tables, a monoid homomorphism. The decisions
+    read an id only through its action on scan masks (reached, distance,
+    id_run, bad_run, _limit_point), and profiles keep their admissibility
+    tables, so joint tables that act alike give equal verdicts and
+    offsets, and share one id."""
 
     def __init__(self, code, budget=None):
         self.code = code
@@ -150,32 +162,31 @@ class SweepSpace:
             back.__getitem__)
         self.doomed = sum(1 << i for i in self._doom_parent)
         self.live = sum(1 << i for i, (_, v) in enumerate(self.pairs) if v)
-        self.index = index
-        # the transfer monoid: joint (image, zone-thread) table pairs as
-        # ids, and per pair (i, j) of ids the id of joint table i then
-        # joint table j, composed once. The memo holds no reference to
-        # the space, so a space is freed as soon as its last user ends
+        # the transfer monoid: universe tables as ids, and per pair (i, j)
+        # the id of table i then table j, composed once by indexing table
+        # j at each entry's one bit. The memo holds no reference to the
+        # space, so a space is freed as soon as its last user ends
         self.tables, self.ids = tables, ids = [], {}
 
         def product(pair):
-            (tu1, ts1), (tu2, ts2) = tables[pair[0]], tables[pair[1]]
-            return _intern(tables, ids, (_compose(tu1, tu2),
-                                         _compose(ts1, ts2)))
+            second = tables[pair[1]]
+            return _intern(tables, ids, tuple(
+                second[b.bit_length() - 1] if b else 0
+                for b in tables[pair[0]]))
         self.products = _Memo(product)
         self.layers = [frozenset([self.left])]
         self.cycle_start = None
-        self._actions, self._reached = {}, {}
-        self._distances, self._runs = {}, {}
+        self._reached, self._distances, self._runs = {}, {}, {}
         # per stored layer, the runs id_run has computed from it by id
         self.id_runs = [{}]
 
     @cached_property
     def symbol_profiles(self):
-        """Per zone symbol, its profile: the ids of its joint tables, one
-        per image symbol, and its admissibility table."""
-        return {xi: (frozenset(_intern(self.tables, self.ids, (
-                    self.ut[s], self.zt.get((s, xi), self._zero)))
-                    for s in self.symbols), self.xt[xi])
+        """Per zone symbol xi, its profile: the ids of its tables zone[s,
+        xi], one per image symbol s, and its admissibility table."""
+        return {xi: (frozenset(_intern(self.tables, self.ids,
+                                       tuple(self.zone[s, xi]))
+                               for s in self.symbols), self.xt[xi])
                 for xi in self.xsymbols}
 
     def profile(self, word):
@@ -214,24 +225,9 @@ class SweepSpace:
         return m, layers[m]
 
     def action(self, q, i):
-        """Scan mask q mapped across the zone by joint table i: each pair
-        (U, S) of q to (tu U, ts S), dropped where tu U = 0. One budget
-        state per new (q, i)."""
-        q2 = self._actions.get((q, i))
-        if q2 is None:
-            self.budget.spend()
-            tu, ts = self.tables[i]
-            pairs, index = self.pairs, self.index
-            q2 = 0
-            rest = q
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                u, s = pairs[low.bit_length() - 1]
-                if u := apply_mask(tu, u):
-                    q2 |= 1 << index[u, apply_mask(ts, s)]
-            self._actions[q, i] = q2
-        return q2
+        """Scan mask q mapped across the zone by id i: the union of table
+        i's entries over q's pairs. Spends no budget."""
+        return apply_mask(self.tables[i], q)
 
     def reached(self, q, ids):
         """The ids met at layer state q so far, ids included, grouped by
@@ -302,7 +298,7 @@ def interior_nonempty(space, u, *, profile=None):
     A window of half-length c + m around the zone (c its center), read
     from every left-context pair, certifies interior exactly when the
     image states stay live and no scan result ends doomed. Left of the
-    zone the scan reaches a state of the layer F_m, a joint table of u's
+    zone the scan reaches a state of the layer F_m, an id of u's
     profile maps it across the zone, and the rest reaches no doomed pair
     exactly when the state lies in G_m = {distance <= m}. So the least
     offset is the least m at which an id of the profile maps F_m into
@@ -419,10 +415,6 @@ def _escape_window(space, u):
 # -- level sweeps over transfer profiles --------------------------------------
 
 
-def _compose(t1, t2):
-    return tuple(apply_mask(t2, m) for m in t1)
-
-
 def _profile_levels(space):
     """The distinct transfer profiles of admissible zone words of length
     1, 3, 5, ..., one level at a time.
@@ -438,16 +430,25 @@ def _profile_levels(space):
     x + rep(P) + y in word order, so a profile's first hit is its least
     word.
 
-    The joint tables are ids of the space's monoid, so a profile is a
-    frozenset of ids with its admissibility table, and the product of
-    two ids is composed once and looked up after that. Per zone symbol x
-    and id j, the row x.j holds the products of x's ids with j, and per
-    zone symbol y and id i, the row i.y those of i with y's, each built
-    on first use; so x.P is the union of P's x-rows, and (x.P).y the
-    union of x.P's y-rows. Admissibility tables are composed once per
-    pair of tables. The admissible joins of each (x, P) are kept for the
-    whole sweep, so a profile met again at a later level costs no join.
-    A join spends one budget state per pair product, before it is built.
+    The joint tables are held as ids, their universe tables (see
+    SweepSpace), so a profile is a frozenset of ids with its
+    admissibility table: the image of the fine profile under the
+    homomorphism. Such coarse profiles compose as fine ones do, so the
+    joins below build each level's coarse profiles, a level with no new
+    one proves saturation, and coarse levels saturate no later than fine
+    ones. A word's verdict depends only on its coarse profile, so a
+    level's least failing word is the same in both sweeps, and so is the
+    first failing level: a coarse sweep that saturated before it would
+    have met a failing word at an earlier level.
+
+    The product of two ids is composed once. Per zone symbol x and id j,
+    the row x.j holds the products of x's ids with j, and per zone
+    symbol y and id i, the row i.y those of i with y's, each built on
+    first use; so x.P is the union of P's x-rows, and (x.P).y the union
+    of x.P's y-rows. Admissibility tables are composed once per pair.
+    The joins of each (x, P) are kept for the whole sweep, so a profile
+    met again at a later level costs no join. A join spends one budget
+    state per pair product, before it is built.
     """
     sym = space.symbol_profiles
     products = space.products
@@ -456,7 +457,9 @@ def _profile_levels(space):
     right = {y: {} for y in space.xsymbols}
     # per pair of admissibility tables, their composition, or None where
     # it is all zero: the joined word is not admissible
-    adms = _Memo(lambda pair: (t if any(t := _compose(*pair)) else None))
+    adms = _Memo(lambda pair: (
+        t if any(t := tuple(apply_mask(pair[1], m) for m in pair[0]))
+        else None))
     spend = space.budget.spend
 
     def joins_of(x, prof):
@@ -590,9 +593,10 @@ def check_semi_open(code, l_max=4, *, budget=None):
 
     Every level profile, new or met again, is decided by
     interior_nonempty on its least word at that level. The decision's
-    layers, actions and distances are kept on the space for the whole
-    sweep, so a profile met again spends no budget and only its window
-    search runs.
+    layers, reached ids and distances are kept on the space for the whole
+    sweep, and an id's action on a scan mask is one apply_mask that
+    spends nothing, so a profile met again spends no budget and only its
+    window search runs.
     """
     def start(space):
         def visit(level, prof, word):
@@ -628,25 +632,25 @@ def _limit_point(space, word, profile):
     whose profile has an infinite offset (see check_open), as the past
     cycle c1, the chain b1 v b2, the index in the chain of the zone's
     center and the future cycle c2; v is an image word read across the
-    zone. Every mask it visits is already in a memo of the sweep, so it
-    spends no budget.
+    zone. Every bad run it reads is already in a memo of the sweep, and
+    its actions and steps are plain apply_mask calls, so it spends no
+    budget.
 
     An id of the profile maps a state x of a cycle layer to a mask whose
     bad run is infinite. The past walks back from x, each state to the
     least state of the layer before it that steps to it, until a (layer,
     state) repeats: the walk's cycle reads c1, and its way back to x
-    reads b1. v is an image word whose joint table is that id, found
+    reads b1. v is an image word whose universe table is that id, found
     over the products the sweep's joins composed: each zone word's
     profile joins its outer symbols around its inner word's, so every
     joined id keeps a back-pointer to the id it came from. The future
     takes the least free step to a mask whose bad run is infinite until
     a mask repeats: b2, then the cycle c2. A missing step raises
     InvariantViolation."""
-    layers, start = space.layers, space.cycle_start
-    actions, runs = space._actions, space._runs
+    layers, start, runs = space.layers, space.cycle_start, space._runs
     found = next(((j, i, x) for j in range(start, len(layers))
                   for i in sorted(profile) for x in sorted(layers[j])
-                  if runs.get(actions.get((x, i))) == inf), None)
+                  if runs.get(space.action(x, i)) == inf), None)
     if found is None:
         raise InvariantViolation("an infinite run from a cycle layer", word)
     j, target, x = found
@@ -676,11 +680,11 @@ def _limit_point(space, word, profile):
                      if runs.get(q2 := apply_mask(space.free[s], q)) == inf),
                     None)
     b1, c1 = walk((j, x), back)
-    b2, c2 = walk(actions[x, target], forth)
+    b2, c2 = walk(space.action(x, target), forth)
 
     def symbol_ids(xi):
-        # per id of zone symbol xi's joint tables, its least image symbol
-        return {space.ids[space.ut[s], space.zt.get((s, xi), space._zero)]: s
+        # per id of zone symbol xi's tables, its least image symbol
+        return {space.ids[tuple(space.zone[s, xi])]: s
                 for s in reversed(space.symbols)}
     c = len(word) // 2
     center = symbol_ids(word[c])
@@ -811,10 +815,10 @@ def check_open(code, l_max=4, k_max=12, budget=None):
     it, so the walk back from x never stops and, the states being
     finitely many, repeats a (layer, state) z: z reads the cycle c1 back
     to itself and b1 on to x. Zone: i lies in the profile, so some image
-    word v read across the zone word u has joint table i. Future: a mask
-    with an infinite bad run is bad and has a free successor with an
+    word v read across the zone word u has universe table i. Future: a
+    mask with an infinite bad run is bad and has a free successor with an
     infinite bad run, so the walk forward from q never stops and repeats
-    a mask: b2, then c2. Every state is in a memo, so nothing is spent.
+    a mask: b2, then c2. Every run is in a memo, so nothing is spent.
 
     The point p = c1^inf b1 . v . b2 c2^inf lies in f([u]) and no
     cylinder around it does. z is the scan from the left-context pairs

@@ -357,18 +357,18 @@ class Property:
     name: str
     generate: object
     check: object
+    keys: tuple = ()  # the instance keys generate writes and check reads
 
 
-PROPERTIES = {
-    "finite-cover-semi-open": Property("finite-cover-semi-open",
-                                       _a_generate, _a_check),
-    "factor-semi-open": Property("factor-semi-open", _b_generate, _b_check),
-    "right-closing-sft": Property("right-closing-sft", _b_generate, _c_check),
-    "semi-ae-constant": Property("semi-ae-constant", _d_generate, _d_check),
-    "magic-witness": Property("magic-witness", _e_generate, _e_check),
-    "fiber-transfer": Property("fiber-transfer", _f_generate, _f_check),
-    "lift-consistency": Property("lift-consistency", _g_generate, _g_check),
-}
+PROPERTIES = {name: Property(name, generate, check, keys)
+              for name, generate, check, keys in (
+    ("finite-cover-semi-open", _a_generate, _a_check, ("graph",)),
+    ("factor-semi-open", _b_generate, _b_check, ("graph", "table")),
+    ("right-closing-sft", _b_generate, _c_check, ("graph", "table")),
+    ("semi-ae-constant", _d_generate, _d_check, ("graph", "table")),
+    ("magic-witness", _e_generate, _e_check, ("graph", "path")),
+    ("fiber-transfer", _f_generate, _f_check, ("graph1", "graph2")),
+    ("lift-consistency", _g_generate, _g_check, ("graph", "table")))}
 
 
 def proptest(cfg):
@@ -422,4 +422,8 @@ def replay(failure):
     if prop is None:
         raise InvariantViolation("unknown property",
                                  str(failure["property"]))
-    return prop.check(failure["instance"])
+    instance = failure["instance"]
+    if not (isinstance(instance, dict) and set(prop.keys) <= instance.keys()):
+        raise ParseError(f"an object with {' and '.join(prop.keys)}",
+                         "instance")
+    return prop.check(instance)

@@ -19,7 +19,6 @@ from .codes import (
     is_cover_map,
     is_finite_to_one,
     is_right_closing,
-    is_surjective_onto,
 )
 from .decision import (Certificate, audit, inconclusive,
                        inconclusive_on_budget, proved, refuted)
@@ -77,10 +76,6 @@ class _Facts:
     def image(self):
         return self._get("image", lambda: image_presentation(self.code))
 
-    @property
-    def codomain(self):
-        return self.ctx.get("codomain", self.image)
-
     def domain_irreducible(self):
         return self._decide(
             "dom_irr", lambda: _bool_dec(is_irreducible_shift(self.domain)))
@@ -88,15 +83,11 @@ class _Facts:
     def codomain_irreducible(self):
         return self._decide(
             "cod_irr",
-            lambda: _bool_dec(is_irreducible_shift(self.codomain)))
+            lambda: _bool_dec(is_irreducible_shift(self.image)))
 
     def onto(self):
-        def check():
-            if "codomain" not in self.ctx:
-                # image presentation taken as codomain: onto by construction
-                return proved({"note": "codomain is the image presentation"})
-            return _bool_dec(is_surjective_onto(self.code, self.ctx["codomain"]))
-        return self._decide("onto", check)
+        # the codomain is the image presentation: onto by construction
+        return proved({"note": "codomain is the image presentation"})
 
     def cover_map(self):
         return self._decide("cover",
@@ -132,7 +123,7 @@ class _Facts:
         return self._decide("sft_dom", lambda: is_sft(self.domain))
 
     def sft_codomain(self):
-        return self._decide("sft_cod", lambda: is_sft(self.codomain))
+        return self._decide("sft_cod", lambda: is_sft(self.image))
 
     def semi_open(self):
         def check():
@@ -369,10 +360,10 @@ _BUILDERS = (
 def certificates(code, context=None):
     """Every certificate whose hypothesis checklist is fully Proved.
 
-    The context supplies the declared codomain and any verdicts already
+    The codomain is the code's image presentation, so the code is onto
+    it by construction. The context supplies any verdicts already
     computed elsewhere:
 
-      codomain     target SoficShift (defaults to the image presentation)
       semi_open    Decision from check_semi_open on this code
       retract      RetractDecision (right side) for this code
       fiber        dict with psi1_semi_open, phi1_semi_open, psi2_onto
@@ -413,8 +404,6 @@ def _audit_all(certs, f):
             if report is not None:
                 good = report["nonwandering"] and report["all_maximal"]
                 audit(claimed, _bool_dec(good), cert.tag)
-        elif cert.tag == "LemmaOnto":
-            audit(claimed, f.onto(), cert.tag)
         elif cert.tag == "ThmBallier":
             audit(claimed, f.ctx["retract"].verdict, cert.tag)
 

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -31,7 +32,8 @@ from shiftlab.codes import (
 )
 from shiftlab.decision import Decision
 from shiftlab.errors import (BudgetExceeded, DomainMismatch, NotFiniteToOne,
-                             ParseError, ReducibleShift)
+                             ParseError, PeriodicPointNotInShift,
+                             ReducibleShift)
 from shiftlab.graph import Edge, LabeledGraph
 from shiftlab.io import graph_from_json, graph_to_json
 from shiftlab.openness import check_right_continuing_retract
@@ -381,6 +383,44 @@ def test_periodic_preimage_counts():
     assert count_preimages_of_periodic(g, ("0",)) == 2
     assert count_preimages_of_periodic(g, ("1",)) == 1
     assert count_preimages_of_periodic(g, ("0", "0")) == 2
+
+
+def _least_infinite_fiber_period(g, max_period):
+    """The least period p <= max_period of a periodic point with
+    infinitely many preimages under g's cover code, or None."""
+    labels = sorted({e.label for e in g.edges})
+    for p in range(1, max_period + 1):
+        for block in itertools.product(labels, repeat=p):
+            try:
+                if count_preimages_of_periodic(g, block) == float("inf"):
+                    return p
+            except PeriodicPointNotInShift:
+                pass
+    return None
+
+
+def test_finite_to_one_matches_periodic_fibers():
+    """is_finite_to_one against an engine it does not use: the periodic
+    phase graph behind count_preimages_of_periodic. A finite-to-one code
+    has only finite fibers, so a Proved code has no periodic point of
+    period <= 4 with an infinite fiber. A code that is not finite-to-one
+    has some point with an infinite fiber, but no period bound for it is
+    proved: on this fixed seed every Refuted code has one at period <= 3,
+    a bound found empirically."""
+    rng = random.Random(11)
+    periods = Counter()
+    for _ in range(300):
+        g = gen_labeled_graph(rng, 5, 3, accept=gr.is_irreducible)
+        dec = is_finite_to_one(cover_code(g))
+        period = _least_infinite_fiber_period(g, 4)
+        if dec.is_proved:
+            assert period is None, graph_to_json(g)
+        else:
+            assert dec.is_refuted and period is not None and period <= 3, \
+                graph_to_json(g)
+        periods[dec.verdict, period] += 1
+    assert periods == {("Proved", None): 140, ("Refuted", 1): 146,
+                       ("Refuted", 2): 9, ("Refuted", 3): 5}
 
 
 def test_fiber_product_diagonal():

@@ -283,13 +283,20 @@ def test_cli_replay_unreproduced_artifact(tmp_path, capsys):
 
 def test_cli_replay_malformed_record_exits_3(tmp_path, capsys):
     artifact = tmp_path / "failure.json"
-    for record in ({"property": "factor-semi-open"}, [1, 2],
-                   {"instance": {}}):
+    graph = io.graph_to_json(fixtures.golden_graph())
+    for record, message in (
+            ({"property": "factor-semi-open"}, "property and instance"),
+            ([1, 2], "property and instance"),
+            ({"instance": {}}, "property and instance"),
+            ({"property": "factor-semi-open", "instance": 5},
+             "instance: an object with graph and table"),
+            ({"property": "factor-semi-open", "instance": {"graph": graph}},
+             "instance: an object with graph and table")):
         artifact.write_text(json.dumps(record))
         rc = cli.main(["replay", "-i", str(artifact)])
         out, err = capsys.readouterr()
         assert (rc, out) == (3, ""), record
-        assert "property and instance" in err
+        assert message in err
 
 
 def test_cli_proptest_rejects_nonsense_sizes_with_exit_3(capsys):

@@ -381,7 +381,7 @@ def _zone_words(space, length):
     return [w for w, _ in level]
 
 
-def _word_profile(space, word):
+def _fine_profile(space, word):
     """Joint (image, zone-thread) transfer tables over all image words of
     the zone's length, plus the zone-only admissibility table."""
     ident = tuple(1 << i for i in range(space.g.n))
@@ -393,6 +393,30 @@ def _word_profile(space, word):
                  for tu, ts in pairs for s in space.symbols}
         xt = _then(xt, space.xt[xi])
     return frozenset(pairs), xt
+
+
+def _universe_action(index, joint):
+    """A joint table's action on the pair universe, given as the index of
+    its pairs: per pair (U, S), the bit of (tu U, ts S), or 0 where
+    tu U = 0."""
+    tu, ts = joint
+    out = []
+    for u, v in index:
+        u2 = _image(tu, u)
+        out.append(1 << index[u2, _image(ts, v)] if u2 else 0)
+    return tuple(out)
+
+
+def _coarse(space, fine):
+    """A fine profile with each joint table mapped to its universe
+    action."""
+    index = {p: i for i, p in enumerate(space.pairs)}
+    return (frozenset(_universe_action(index, t) for t in fine[0]),
+            fine[1])
+
+
+def _word_profile(space, word):
+    return _coarse(space, _fine_profile(space, word))
 
 
 def _per_word_sweep(space, l_max, verdict):
@@ -590,35 +614,43 @@ def _table_join(p1, p2):
 
 
 def _table_levels(space, count):
-    """The first count levels of the sweep over explicit-table profiles,
-    every join recomputed: per level, the dict from profile to least zone
-    word, and the (x, P, pair products) of the joins x.P and (x.P).y that
-    build the next level from it."""
+    """The first count levels of the sweep over profiles of universe
+    actions, every join recomputed on explicit tables: per level, the
+    dict from profile (the universe actions of a fine profile's joint
+    tables, see _coarse) to least zone word, and the (x, P, pair
+    products) of the joins x.P and (x.P).y that build the next level
+    from it. A level's profile is joined through the fine profile of its
+    least word, and a join is charged by the sizes of the coarse
+    profiles it joins."""
     sym = {xi: (frozenset((space.ut[s], space.zt.get((s, xi), space._zero))
                           for s in space.symbols), space.xt[xi])
            for xi in space.xsymbols}
+    coarse = {xi: _coarse(space, sym[xi]) for xi in space.xsymbols}
     level = {}
     for xi in space.xsymbols:
-        level.setdefault(sym[xi], (xi,))
+        level.setdefault(coarse[xi], ((xi,), sym[xi]))
     levels, joins = [level], []
     while len(levels) < count:
         nxt, made = {}, []
         for x in space.xsymbols:
-            for prof, word in level.items():
+            for prof, (word, fine) in level.items():
                 products = 0
-                if any(_then(sym[x][1], prof[1])):
-                    left = _table_join(sym[x], prof)
-                    products = len(sym[x][0]) * len(prof[0])
+                if any(_then(sym[x][1], fine[1])):
+                    left = _table_join(sym[x], fine)
+                    products = len(coarse[x][0]) * len(prof[0])
+                    left_ids = _coarse(space, left)[0]
                     for y in space.xsymbols:
                         if any(_then(left[1], sym[y][1])):
-                            products += len(left[0]) * len(sym[y][0])
-                            nxt.setdefault(_table_join(left, sym[y]),
-                                           (x,) + word + (y,))
+                            products += len(left_ids) * len(coarse[y][0])
+                            joined = _table_join(left, sym[y])
+                            nxt.setdefault(_coarse(space, joined),
+                                           ((x,) + word + (y,), joined))
                 made.append((x, prof, products))
         level = nxt
         levels.append(level)
         joins.append(made)
-    return levels, joins
+    return [{prof: word for prof, (word, _) in level.items()}
+            for level in levels], joins
 
 
 def _with_fixtures(codes):
@@ -646,14 +678,14 @@ def test_monoid_levels_match_explicit_table_levels():
             assert list(level.values()) == list(ref.values())
             shared.update(zip(level, ref))
         # interning is a bijection: words share a monoid profile exactly
-        # when they share an explicit-table profile
+        # when their explicit tables act alike on the pair universe
         assert len({p for p, _ in shared}) == len(shared) \
             == len({r for _, r in shared})
         # profiles met again at later levels
         count = sum(map(len, reference))
         words += count
         recurring += count - len(shared)
-    assert words > 900 and recurring > 600
+    assert words > 850 and recurring > 600
 
 
 def test_each_profile_joins_once_per_sweep():
@@ -683,6 +715,28 @@ def test_each_profile_joins_once_per_sweep():
             used = space.budget.used
             seen.update(ref)
     assert revisited > 100 and mixed > 5
+
+
+def test_monoid_tables_are_universe_actions_of_explicit_profiles():
+    """The monoid is a homomorphic image of the explicit tables: on every
+    admissible zone word of levels 0-2, the tables of the word's profile
+    are exactly the universe actions of its explicit joint tables, one id
+    per action, each entry one bit or 0."""
+    words = merged = 0
+    for code in _level_codes():
+        space = SweepSpace(code, Budget(10**9))
+        for length in (1, 3, 5):
+            for word in _zone_words(space, length):
+                fine = _fine_profile(space, word)
+                ids = space.profile(word)
+                tables = {space.tables[i] for i in ids}
+                assert tables == _coarse(space, fine)[0], word
+                assert len(tables) == len(ids)
+                words += 1
+                merged += len(ids) < len(fine[0])
+        assert all(space.ids[t] == i for i, t in enumerate(space.tables))
+        assert all(b & (b - 1) == 0 for t in space.tables for b in t)
+    assert words > 3000 and merged > 500
 
 
 def _least_interior_window(code, zone, y, k_limit):
@@ -932,8 +986,7 @@ def test_interior_states_are_scan_masks():
 
 def _memo_entries(space):
     # the first layer is the seed, not a memo entry
-    return (sum(map(len, space.layers)) - 1 + len(space._actions)
-            + len(space._distances))
+    return sum(map(len, space.layers)) - 1 + len(space._distances)
 
 
 def test_interior_decisions_spend_once_per_memo_entry(monkeypatch):
@@ -970,7 +1023,7 @@ def test_interior_decisions_spend_once_per_memo_entry(monkeypatch):
         assert made[0].budget.used == fresh.budget.used \
             + _memo_entries(made[0])
         entries += _memo_entries(made[0])
-    assert again > 100 and entries > 500
+    assert again > 100 and entries > 150
 
 
 # -- the pair universe and its doom tree against brute force --------------
