@@ -700,6 +700,8 @@ def lift_code(f, x1, x2, w_max=6, budget=None):
     name, edge id) order, or None when every window up to w_max fails
     (which proves nothing about larger windows).
     """
+    if w_max < 1:
+        raise InvariantViolation("w_max must be >= 1", w_max)
     if budget is None:
         budget = Budget(where="lift search")
     g1 = sh.fischer_cover(x1)

@@ -37,6 +37,13 @@ def _string_list(value, what):
     return value
 
 
+def _string_table(value, what):
+    if not isinstance(value, dict) or any(not isinstance(s, str)
+                                          for s in value.values()):
+        raise ParseError("expected an object with string values", field=what)
+    return value
+
+
 # -- graphs ----------------------------------------------------------------
 
 
@@ -117,17 +124,12 @@ def code_from_json(obj, domain=None):
     for name in ("memory", "anticipation"):
         if not isinstance(obj[name], int) or isinstance(obj[name], bool):
             raise ParseError("expected an integer", field=name)
-    if not isinstance(obj["table"], dict):
-        raise ParseError("expected an object", field="table")
+    table = _string_table(obj["table"], "table")
     separator = obj.get("separator")
     if separator is not None and (not isinstance(separator, str) or not separator):
         raise ParseError("expected a nonempty string", field="separator")
-    table = {}
-    for key, value in obj["table"].items():
-        if not isinstance(value, str):
-            raise ParseError("expected a string value", field="table")
-        word = tuple(key.split(separator)) if separator else tuple(key)
-        table[word] = value
+    table = {tuple(key.split(separator)) if separator else tuple(key): value
+             for key, value in table.items()}
     codomain = obj.get("codomain_alphabet")
     if codomain is not None:
         codomain = _string_list(codomain, "codomain_alphabet")

@@ -325,7 +325,8 @@ def interior_nonempty(space, u, *, profile=None):
         return refuted({"zone": u.to_json(), **_escape_window(space, u)})
     return proved({
         "zone": u.to_json(),
-        "cylinder": _least_window(space, u, m).to_json(),
+        "cylinder": _least_window(
+            space, u, m, lambda q: not q & space.doomed).to_json(),
         "k": c + m,
     })
 
@@ -352,13 +353,15 @@ def _interior_offset(space, profile):
                     reach = max(reach, j)
 
 
-def _least_window(space, u, m, doomed=False):
+def _least_window(space, u, m, goal, start=None):
     """The lexicographically least window of m free symbols, the zone
-    word u and m free symbols whose scan from the left-context pairs ends
-    on no doomed pair (with doomed set: on some doomed pair), as a
+    word u and m free symbols whose scan from the mask start (default:
+    the left-context pairs) ends on a mask q with goal(q), as a
     CenteredWord centered on u's center. Depth-first over the window's
     positions, free steps outside the zone and zone steps inside it,
-    with a fruitless-state memo. Such a window must exist.
+    with a fruitless-state memo. Such a window must exist. It builds
+    every zone-word witness: the interior and escape cylinders and the
+    limit point's v (see _limit_point).
 
     The scan holds the image of the full restart (full, full), whose
     image side is the set of image states that can read the window, and
@@ -369,7 +372,7 @@ def _least_window(space, u, m, doomed=False):
 
     def rec(t, q):
         if t == end:
-            return () if bool(q & space.doomed) == doomed else None
+            return () if goal(q) else None
         if (t, q) in dead:
             return None
         for s in space.symbols:
@@ -383,11 +386,18 @@ def _least_window(space, u, m, doomed=False):
         dead.add((t, q))
         return None
 
-    word = rec(0, space.left)
+    word = rec(0, space.left if start is None else start)
     if word is None:
         raise InvariantViolation("window at the decided offset",
-                                 f"zone {u.word} m {m} doomed {doomed}")
+                                 f"zone {u.word} m {m}")
     return CenteredWord(word, u.center + m)
+
+
+def _zone_scan(space, q, word, zone):
+    """Scan mask q mapped by the zone steps of word across zone."""
+    for s, xi in zip(word, zone):
+        q = apply_mask(space.zone[s, xi], q)
+    return q
 
 
 def _escape_window(space, u):
@@ -396,16 +406,11 @@ def _escape_window(space, u):
     word its cylinder image misses. The window leaves through the least
     doomed pair the candidate's scan reaches, entered from the least
     left-context pair whose zone scan reaches it."""
-    cylinder = _least_window(space, u, 0, doomed=True)
-
-    def scan(p):
-        for s, xi in zip(cylinder.word, u.word):
-            p = apply_mask(space.zone[s, xi], p)
-        return p
-    hit = scan(space.left) & space.doomed
+    cylinder = _least_window(space, u, 0, lambda q: q & space.doomed)
+    hit = _zone_scan(space, space.left, cylinder.word, u.word) & space.doomed
     hit = (hit & -hit).bit_length() - 1
     src = next(i for i in range(space.left.bit_length())
-               if scan(1 << i) >> hit & 1)
+               if _zone_scan(space, 1 << i, cylinder.word, u.word) >> hit & 1)
     left = space.left_word(src)
     window = CenteredWord(left + cylinder.word + space.doom_word(hit),
                           len(left) + u.center)
@@ -524,18 +529,17 @@ class LiftingTable:
         }
 
 
-def _level_sweep(code, budget, l_max, start):
+def _level_sweep(code, budget, l_max, visit):
     """Visit the profiles of levels 0..l_max in order of least zone word.
 
-    start(space) gets the code's SweepSpace and returns visit. visit(level,
-    prof, word) gets the profile and its least word at this level, whether
-    the profile is new or met at an earlier level; it returns the
-    profile's witness entry, which carries its half-length "k", or a
-    Decision that ends the sweep with the table of the levels visited. A
-    level that brings no new profile proves saturation. A budget running
-    out anywhere, in the space or in a visit, ends the check
-    Inconclusive. A negative l_max raises InvariantViolation. Returns
-    (decision, table).
+    visit(space, level, prof, word) gets the code's SweepSpace, the
+    profile and its least word at this level, whether the profile is new
+    or met at an earlier level; it returns the profile's witness entry,
+    which carries its half-length "k", or a Decision that ends the sweep
+    with the table of the levels visited. A level that brings no new
+    profile proves saturation. A budget running out anywhere, in the
+    space or in a visit, ends the check Inconclusive. A negative l_max
+    raises InvariantViolation. Returns (decision, table).
     """
     if l_max < 0:
         raise InvariantViolation("l_max must be >= 0", l_max)
@@ -546,14 +550,13 @@ def _level_sweep(code, budget, l_max, start):
         return dec, LiftingTable(tuple(entries), witnesses, None, None)
 
     def sweep(space):
-        visit = start(space)
         seen = set()
         saturation_level = None
         for level, profiles in zip(range(l_max + 1), _profile_levels(space)):
             k_level = 0
             grew = False
             for prof, word in profiles.items():
-                entry = visit(level, prof, word)
+                entry = visit(space, level, prof, word)
                 if isinstance(entry, Decision):
                     return stop(entry)
                 grew |= prof not in seen
@@ -598,33 +601,18 @@ def check_semi_open(code, l_max=4, *, budget=None):
     spends nothing, so a profile met again spends no budget and only its
     window search runs.
     """
-    def start(space):
-        def visit(level, prof, word):
-            dec = interior_nonempty(space, CenteredWord.central(word),
-                                    profile=prof[0])
-            if dec.is_refuted:
-                return refuted({"zone": list(word), "level": level,
-                                "interior": dec.payload})
-            return {"k": dec.payload["k"], "cylinder": dec.payload["cylinder"]}
-        return visit
+    def visit(space, level, prof, word):
+        dec = interior_nonempty(space, CenteredWord.central(word),
+                                profile=prof[0])
+        if dec.is_refuted:
+            return refuted({"zone": list(word), "level": level,
+                            "interior": dec.payload})
+        return {"k": dec.payload["k"], "cylinder": dec.payload["cylinder"]}
 
-    return _level_sweep(code, budget, l_max, start)
+    return _level_sweep(code, budget, l_max, visit)
 
 
 # -- openness ------------------------------------------------------------
-
-
-def _orbit_tail(start, step):
-    """Recurrent values of the orbit start, step(start), ... of a
-    deterministic map on hashable values."""
-    seen = {}
-    order = []
-    cur = start
-    while cur not in seen:
-        seen[cur] = len(order)
-        order.append(cur)
-        cur = step(cur)
-    return order[seen[cur]:]
 
 
 def _limit_point(space, word, profile):
@@ -636,24 +624,27 @@ def _limit_point(space, word, profile):
     its actions and steps are plain apply_mask calls, so it spends no
     budget.
 
-    An id of the profile maps a state x of a cycle layer to a mask whose
-    bad run is infinite. The past walks back from x, each state to the
-    least state of the layer before it that steps to it, until a (layer,
-    state) repeats: the walk's cycle reads c1, and its way back to x
-    reads b1. v is an image word whose universe table is that id, found
-    over the products the sweep's joins composed: each zone word's
-    profile joins its outer symbols around its inner word's, so every
-    joined id keeps a back-pointer to the id it came from. The future
-    takes the least free step to a mask whose bad run is infinite until
-    a mask repeats: b2, then the cycle c2. A missing step raises
+    j is the first cycle layer and i the least id of the profile whose
+    run from layers[j] is infinite (SweepSpace.id_run), and x the least
+    state of layers[j] that i maps to a mask with an infinite bad run.
+    The past walks back from x, each state to the least state of the
+    layer before it that steps to it, until a (layer, state) repeats:
+    the walk's cycle reads c1, and its way back to x reads b1. v is the
+    least image word across the zone whose scan from x ends on a mask q
+    with an infinite bad run (_least_window at m = 0). Every image word
+    read across the zone has its table in the profile, so the search
+    ends only on masks whose bad runs id_run has memoized, and a word
+    with table i meets its goal (see check_open). The future takes the
+    least free step from q to a mask whose bad run is infinite until a
+    mask repeats: b2, then the cycle c2. A missing step raises
     InvariantViolation."""
     layers, start, runs = space.layers, space.cycle_start, space._runs
-    found = next(((j, i, x) for j in range(start, len(layers))
-                  for i in sorted(profile) for x in sorted(layers[j])
-                  if runs.get(space.action(x, i)) == inf), None)
+    found = next(((j, i) for j in range(start, len(layers))
+                  for i in sorted(profile) if space.id_run(j, i) == inf), None)
     if found is None:
         raise InvariantViolation("an infinite run from a cycle layer", word)
-    j, target, x = found
+    j, i = found
+    x = min(x for x in layers[j] if runs.get(space.action(x, i)) == inf)
 
     def walk(state, step):
         # the symbols step reads from state until a state repeats, cut
@@ -679,39 +670,14 @@ def _limit_point(space, word, profile):
         return next(((q2, s) for s in space.symbols
                      if runs.get(q2 := apply_mask(space.free[s], q)) == inf),
                     None)
+    u = CenteredWord.central(word)
+    v = _least_window(space, u, 0, lambda q: runs.get(q) == inf, x).word
     b1, c1 = walk((j, x), back)
-    b2, c2 = walk(space.action(x, target), forth)
-
-    def symbol_ids(xi):
-        # per id of zone symbol xi's tables, its least image symbol
-        return {space.ids[tuple(space.zone[s, xi])]: s
-                for s in reversed(space.symbols)}
-    c = len(word) // 2
-    center = symbol_ids(word[c])
-    joins = []  # per half-width, back-pointers of the left and right join
-    ids = center
-    for d in range(1, c + 1):
-        left = {}
-        for i, s in symbol_ids(word[c - d]).items():
-            for k in ids:
-                left.setdefault(space.products[i, k], (k, s))
-        ids = {}
-        for k in left:
-            for i, s in symbol_ids(word[c + d]).items():
-                ids.setdefault(space.products[k, i], (k, s))
-        joins.append((left, ids))
-    head, tail = [], []
-    i = target
-    for left, right in reversed(joins):
-        i, s = right[i]
-        tail.append(s)
-        i, s = left[i]
-        head.append(s)
-    v = head + [center[i]] + tail[::-1]
+    b2, c2 = walk(_zone_scan(space, x, v, word), forth)
     return {
         "past_cycle": c1[::-1],
-        "chain": b1[::-1] + v + b2,
-        "anchor_step": len(b1) + c,
+        "chain": b1[::-1] + list(v) + b2,
+        "anchor_step": len(b1) + u.center,
         "future_cycle": c2,
     }
 
@@ -779,10 +745,7 @@ def _open_offset(space, profile):
     """
     for m in count():
         j, _ = space.layer(m)
-        try:
-            run = max(map(space.id_runs[j].__getitem__, profile), default=-1)
-        except KeyError:  # an id whose run is not known yet
-            run = max((space.id_run(j, i) for i in profile), default=-1)
+        run = max((space.id_run(j, i) for i in profile), default=-1)
         if run < m:
             return m
         if j < m and run == inf:
@@ -810,47 +773,49 @@ def check_open(code, l_max=4, k_max=12, budget=None):
     An infinite offset always yields the limit point, so the builder
     never fails on it. _open_offset returns None only at a cycle layer
     j (one that recurs), where an id i of the profile maps a state x of
-    layers[j] to a mask q with an infinite bad run. Past: every state of
+    layers[j] to a mask with an infinite bad run. Past: every state of
     a cycle layer is a free step of a state of the cycle layer before
     it, so the walk back from x never stops and, the states being
     finitely many, repeats a (layer, state) z: z reads the cycle c1 back
-    to itself and b1 on to x. Zone: i lies in the profile, so some image
-    word v read across the zone word u has universe table i. Future: a
-    mask with an infinite bad run is bad and has a free successor with an
-    infinite bad run, so the walk forward from q never stops and repeats
-    a mask: b2, then c2. Every run is in a memo, so nothing is spent.
+    to itself and b1 on to x. Zone: every image word read across u has
+    its universe table in the profile, so a scan from x across u ends on
+    the action on x of an id of the profile, whose bad run id_run
+    memoized before _open_offset returned None. A word with table i ends
+    on a mask with an infinite bad run, so the least such word v exists
+    and ends on a mask q with an infinite bad run. Future: a mask with an
+    infinite bad run is bad and has a free successor with an infinite bad
+    run, so the walk forward from q never stops and repeats a mask: b2,
+    then c2. Every run is in a memo, so nothing is spent.
 
     The point p = c1^inf b1 . v . b2 c2^inf lies in f([u]) and no
     cylinder around it does. z is the scan from the left-context pairs
     along some word w, so x is the scan along w c1^n b1 for every n.
     Scans only shrink along longer left words, since a free step keeps
     the left-context pairs among themselves, so the scan along any
-    suffix of c1^inf b1 contains x. Scans are monotone, so the scan of p's window of any half-length t >= c
-    contains the mask reached from q along the first t - c symbols of
-    b2 c2^inf, which is bad; and a superset of a bad mask is bad. A bad
-    scan holds a live-S pair, so the window is read in f([u]), and a
-    doomed pair, so the window's cylinder leaves f([u]). f([u]) is
-    closed, so p lies in it, with no cylinder around p inside it: f([u])
-    is not open, and neither is f.
+    suffix of c1^inf b1 contains x. Scans are monotone, so the scan of
+    p's window of any half-length t >= c contains the mask reached from
+    q along the first t - c symbols of b2 c2^inf, which is bad; and a
+    superset of a bad mask is bad. A bad scan holds a live-S pair, so
+    the window is read in f([u]), and a doomed pair, so the window's
+    cylinder leaves f([u]). f([u]) is closed, so p lies in it, with no
+    cylinder around p inside it: f([u]) is not open, and neither is f.
     """
     if k_max < 0:
         raise InvariantViolation("k_max must be >= 0", k_max)
 
-    def start(space):
-        def visit(level, prof, word):
-            m = _open_offset(space, prof[0])
-            if m is None:
-                return refuted(_refutation(code, space, word, prof[0]))
-            if m > k_max:
-                return inconclusive({
-                    "reason": "no uniform witness length within bound",
-                    "zone": list(word),
-                    "k_max": k_max,
-                })
-            return {"k": level + m}
-        return visit
+    def visit(space, level, prof, word):
+        m = _open_offset(space, prof[0])
+        if m is None:
+            return refuted(_refutation(code, space, word, prof[0]))
+        if m > k_max:
+            return inconclusive({
+                "reason": "no uniform witness length within bound",
+                "zone": list(word),
+                "k_max": k_max,
+            })
+        return {"k": level + m}
 
-    return _level_sweep(code, budget, l_max, start)
+    return _level_sweep(code, budget, l_max, visit)
 
 
 # -- right/left continuing with retract ---------------------------------------
@@ -982,15 +947,13 @@ def _retract_limits(code, budget):
         cyc_edges = shortest_cycle(cyc_rows, i)
         if cyc_edges is None:
             raise InvariantViolation("cycle exists through cycle node")
-
-        def scan(p):
+        # a monotone scan from the full pair ends in one fixed point
+        p, q = None, 1
+        while q != p:
+            p = q
             for e in cyc_edges:
-                p = apply_mask(lock[e.id], p)
-            return p
-        # the scan is monotone and starts from the full pair, so its
-        # orbit tail is one fixed point
-        v = order[i][0]
-        lower.add(index[v, _orbit_tail(1, scan)[0]])
+                q = apply_mask(lock[e.id], q)
+        lower.add(index[order[i][0], p])
     lower = [order[i] for i in bfs_closure(sorted(lower), adj.__getitem__,
                                            budget)]
 

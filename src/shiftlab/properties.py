@@ -134,10 +134,9 @@ def _gen_one_block_instance(rng, cfg, irreducible=True):
 
 
 def _one_block_code(instance):
-    g = io.graph_from_json(instance["graph"])
-    x = SoficShift.from_graph(g)
-    table = {(s,): v for s, v in instance["table"].items()}
-    return SlidingBlockCode.make(x, 0, 0, table)
+    x = SoficShift.from_graph(io.graph_from_json(instance["graph"]))
+    table = io._string_table(instance["table"], "table")
+    return SlidingBlockCode.make(x, 0, 0, {(s,): v for s, v in table.items()})
 
 
 def _sweep(code):
@@ -271,8 +270,8 @@ def _e_generate(rng, cfg):
 
 def _e_check(instance):
     g = io.graph_from_json(instance["graph"])
+    path = tuple(io._string_list(instance["path"], "path"))
     alpha = gr.find_magic_word(g)
-    path = tuple(instance["path"])
     witness = witness_from_magic(g, alpha, path)
     code = cover_code(g)
     automaton = cylinder_image(code, CenteredWord(path, (len(path) - 1) // 2))

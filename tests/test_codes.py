@@ -31,12 +31,12 @@ from shiftlab.codes import (
     _windows,
 )
 from shiftlab.decision import Decision
-from shiftlab.errors import (BudgetExceeded, DomainMismatch, NotFiniteToOne,
-                             ParseError, PeriodicPointNotInShift,
-                             ReducibleShift)
+from shiftlab.errors import (BudgetExceeded, DomainMismatch,
+                             InvariantViolation, NotFiniteToOne, ParseError,
+                             PeriodicPointNotInShift, ReducibleShift)
 from shiftlab.graph import Edge, LabeledGraph
 from shiftlab.io import graph_from_json, graph_to_json
-from shiftlab.openness import check_right_continuing_retract
+from shiftlab.openness import check_open, check_right_continuing_retract
 from shiftlab.properties import gen_labeled_graph, gen_right_resolving_graph
 from shiftlab.shifts import (SoficShift, fischer_cover, full_shift, is_sft,
                              shift_equal)
@@ -423,6 +423,47 @@ def test_finite_to_one_matches_periodic_fibers():
                        ("Refuted", 2): 9, ("Refuted", 3): 5}
 
 
+def test_open_matches_constant_periodic_fibers():
+    """check_open against periodic fibers, on the finite-to-one codes of
+    test_finite_to_one_matches_periodic_fibers. Every primitive periodic
+    point of period <= 3 has at least degree d preimages; an open code
+    (Proved) has exactly d for each, and a code refuted open has one with
+    more than d, at period <= 2 on this seed. That period bound is
+    empirical, and open <=> constant-to-one stays a test-only oracle
+    until its source is quoted. The pins key each code by its verdict
+    and the least period with a count above d."""
+    rng = random.Random(11)
+    outcomes = Counter()
+    for _ in range(300):
+        g = gen_labeled_graph(rng, 5, 3, accept=gr.is_irreducible)
+        code = cover_code(g)
+        if not is_finite_to_one(code).is_proved:
+            continue
+        d = degree(code).degree
+        dec, _ = check_open(code)
+        labels = sorted({e.label for e in g.edges})
+        above = None
+        for p in range(1, 4):
+            for block in itertools.product(labels, repeat=p):
+                if any(block == block[:q] * (p // q)
+                       for q in range(1, p) if p % q == 0):
+                    continue  # not primitive
+                try:
+                    count = count_preimages_of_periodic(g, block)
+                except PeriodicPointNotInShift:
+                    continue
+                assert count >= d, graph_to_json(g)
+                if count > d and above is None:
+                    above = p
+        if dec.is_proved:
+            assert above is None, graph_to_json(g)
+        elif dec.is_refuted:
+            assert above is not None and above <= 2, graph_to_json(g)
+        outcomes[dec.verdict, above] += 1
+    assert outcomes == {("Proved", None): 124, ("Refuted", 1): 13,
+                        ("Refuted", 2): 1, ("Inconclusive", None): 2}
+
+
 def test_fiber_product_diagonal():
     cover = fixtures.golden_cover()
     product = fiber_product(cover, cover)
@@ -449,6 +490,8 @@ def test_lift_identity_to_covers():
     f = identity_code(x)
     lifted = lift_code(f, x, x)
     assert lifted is not None
+    with pytest.raises(InvariantViolation):
+        lift_code(f, x, x, w_max=0)
     # the lift's codomain alphabet is the cover's edge set
     assert all(len(s) > 0 for s in lifted.codomain_alphabet)
 

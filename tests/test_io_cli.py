@@ -255,6 +255,12 @@ def test_cli_fiber_and_lift(tmp_path, capsys):
                    "-x2", str(FIXTURE_DIR / "golden_shift.json"))
     assert rc == 0
     assert "domain" in json.loads(out)
+    rc = cli.main(["lift", "-f", str(FIXTURE_DIR / "even_cover_code.json"),
+                   "-x1", str(FIXTURE_DIR / "even_cover_shift.json"),
+                   "-x2", str(FIXTURE_DIR / "even_shift.json"),
+                   "--wmax", "0"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (3, "") and "w_max must be >= 1" in err
 
 
 def test_cli_proptest_reports_are_byte_stable(tmp_path, capsys):
@@ -291,7 +297,13 @@ def test_cli_replay_malformed_record_exits_3(tmp_path, capsys):
             ({"property": "factor-semi-open", "instance": 5},
              "instance: an object with graph and table"),
             ({"property": "factor-semi-open", "instance": {"graph": graph}},
-             "instance: an object with graph and table")):
+             "instance: an object with graph and table"),
+            ({"property": "factor-semi-open",
+              "instance": {"graph": graph, "table": 7}},
+             "table: expected an object with string values"),
+            ({"property": "magic-witness",
+              "instance": {"graph": graph, "path": 3}},
+             "path: expected a list of strings")):
         artifact.write_text(json.dumps(record))
         rc = cli.main(["replay", "-i", str(artifact)])
         out, err = capsys.readouterr()

@@ -948,12 +948,14 @@ def test_least_doomed_window_matches_first_reference_escape():
     for space, _, zone in _interior_zones():
         samples = _ref_escapes(space, zone, 1)
         if samples:
-            got = openness._least_window(space, zone, 0, doomed=True)
+            got = openness._least_window(space, zone, 0,
+                                         lambda q: q & space.doomed)
             assert got.to_json() == samples[0]["cylinder"], zone
             found += 1
         else:
             with pytest.raises(InvariantViolation):
-                openness._least_window(space, zone, 0, doomed=True)
+                openness._least_window(space, zone, 0,
+                                       lambda q: q & space.doomed)
             missing += 1
     assert found > 5000 and missing > 5000
 
@@ -1264,6 +1266,19 @@ def _edge_scan(space, p, edges, zone_steps=False):
     return p
 
 
+def _orbit_tail(start, step):
+    """Recurrent values of the orbit start, step(start), ... of a
+    deterministic map on hashable values."""
+    seen = {}
+    order = []
+    cur = start
+    while cur not in seen:
+        seen[cur] = len(order)
+        order.append(cur)
+        cur = step(cur)
+    return order[seen[cur]:]
+
+
 def _deep_values(space, c1):
     """Deep pair values at a chain start after the past cycle c1: the
     recurrent values of the full-restart scan along c1, at every phase,
@@ -1272,7 +1287,7 @@ def _deep_values(space, c1):
     for phase in range(len(c1)):
         # bit 0 is the full restart pair
         seed = _edge_scan(space, 1, c1[len(c1) - phase:])
-        deep.update(openness._orbit_tail(
+        deep.update(_orbit_tail(
             seed, lambda p: _edge_scan(space, p, c1)))
     return sorted(deep, key=lambda q: space.pairs[q.bit_length() - 1])
 
@@ -1299,7 +1314,7 @@ def _skeleton_pattern(space, c1, deep, b1, anchor, b2, c2, h):
                         zone_steps=True)
         q2 = _edge_scan(space, q2, free_right)
         # recurrent pair values along the future cycle, all phases
-        tail = openness._orbit_tail(
+        tail = _orbit_tail(
             (q2, 0), lambda t: (_edge_scan(space, t[0], [c2[t[1]]]),
                                 (t[1] + 1) % len(c2)))
         if any(p & space.doomed for p, _ in tail):
@@ -1362,17 +1377,15 @@ def _sweep_alone(code, l_max=4, k_max=12, budget=None):
     """(decision, table) of check_open's level sweep with the unmemoized
     offsets, stopping Inconclusive on any offset past k_max, infinite
     ones included, at an ample budget."""
-    def start(space):
-        def visit(level, prof, word):
-            m = _unmemoized_open_offset(space, prof[0])
-            if m is None or m > k_max:
-                return inconclusive({
-                    "reason": "no uniform witness length within bound",
-                    "zone": list(word), "k_max": k_max})
-            return {"k": level + m}
-        return visit
+    def visit(space, level, prof, word):
+        m = _unmemoized_open_offset(space, prof[0])
+        if m is None or m > k_max:
+            return inconclusive({
+                "reason": "no uniform witness length within bound",
+                "zone": list(word), "k_max": k_max})
+        return {"k": level + m}
     budget = budget if budget is not None else Budget(10**9)
-    return openness._level_sweep(code, budget, l_max, start)
+    return openness._level_sweep(code, budget, l_max, visit)
 
 
 def _pattern_first_check_open(code, l_max=4, k_max=12):
@@ -1569,7 +1582,7 @@ def _future_masks(code, payload):
         for s in word:
             q = apply_mask(space.free[s], q)
         return q
-    past = openness._orbit_tail(space.left,
+    past = _orbit_tail(space.left,
                                 lambda q: scan(q, point["past_cycle"]))
     assert len(past) == 1  # scans shrink to a fixed point
     chain = point["chain"]
