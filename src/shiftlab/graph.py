@@ -424,9 +424,10 @@ def is_sublanguage(g1, g2, budget=None):
     return sublanguage_counterexample(g1, g2, budget) is None
 
 
-def shift_equal(g1, g2):
-    """Do the two graphs present the same shift space?"""
-    return is_sublanguage(g1, g2) and is_sublanguage(g2, g1)
+def shift_equal(g1, g2, budget=None):
+    """Do the two graphs present the same shift space? Both sublanguage
+    tests spend on the budget when one is given."""
+    return is_sublanguage(g1, g2, budget) and is_sublanguage(g2, g1, budget)
 
 
 # -- spectral radius ------------------------------------------------------

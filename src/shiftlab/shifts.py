@@ -13,7 +13,7 @@ from functools import cached_property
 
 from . import graph as gr
 from .automata import (Budget, apply_mask, bfs_closure, cycle_nodes,
-                       longest_runs, pair_moves, shortest_cycle,
+                       longest_runs, memoized, pair_moves, shortest_cycle,
                        shortest_path)
 from .decision import inconclusive_on_budget, proved, refuted
 from .errors import (
@@ -123,26 +123,43 @@ def fischer_cover(x):
     Determinize, pick the smallest irreducible piece that still presents
     the whole shift, then merge follower-equivalent vertices. Raises
     ReducibleShift when no irreducible piece carries the full language.
-    The result is checked against the defining properties before return.
+    The result is checked against the defining properties once per
+    presentation: the cover, or the ReducibleShift reason, is memoized
+    on the determinized presentation through automata.memoized, so a
+    second call returns the same cover and spends what the build spent.
+    One budget bounds the subset construction, the sublanguage tests and
+    the check.
     """
     if x.is_empty:
         raise ReducibleShift("empty shift has no irreducible cover")
-    d = gr.determinize(x.presentation)
+    budget = Budget(where="fischer cover")
+    d = gr.determinize(x.presentation, budget)
+    cover = memoized(d.memo, "fischer cover",
+                     lambda: _verified_cover(d, budget), budget)
+    if isinstance(cover, str):
+        raise ReducibleShift(cover)
+    return cover
+
+
+def _verified_cover(d, budget):
+    """fischer_cover's value on the determinized presentation d: the
+    checked cover, or the reason no irreducible piece presents the shift
+    (a str, so the memo holds no exception and its traceback)."""
     candidates = []
     for c in gr.scc_components(d):
         if c.trivial:
             continue
         sub = gr.subgraph(d, c.vertices)
-        if gr.is_sublanguage(d, sub):
+        if gr.is_sublanguage(d, sub, budget):
             candidates.append(sub)
     if not candidates:
-        raise ReducibleShift("no strongly connected piece presents the shift")
+        return "no strongly connected piece presents the shift"
     best = min(candidates, key=lambda h: (h.n, h.vertices))
     cover = _follower_merge(best)
     if not gr.is_irreducible(cover):
         raise InvariantViolation("fischer cover irreducible")
     gr.check_right_resolving(cover)
-    if not gr.shift_equal(cover, d):
+    if not gr.shift_equal(cover, d, budget):
         raise InvariantViolation("fischer cover presents the same shift")
     if gr.find_magic_word(cover) is None:
         raise InvariantViolation("fischer cover admits a focusing word")

@@ -35,11 +35,12 @@ from shiftlab.errors import (BudgetExceeded, DomainMismatch,
                              InvariantViolation, NotFiniteToOne, ParseError,
                              PeriodicPointNotInShift, ReducibleShift)
 from shiftlab.graph import Edge, LabeledGraph
-from shiftlab.io import graph_from_json, graph_to_json
+from shiftlab.io import code_to_json, graph_from_json, graph_to_json
 from shiftlab.openness import check_open, check_right_continuing_retract
 from shiftlab.properties import gen_labeled_graph, gen_right_resolving_graph
 from shiftlab.shifts import (SoficShift, fischer_cover, full_shift, is_sft,
                              shift_equal)
+from test_openness import _fresh, _small_codes
 
 
 def test_table_must_cover_admissible_windows():
@@ -296,8 +297,11 @@ _MEMO_CHECKS = (
     ("degree", degree),
     ("is_sft(image)", lambda code: is_sft(image_presentation(code))),
     ("entropy", lambda code: sh.entropy(code.domain)),
+    ("fischer_cover(domain)", lambda code: fischer_cover(code.domain)),
     ("fischer_cover(image)",
      lambda code: fischer_cover(image_presentation(code))),
+    ("is_irreducible_shift(image)",
+     lambda code: sh.is_irreducible_shift(image_presentation(code))),
     ("is_bi_closing", is_bi_closing),
 )
 
@@ -332,6 +336,30 @@ def test_memo_hits_replay_what_a_fresh_build_spends(monkeypatch):
     assert exhausted > 300 and compared > exhausted
 
 
+def _lift_outcome(code):
+    try:
+        lifted = lift_code(code, code.domain, image_presentation(code))
+    except ReducibleShift as exc:
+        return f"ReducibleShift: {exc}"
+    return None if lifted is None else code_to_json(lifted,
+                                                    embed_domain=True)
+
+
+def test_degree_and_lift_on_memoized_covers_match_fresh_codes():
+    """degree and lift_code read both Fischer covers from the memo once a
+    code has been decided; their results equal those of a fresh copy of
+    the code, with no memo filled."""
+    checks = ((lambda code: _outcome(degree, code)), _lift_outcome)
+    lifted = 0
+    for code in _small_codes(60):
+        for check in checks:
+            check(code)
+        for check in checks:
+            assert check(code) == check(_fresh(code))
+        lifted += isinstance(_lift_outcome(code), dict)
+    assert 30 < lifted < 60
+
+
 def test_malformed_budget_is_a_parse_error_on_a_memo_hit(monkeypatch):
     code = fixtures.even_cover()
     assert is_finite_to_one(code).is_proved
@@ -349,7 +377,9 @@ def test_memoized_machinery_is_freed_by_reference_counting():
     """No memo makes a reference cycle: with the cycle collector off, a
     code, its presentations and the graphs memoized on them die as soon
     as the last outside reference goes. Determinizing a graph with no
-    cycle returns its empty trim and leaves nothing on either graph."""
+    cycle returns its empty trim and leaves nothing on either graph. The
+    Fischer cover of the image, and the ReducibleShift reason of the
+    reducible domain, are memoized on the determinized presentations."""
     gc.disable()
     try:
         code = cover_code(gen_labeled_graph(random.Random(21), 5, 3))
@@ -358,12 +388,17 @@ def test_memoized_machinery_is_freed_by_reference_counting():
         check_right_continuing_retract(code, 1, "bi")
         presentation = code.domain.presentation
         image = image_presentation(code).presentation
+        cover = fischer_cover(image_presentation(code))
         assert "finite-to-one" in code.memo
         assert "determinized" in presentation.memo
+        assert gr.determinize(image).memo["fischer cover"][0] is cover
+        reason, _ = gr.determinize(presentation).memo["fischer cover"]
+        assert reason == "no strongly connected piece presents the shift"
+        assert "fischer cover" not in presentation.memo
         refs = [weakref.ref(x) for x in (
             code, presentation, image, gr.determinize(presentation),
-            gr.determinize(image), code.reversal)]
-        del code, presentation, image
+            gr.determinize(image), code.reversal, cover)]
+        del code, presentation, image, cover
         assert [ref() for ref in refs] == [None] * len(refs)
 
         g = LabeledGraph.make(["0"], ["a", "b"], [("e", "a", "b", "0")])
@@ -751,13 +786,17 @@ def _reference_follower_merge(g):
 
 
 def test_fischer_cover_matches_the_dict_follower_merge(monkeypatch):
-    shifts = []
+    graphs = []
     for code in _degree_pool():
-        shifts += [code.domain, image_presentation(code)]
+        graphs += [code.domain.presentation,
+                   image_presentation(code).presentation]
 
     def covers():
+        # fresh shifts each time, so no memoized cover carries over
         out = []
-        for x in shifts:
+        for g in graphs:
+            x = SoficShift.from_graph(
+                LabeledGraph.make(g.alphabet, g.vertices, g.edges))
             try:
                 out.append(graph_to_json(fischer_cover(x)))
             except ReducibleShift:

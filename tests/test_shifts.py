@@ -5,7 +5,9 @@ import pytest
 
 from shiftlab import fixtures
 from shiftlab.errors import ReducibleShift
-from shiftlab.graph import is_irreducible, is_right_resolving, shift_equal
+from shiftlab.graph import (LabeledGraph, is_irreducible, is_right_resolving,
+                            shift_equal)
+from shiftlab.io import graph_to_json
 from shiftlab.properties import gen_labeled_graph
 from shiftlab.shifts import (
     SoficShift,
@@ -66,6 +68,40 @@ def test_fischer_cover_is_minimal_among_presentations():
          ("e3", "a", "b", "1"), ("e4", "b", "a", "1")])
     cover = fischer_cover(SoficShift.from_graph(doubled))
     assert cover.n == 1
+
+
+def _cover_outcome(x):
+    """JSON of x's Fischer cover, or the ReducibleShift message."""
+    try:
+        return graph_to_json(fischer_cover(x))
+    except ReducibleShift as exc:
+        return f"ReducibleShift: {exc}"
+
+
+def test_memoized_fischer_cover_matches_a_fresh_build():
+    """On the fixture shifts and 200 seeded shifts of at most 6 vertices,
+    reducible ones included, the memoized cover is the one a fresh copy
+    of the presentation builds, a second call returns the same object,
+    and a reducible shift raises the same ReducibleShift every time."""
+    rng = random.Random(44)
+    shifts = [SoficShift.from_graph(build())
+              for build in fixtures.GRAPHS.values()]
+    shifts += [SoficShift.from_graph(gen_labeled_graph(rng, 6, 3))
+               for _ in range(200)]
+    reducible = 0
+    for x in shifts:
+        g = x.presentation
+        fresh = SoficShift.from_graph(
+            LabeledGraph.make(g.alphabet, g.vertices, g.edges))
+        first = _cover_outcome(x)
+        assert first == _cover_outcome(fresh)
+        assert _cover_outcome(x) == first
+        if isinstance(first, str):
+            reducible += 1
+            assert not is_irreducible_shift(x)
+        else:
+            assert fischer_cover(x) is fischer_cover(x)
+    assert 10 < reducible < len(shifts) - 100
 
 
 def test_sft_decisions():

@@ -2,11 +2,11 @@ import math
 
 import pytest
 
-from shiftlab import codes, fixtures, theorems
+from shiftlab import codes, fixtures, shifts, theorems
 from shiftlab import graph as gr
 from shiftlab.codes import fiber_product
 from shiftlab.decision import audit, proved, refuted
-from shiftlab.errors import ConsistencyFault
+from shiftlab.errors import ConsistencyFault, NotFiniteToOne
 from shiftlab.graph import LabeledGraph
 from shiftlab.openness import check_right_continuing_retract, check_semi_open
 from shiftlab.shifts import SoficShift
@@ -149,6 +149,34 @@ def test_certificates_build_each_subset_construction_once(monkeypatch):
         assert built, name
         assert len({id(t) for t in built}) == len(built), name
         assert len(searched) == 1, name
+
+
+def test_fischer_cover_is_built_once_per_presentation(monkeypatch):
+    """degree, fischer_cover, lift_code and certificates on one code all
+    read the covers of its domain and its image from the memo on the
+    determinized presentation: each is built at most once."""
+    built = []
+    verified_cover = shifts._verified_cover
+
+    def spy(d, budget):
+        built.append(d)
+        return verified_cover(d, budget)
+    monkeypatch.setattr(shifts, "_verified_cover", spy)
+    for name, build in fixtures.COVERS.items():
+        built.clear()
+        code = build()
+        image = codes.image_presentation(code)
+        try:
+            codes.degree(code)
+        except NotFiniteToOne:
+            pass
+        shifts.fischer_cover(code.domain)
+        shifts.fischer_cover(image)
+        codes.lift_code(code, code.domain, image)
+        certificates(code)
+        assert sorted(map(id, built)) == sorted(
+            id(gr.determinize(x.presentation)) for x in (code.domain, image)
+        ), name
 
 
 def test_nonwandering_report_fig1():
