@@ -249,14 +249,11 @@ def is_cover_map(code):
     return all(e.label == e.id for e in g.edges)
 
 
-def cover_code(g, codomain_alphabet=None):
+def cover_code(g):
     """The label map of a graph as a code on its edge shift."""
     t = gr.trim(g)
-    dom = sh.edge_shift(t)
     table = {(e.id,): e.label for e in t.edges}
-    return SlidingBlockCode.make(
-        dom, 0, 0, table, codomain_alphabet or t.symbols
-    )
+    return SlidingBlockCode.make(sh.edge_shift(t), 0, 0, table, t.symbols)
 
 
 # -- preimage counting on periodic points -----------------------------------

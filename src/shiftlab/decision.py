@@ -47,16 +47,16 @@ class Decision:
         }
 
 
-def proved(payload=None, provenance=COMPUTATIONAL):
-    return Decision(PROVED, payload or {}, provenance)
+def proved(payload=None):
+    return Decision(PROVED, payload or {})
 
 
-def refuted(payload=None, provenance=COMPUTATIONAL):
-    return Decision(REFUTED, payload or {}, provenance)
+def refuted(payload=None):
+    return Decision(REFUTED, payload or {})
 
 
-def inconclusive(payload=None, provenance=COMPUTATIONAL):
-    return Decision(INCONCLUSIVE, payload or {}, provenance)
+def inconclusive(payload=None):
+    return Decision(INCONCLUSIVE, payload or {})
 
 
 def out_of_budget(exc):

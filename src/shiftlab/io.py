@@ -16,7 +16,8 @@ from .errors import ParseError
 from .graph import LabeledGraph
 from .shifts import SoficShift
 
-SEPARATOR = ","
+# table key separators, the first one that occurs in no domain symbol
+SEPARATORS = (",", ";", "|", "/", " ")
 
 
 def _check_fields(obj, what, required, optional=()):
@@ -95,9 +96,14 @@ def shift_from_json(obj):
 
 
 def code_to_json(code, embed_domain=False):
+    alphabet = code.domain.alphabet
     separator = None
-    if any(len(s) > 1 for s in code.domain.alphabet):
-        separator = SEPARATOR
+    if any(len(s) > 1 for s in alphabet):
+        separator = next((sep for sep in SEPARATORS
+                          if not any(sep in s for s in alphabet)), None)
+        if separator is None:
+            raise ParseError("every table key separator occurs in a domain "
+                             "symbol", field="separator")
     join = separator or ""
     out = {
         "memory": code.memory,

@@ -16,9 +16,8 @@ from itertools import count
 from math import inf
 
 from . import graph as gr
-from .automata import (Budget, apply_mask, bfs_closure, bfs_tree, cycle_nodes,
-                       explore, longest_runs, memoized, pair_moves,
-                       shortest_cycle, shortest_path, tree_path)
+from .automata import (Budget, apply_mask, bfs_closure, cycle_nodes, explore,
+                       longest_runs, memoized, shortest_cycle, shortest_path)
 from .codes import arrow_graph, image_presentation, reversed_code
 from .decision import (Decision, inconclusive, inconclusive_on_budget,
                        out_of_budget, proved, refuted)
@@ -110,12 +109,13 @@ class SweepSpace:
         self.zt, self.xt = _step_tables(g, self.x_sym)
         self.xsymbols = sorted(self.xt)
         self._zero = (0,) * g.n
-        # left-context pairs, with parent chains for witness words
-        self._left_parent, _ = bfs_tree(
+        # the left-context pairs: the free closure of the full restart
+        left = bfs_closure(
             [(self.full, self.full)],
-            pair_moves([(s, self.ut[s], self.ut[s]) for s in self.symbols]),
+            lambda p: [(u, apply_mask(self.ut[s], p[1])) for s in self.symbols
+                       if (u := apply_mask(self.ut[s], p[0]))],
             self.budget)
-        self.left = (1 << len(self._left_parent)) - 1
+        self.left = (1 << len(left)) - 1
         # the universe: per live symbol, the free step, then every zone
         # step. Pairs are expanded in index order, so each expansion
         # appends the pair's entry to every table, and new successors are
@@ -123,7 +123,7 @@ class SweepSpace:
         # symbol that share an S table (often the all-zero one) share
         # their successor, so rows are grouped by S table in order of
         # first occurrence and each group steps once
-        index = {p: i for i, p in enumerate(self._left_parent)}
+        index = {p: i for i, p in enumerate(left)}
         self.free = {s: [] for s in self.symbols}
         self.zone = {(s, xi): [] for s in self.symbols
                      for xi in self.xsymbols}
@@ -148,19 +148,17 @@ class SweepSpace:
                     for table in tables:
                         table.append(bit)
             return out
-        self.pairs = list(bfs_closure(self._left_parent, steps, self.budget))
-        # doomed: the doom tree grows backwards from the live-U dead-S
-        # pairs, seeds and predecessors in index order
+        self.pairs = list(bfs_closure(left, steps, self.budget))
+        # doomed: the backward closure of the live-U dead-S pairs
         back = [[] for _ in self.pairs]
         for i in range(len(self.pairs)):
             for s in self.symbols:
                 q = self.free[s][i]
                 if q:
-                    back[q.bit_length() - 1].append((i, s))
-        self._doom_parent, _ = bfs_tree(
+                    back[q.bit_length() - 1].append(i)
+        self.doomed = sum(1 << i for i in bfs_closure(
             [i for i, (u, v) in enumerate(self.pairs) if u and not v],
-            back.__getitem__)
-        self.doomed = sum(1 << i for i in self._doom_parent)
+            back.__getitem__))
         self.live = sum(1 << i for i, (_, v) in enumerate(self.pairs) if v)
         # the transfer monoid: universe tables as ids, and per pair (i, j)
         # the id of table i then table j, composed once by indexing table
@@ -280,13 +278,6 @@ class SweepSpace:
                  if (q := self.action(x, i))), default=-1)
         return run
 
-    def left_word(self, i):
-        return tuple(tree_path(self._left_parent, self.pairs[i])[1])
-
-    def doom_word(self, i):
-        # the doom tree grows backwards from its seeds
-        return tuple(reversed(tree_path(self._doom_parent, i)[1]))
-
 
 # -- interior of a cylinder image ---------------------------------------------
 
@@ -304,10 +295,10 @@ def interior_nonempty(space, u, *, profile=None):
     offset is the least m at which an id of the profile maps F_m into
     G_m. profile is u's set of ids in the space's monoid; when it is not
     given, u is checked admissible and its profile composed. The memos
-    stay on the space, so a profile decided again spends no budget.
-    Proved payloads carry the least witness cylinder, from one window
-    search at k = c + m, and k; refuted payloads carry one escape (see
-    _escape_window).
+    stay on the space, so a profile decided again spends no budget but a
+    refuted word's escape search. Proved payloads carry the least witness
+    cylinder, from one window search at k = c + m, and k; refuted
+    payloads carry one escape (see _escape_window).
     """
     if not isinstance(u, CenteredWord):
         u = CenteredWord.central(u)
@@ -393,28 +384,20 @@ def _least_window(space, u, m, goal, start=None):
     return CenteredWord(word, u.center + m)
 
 
-def _zone_scan(space, q, word, zone):
-    """Scan mask q mapped by the zone steps of word across zone."""
-    for s, xi in zip(word, zone):
-        q = apply_mask(space.zone[s, xi], q)
-    return q
-
-
 def _escape_window(space, u):
     """A refuted interior's escape: the least zone-width candidate whose
-    scan ends on a doomed pair, and a window showing an admissible image
-    word its cylinder image misses. The window leaves through the least
-    doomed pair the candidate's scan reaches, entered from the least
-    left-context pair whose zone scan reaches it."""
+    scan ends on a doomed pair, and the window cylinder_escape writes
+    around it, an admissible image word the cylinder image f([u]) misses.
+    The escape search spends the sweep's budget; a candidate that does
+    not escape signals an internal bug."""
     cylinder = _least_window(space, u, 0, lambda q: q & space.doomed)
-    hit = _zone_scan(space, space.left, cylinder.word, u.word) & space.doomed
-    hit = (hit & -hit).bit_length() - 1
-    src = next(i for i in range(space.left.bit_length())
-               if _zone_scan(space, 1 << i, cylinder.word, u.word) >> hit & 1)
-    left = space.left_word(src)
-    window = CenteredWord(left + cylinder.word + space.doom_word(hit),
-                          len(left) + u.center)
-    return {"cylinder": cylinder.to_json(), "escape": window.to_json()}
+    escape = cylinder_escape(cylinder_image(space.code, u),
+                             image_presentation(space.code), cylinder,
+                             space.budget)
+    if escape is None:
+        raise InvariantViolation("a doomed zone scan escapes the cylinder "
+                                 "image", f"zone {u.word}")
+    return {"cylinder": cylinder.to_json(), "escape": escape.to_json()}
 
 
 # -- level sweeps over transfer profiles --------------------------------------
@@ -673,7 +656,10 @@ def _limit_point(space, word, profile):
     u = CenteredWord.central(word)
     v = _least_window(space, u, 0, lambda q: runs.get(q) == inf, x).word
     b1, c1 = walk((j, x), back)
-    b2, c2 = walk(_zone_scan(space, x, v, word), forth)
+    q = x
+    for s, xi in zip(v, word):
+        q = apply_mask(space.zone[s, xi], q)
+    b2, c2 = walk(q, forth)
     return {
         "past_cycle": c1[::-1],
         "chain": b1[::-1] + list(v) + b2,

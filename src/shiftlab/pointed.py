@@ -214,10 +214,10 @@ def reads_window(a, w):
     return bool(threads & marked)
 
 
-def contains_cylinder(a, y, w, budget=None):
+def contains_cylinder(a, y, w):
     """Is every point of y matching the positioned word w in the
     denotation of a? Exact; see cylinder_escape for the witness form."""
-    return cylinder_escape(a, y, w, budget) is None
+    return cylinder_escape(a, y, w) is None
 
 
 def window_language(a, k):

@@ -1,6 +1,7 @@
 """Every function, class and method defined in src/shiftlab is named
-somewhere other than its own definition, in the Python files under src,
-tests, bench and demos. Exempt are dunder methods, which Python calls, and
+somewhere other than its own definition, in the code of the Python files
+under src, tests, bench and demos: a name in a docstring or a comment does
+not count. Exempt are dunder methods, which Python calls, and
 methods that override an attribute of a base class, which the base class
 calls (for example an argparse parser's error). Every method and
 property is also read as an attribute outside the tests. And no module but
@@ -42,10 +43,21 @@ def _exempt(module, owner, name):
     return any(hasattr(base, name) for base in cls.__mro__[1:])
 
 
+def _code(path):
+    """The file's source without its comments and docstrings."""
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            node.body = node.body[1:] or [ast.Pass()]
+    return ast.unparse(tree)
+
+
 def test_every_definition_is_named_elsewhere():
     defs = [d for path in sorted(PACKAGE.glob("*.py"))
             for d in _definitions(ast.parse(path.read_text()), path.stem)]
-    text = "\n".join(path.read_text()
+    text = "\n".join(_code(path)
                      for top in SEARCHED
                      for path in sorted((ROOT / top).rglob("*.py")))
     words = Counter(re.findall(r"\w+", text))

@@ -31,6 +31,7 @@ from shiftlab.pointed import (
     _thread_tables,
     contains_cylinder,
     contains_periodic_point,
+    cylinder_escape,
     cylinder_image,
     window_language,
 )
@@ -853,12 +854,9 @@ def _ref_witness(space, u, k):
 
 
 def _ref_escapes(space, u, limit=2):
-    """For refuted interiors: sample candidate windows together with
-    escape windows showing an admissible image word the cylinder image
-    misses. Candidates are the zone-width words in lexicographic order,
-    read by the interior scan's zone moves; a candidate escapes through
-    the least doomed pair its scan reaches, entered from the least
-    left-context pair whose zone scan reaches it."""
+    """For refuted interiors: sample the escape candidates, the
+    zone-width windows in lexicographic order, read by the interior
+    scan's zone moves, whose scan ends on a doomed pair."""
     moves = _ref_moves(space, u)
     samples = []
     stack = [((), (0, 0, space.left, space.full))]
@@ -869,27 +867,8 @@ def _ref_escapes(space, u, limit=2):
             stack.extend((word + (s,), nxt)
                          for nxt, s in reversed(moves(state))
                          if nxt[0] and nxt[2])
-            continue
-        hit = q & space.doomed
-        if not hit:
-            continue
-        hit = (hit & -hit).bit_length() - 1
-        for src in range(space.left.bit_length()):
-            p = 1 << src
-            for s, xi in zip(word, u.word):
-                p = apply_mask(space.zone[s, xi], p)
-            if p >> hit & 1:
-                break
-        else:
-            raise InvariantViolation("escape reached from a left context",
-                                     f"zone {u.word} window {word}")
-        left = space.left_word(src)
-        window = CenteredWord(left + word + space.doom_word(hit),
-                              len(left) + u.center)
-        samples.append({
-            "cylinder": CenteredWord(word, u.center).to_json(),
-            "escape": window.to_json(),
-        })
+        elif q & space.doomed:
+            samples.append(CenteredWord(word, u.center).to_json())
     return samples
 
 
@@ -902,7 +881,8 @@ def _bfs_interior(space, u):
         [(0, 0, space.left, space.full)], _ref_moves(space, u), space.budget,
         lambda state: state[0] == 2 and not state[2] & space.doomed)
     if found is None:
-        return refuted({"zone": u.to_json(), **_ref_escapes(space, u, 1)[0]})
+        return refuted({"zone": u.to_json(),
+                        "cylinder": _ref_escapes(space, u, 1)[0]})
     for k in range(u.center, u.center + len(seen) + 2):
         word = _ref_witness(space, u, k)
         if word is not None:
@@ -929,14 +909,25 @@ def _interior_zones():
 
 
 def test_interior_decision_matches_bfs_reference():
-    """The whole payload of every zone word of levels 0-3: verdict, k,
-    cylinder and escape."""
+    """The whole payload of every zone word of levels 0-3: verdict, k and
+    cylinder; a refuted zone's escape extends its cylinder at the zone
+    and leaves the zone's cylinder image."""
     verdicts, offsets = set(), set()
     for space, level, zone in _interior_zones():
-        got = interior_nonempty(space, zone)
-        assert got.to_json() == _bfs_interior(space, zone).to_json(), zone
-        verdicts.add(got.verdict)
-        offsets.add(got.payload.get("k", level) - level)
+        got = interior_nonempty(space, zone).to_json()
+        escape = got["payload"].pop("escape", None)
+        assert got == _bfs_interior(space, zone).to_json(), zone
+        if escape is not None:
+            cylinder = got["payload"]["cylinder"]
+            at = escape["center"] - cylinder["center"]
+            assert at >= 0 and escape["word"][at:at + len(
+                cylinder["word"])] == cylinder["word"], zone
+            code = space.code
+            assert not contains_cylinder(
+                cylinder_image(code, zone), image_presentation(code),
+                CenteredWord(tuple(escape["word"]), escape["center"])), zone
+        verdicts.add(got["verdict"])
+        offsets.add(got["payload"].get("k", level) - level)
     assert verdicts == {"Proved", "Refuted"} and {0, 1, 2} <= offsets
 
 
@@ -950,7 +941,7 @@ def test_least_doomed_window_matches_first_reference_escape():
         if samples:
             got = openness._least_window(space, zone, 0,
                                          lambda q: q & space.doomed)
-            assert got.to_json() == samples[0]["cylinder"], zone
+            assert got.to_json() == samples[0], zone
             found += 1
         else:
             with pytest.raises(InvariantViolation):
@@ -991,11 +982,26 @@ def _memo_entries(space):
     return sum(map(len, space.layers)) - 1 + len(space._distances)
 
 
+def _escape_spend(code, interior):
+    """The states a refuted interior payload's escape search spends,
+    replayed by cylinder_escape on a fresh budget; 0 when proved."""
+    if "escape" not in interior:
+        return 0
+    zone, cylinder = (CenteredWord(tuple(interior[k]["word"]),
+                                   interior[k]["center"])
+                      for k in ("zone", "cylinder"))
+    budget = Budget(10**9)
+    cylinder_escape(cylinder_image(code, zone), image_presentation(code),
+                    cylinder, budget)
+    return budget.used
+
+
 def test_interior_decisions_spend_once_per_memo_entry(monkeypatch):
     """Deciding a profile again, on the same word or on a profile-equal
-    one, spends nothing; a whole sweep spends its pair universe, its
-    joins and one state per new memo entry of its interior decisions."""
-    again = entries = 0
+    one, spends nothing but a refuted word's escape search; a whole sweep
+    spends its pair universe, its joins, one state per new memo entry of
+    its interior decisions and, when refuted, its escape search."""
+    again = escapes = entries = 0
     for code in _level_codes():
         space = SweepSpace(code, Budget(10**9))
         words = {}
@@ -1004,10 +1010,12 @@ def test_interior_decisions_spend_once_per_memo_entry(monkeypatch):
         for same in words.values():
             zones = [CenteredWord.central(w) for w in same]
             interior_nonempty(space, zones[0])
-            used = space.budget.used
             for zone in zones[:2]:
-                interior_nonempty(space, zone)
-            assert space.budget.used == used
+                used = space.budget.used
+                dec = interior_nonempty(space, zone)
+                spend = _escape_spend(code, dec.payload)
+                assert space.budget.used == used + spend
+                escapes += spend > 0
             again += len(zones) > 1
 
         made = []
@@ -1022,13 +1030,15 @@ def test_interior_decisions_spend_once_per_memo_entry(monkeypatch):
         levels = openness._profile_levels(fresh)
         for _ in range(len(table.entries) + dec.is_refuted):
             next(levels)
+        escape = _escape_spend(code, dec.payload.get("interior", {}))
         assert made[0].budget.used == fresh.budget.used \
-            + _memo_entries(made[0])
+            + _memo_entries(made[0]) + escape
+        escapes += escape > 0
         entries += _memo_entries(made[0])
-    assert again > 100 and entries > 150
+    assert again > 100 and escapes >= 3 and entries > 150
 
 
-# -- the pair universe and its doom tree against brute force --------------
+# -- the pair universe and its doomed set against brute force -----------
 
 
 def _pair_step(space, p, s, thread_table):
@@ -1087,22 +1097,10 @@ def test_pair_universe_and_doom_tree_match_brute_force():
         assert space.left == (1 << len(left)) - 1
         assert len(set(pairs)) == len(pairs)
         assert set(pairs) == _free_closure(space, left, True)
-        for i in range(len(left)):
-            p = p0
-            for s in space.left_word(i):
-                p = _pair_step(space, p, s, space.ut[s])
-            assert p == pairs[i]
         for i, p in enumerate(pairs):
             dist = _escape_distance(space, p)
             assert bool(space.doomed >> i & 1) == (dist is not None), p
-            if dist is None:
-                continue
-            word = space.doom_word(i)
-            assert len(word) == dist, p
-            walked += dist > 0
-            for s in word:
-                p = _pair_step(space, p, s, space.ut[s])
-            assert p[0] and not p[1]
+            walked += bool(dist)
     assert walked > 100
 
 

@@ -5,7 +5,7 @@ import pytest
 from shiftlab import codes, fixtures, shifts, theorems
 from shiftlab import graph as gr
 from shiftlab.codes import fiber_product
-from shiftlab.decision import audit, proved, refuted
+from shiftlab.decision import PROVED, Decision, audit, proved, refuted
 from shiftlab.errors import ConsistencyFault, NotFiniteToOne
 from shiftlab.graph import LabeledGraph
 from shiftlab.openness import check_right_continuing_retract, check_semi_open
@@ -71,7 +71,7 @@ def test_planted_inconsistency_trips_the_audit():
 
 def test_audit_primitive():
     with pytest.raises(ConsistencyFault):
-        audit(proved({}, provenance="certificate:X"), refuted({}), "X")
+        audit(Decision(PROVED, {}, "certificate:X"), refuted({}), "X")
     # agreeing and inconclusive pairs pass through
     audit(proved({}), proved({}), "ok")
     audit(proved({}), proved({}).__class__("Inconclusive", None, "c"), "ok")
