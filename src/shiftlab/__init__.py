@@ -3,8 +3,8 @@
 The package decides pointwise-checkable properties of factor maps
 between sofic shifts (semi-openness, openness, continuing extensions,
 degree) and cross-checks the verdicts against a battery of theorem
-certificates. Everything is exact: no floating point enters a verdict,
-only entropy reporting.
+certificates. Verdicts are exact but for two float entropy comparisons:
+maximal components and the finite-to-one entropy audit (see README).
 """
 
 from .automata import Budget

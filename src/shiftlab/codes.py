@@ -391,7 +391,7 @@ def _finite_to_one(code):
         # finite-to-one factor maps preserve entropy; disagreement means a bug
         h_dom = sh.entropy(code.domain)
         h_img = sh.entropy(image_presentation(code))
-        if not (h_dom == h_img or abs(h_dom - h_img) <= 1e-9):
+        if not (h_dom == h_img or abs(h_dom - h_img) <= sh.ENTROPY_TOL):
             raise ConsistencyFault(
                 "finite-to-one entropy audit",
                 f"domain {h_dom!r} vs image {h_img!r}",

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
 from .automata import (
     Budget,
     apply_mask,
@@ -433,25 +431,26 @@ def shift_equal(g1, g2, budget=None):
 # -- spectral radius ------------------------------------------------------
 
 
-def _perron_value(mat):
-    """Perron root of an irreducible nonnegative integer matrix.
+def _perron_value(n, arcs):
+    """Perron root of an irreducible multigraph: n vertices, one arc per edge.
 
-    Power iteration on mat + I (primitive once irreducible) with
+    Power iteration on A + I (primitive once irreducible) with
     Collatz-Wielandt bounds; the running bracket is correct at every
     step, so the tolerance is a guaranteed enclosure, not a heuristic.
     """
-    m = mat.shape[0]
-    big = mat.astype(float) + np.eye(m)
-    x = np.ones(m)
+    x = [1.0] * n
     lo, hi = 0.0, math.inf
     for _ in range(1_000_000):
-        y = big @ x
-        ratios = y / x
-        lo = max(lo, float(ratios.min()))
-        hi = min(hi, float(ratios.max()))
+        y = x[:]
+        for i, j in arcs:
+            y[i] += x[j]
+        ratios = [a / b for a, b in zip(y, x)]
+        lo = max(lo, min(ratios))
+        hi = min(hi, max(ratios))
         if hi - lo <= 1e-12 * hi:
             break
-        x = y / y.max()
+        top = max(y)
+        x = [a / top for a in y]
     return (lo + hi) / 2.0 - 1.0
 
 
@@ -471,9 +470,7 @@ def _spectral_radius(g):
         if c.trivial:
             continue
         idx = {v: i for i, v in enumerate(c.vertices)}
-        mat = np.zeros((len(c.vertices), len(c.vertices)))
-        for e in g.edges:
-            if e.src in idx and e.dst in idx:
-                mat[idx[e.src], idx[e.dst]] += 1
-        best = max(best, _perron_value(mat))
+        arcs = [(idx[e.src], idx[e.dst]) for e in g.edges
+                if e.src in idx and e.dst in idx]
+        best = max(best, _perron_value(len(idx), arcs))
     return best

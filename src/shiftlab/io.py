@@ -151,13 +151,14 @@ def dumps(obj):
 
 
 def load_json(path):
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        return json.loads(text)
+        with open(path, encoding="utf-8") as handle:
+            return json.loads(handle.read())
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}",
                          field=str(path)) from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ParseError(str(exc), field=str(path)) from exc
 
 
 def save_json(path, obj):

@@ -69,6 +69,9 @@ def shift_equal(x, y):
     return gr.shift_equal(x.presentation, y.presentation)
 
 
+ENTROPY_TOL = 1e-9  # float entropies this close count as equal
+
+
 def entropy(x):
     """Topological entropy, natural log.
 

@@ -24,9 +24,8 @@ from .decision import (Certificate, audit, inconclusive,
                        inconclusive_on_budget, proved, refuted)
 from .errors import BudgetExceeded, NotFiniteToOne, ReducibleShift
 from .openness import check_semi_open
-from .shifts import SoficShift, entropy, is_irreducible_shift, is_sft
-
-ENTROPY_TOL = 1e-9
+from .shifts import (ENTROPY_TOL, SoficShift, entropy, is_irreducible_shift,
+                     is_sft)
 
 # conclusion strings; the audit dispatches on these
 SEMI_OPEN = "semi-open"

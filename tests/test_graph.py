@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -332,3 +334,51 @@ def test_disjoint_union_presents_both_pieces():
 def test_spectral_radius_golden():
     r = spectral_radius(fixtures.golden_graph())
     assert abs(r - (1 + 5 ** 0.5) / 2) < 1e-9
+
+
+def _perron_bracket(g, steps=60):
+    """Exact Collatz-Wielandt bracket of the Perron root of an irreducible
+    graph: v = (A + I)^steps 1 in Python ints along the edges, then the
+    least and greatest ((A + I) v)_u / v_u as Fractions, less 1."""
+    def step(x):
+        y = dict(x)
+        for e in g.edges:
+            y[e.src] += x[e.dst]
+        return y
+    v = dict.fromkeys(g.vertices, 1)
+    for _ in range(steps):
+        v = step(v)
+    w = step(v)
+    ratios = [Fraction(w[u], v[u]) for u in g.vertices]
+    return min(ratios) - 1, max(ratios) - 1
+
+
+def _period(g):
+    """Period of an irreducible graph: the gcd of level(u) + 1 - level(v)
+    over its edges u -> v, with breadth-first levels from one vertex."""
+    level = {g.vertices[0]: 0}
+    queue = [g.vertices[0]]
+    for u in queue:
+        for e in g.edges:
+            if e.src == u and e.dst not in level:
+                level[e.dst] = level[u] + 1
+                queue.append(e.dst)
+    return math.gcd(*(level[e.src] + 1 - level[e.dst] for e in g.edges))
+
+
+def test_spectral_radius_within_exact_collatz_wielandt_bracket():
+    rng = random.Random(47)
+    graphs = [gen_labeled_graph(rng, 8, 3, accept=is_irreducible)
+              for _ in range(300)]
+    for g in graphs:
+        lo, hi = _perron_bracket(g)
+        assert hi - lo < 1e-6
+        assert lo - 1e-9 <= spectral_radius(g) <= hi + 1e-9
+    # the sample holds parallel edges and period-2 cycles
+    assert sum(len({(e.src, e.dst) for e in g.edges}) < len(g.edges)
+               for g in graphs) > 50
+    assert sum(_period(g) == 2 for g in graphs) > 20
+    for g, h in zip(graphs[::2], graphs[1::2]):
+        union = spectral_radius(disjoint_union([g, h]))
+        assert math.isclose(union, max(spectral_radius(g),
+                                       spectral_radius(h)), rel_tol=1e-9)

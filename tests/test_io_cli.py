@@ -92,6 +92,17 @@ def test_load_json_reports_line():
     assert "line" in str(err.value)
 
 
+def test_cli_rejects_undecodable_and_deeply_nested_json(tmp_path, capsys):
+    # a UnicodeDecodeError or RecursionError escaping main would exit 1,
+    # the Refuted code; both are malformed inputs and exit 3
+    for name, raw in (("utf16.json", "{}".encode("utf-16")),
+                      ("deep.json", b"[" * 200_000 + b"]" * 200_000)):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        assert cli.main(["entropy", "-i", str(path)]) == 3
+        assert str(path) in capsys.readouterr().err
+
+
 def test_generator_snapshot_is_stable():
     frozen = json.loads(SNAPSHOT.read_text())
     rng = random.Random(frozen["seed"])

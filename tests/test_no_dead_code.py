@@ -6,13 +6,15 @@ methods that override an attribute of a base class, which the base class
 calls (for example an argparse parser's error). Every method and
 property is also read as an attribute outside the tests. And no module but
 __init__ imports a name it never uses, so a deletion leaves no stale
-import behind."""
+import behind. Every absolute import names a standard-library module, so
+the package has no runtime dependency."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -114,3 +116,22 @@ def test_no_module_imports_a_name_it_never_uses():
                 if name not in read:
                     unused.append(f"{path.stem}.{name}")
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_package_imports_only_the_standard_library():
+    """Every absolute import under src/shiftlab names __future__ or a
+    module in sys.stdlib_module_names."""
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.stem}: {name}" for name in names
+                        if name.partition(".")[0]
+                        not in sys.stdlib_module_names]
+    assert not foreign, "imports outside the standard library: " + \
+        ", ".join(foreign)
