@@ -10,8 +10,8 @@ turns the absence of such windows into genuine containment of points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import count
 from math import inf
 
@@ -297,8 +297,8 @@ def interior_nonempty(space, u, *, profile=None):
     given, u is checked admissible and its profile composed. The memos
     stay on the space, so a profile decided again spends no budget but a
     refuted word's escape search. Proved payloads carry the least witness
-    cylinder, from one window search at k = c + m, and k; refuted
-    payloads carry one escape (see _escape_window).
+    cylinder (see _interior_cylinder), searched here, and k = c + m;
+    refuted payloads carry one escape (see _escape_window).
     """
     if not isinstance(u, CenteredWord):
         u = CenteredWord.central(u)
@@ -313,11 +313,10 @@ def interior_nonempty(space, u, *, profile=None):
         profile = space.profile(u.word)
     m = _interior_offset(space, profile)
     if m is None:
-        return refuted({"zone": u.to_json(), **_escape_window(space, u)})
+        return refuted(_escape_window(space, u))
     return proved({
         "zone": u.to_json(),
-        "cylinder": _least_window(
-            space, u, m, lambda q: not q & space.doomed).to_json(),
+        "cylinder": _interior_cylinder(space, u, m),
         "k": c + m,
     })
 
@@ -384,12 +383,19 @@ def _least_window(space, u, m, goal, start=None):
     return CenteredWord(word, u.center + m)
 
 
+def _interior_cylinder(space, u, m):
+    """The least witness cylinder of u's interior at offset m, as JSON:
+    the least window of half-length c + m whose scan ends on a mask with
+    no doomed pair. Spends no budget."""
+    return _least_window(space, u, m, lambda q: not q & space.doomed).to_json()
+
+
 def _escape_window(space, u):
-    """A refuted interior's escape: the least zone-width candidate whose
-    scan ends on a doomed pair, and the window cylinder_escape writes
-    around it, an admissible image word the cylinder image f([u]) misses.
-    The escape search spends the sweep's budget; a candidate that does
-    not escape signals an internal bug."""
+    """A refuted interior's payload: the zone, the least zone-width
+    candidate whose scan ends on a doomed pair, and the window
+    cylinder_escape writes around it, an admissible image word the
+    cylinder image f([u]) misses. The escape search spends the sweep's
+    budget; a candidate that does not escape signals an internal bug."""
     cylinder = _least_window(space, u, 0, lambda q: q & space.doomed)
     escape = cylinder_escape(cylinder_image(space.code, u),
                              image_presentation(space.code), cylinder,
@@ -397,7 +403,8 @@ def _escape_window(space, u):
     if escape is None:
         raise InvariantViolation("a doomed zone scan escapes the cylinder "
                                  "image", f"zone {u.word}")
-    return {"cylinder": cylinder.to_json(), "escape": escape.to_json()}
+    return {"zone": u.to_json(), "cylinder": cylinder.to_json(),
+            "escape": escape.to_json()}
 
 
 # -- level sweeps over transfer profiles --------------------------------------
@@ -496,12 +503,28 @@ class LiftingTable:
     """Per-level summary of a sweep: the uniform witness half-length at
     each zone level, witness data per level profile keyed by its least
     zone word, and the level at which the level profiles saturated (no
-    new transfer behavior can appear deeper), or None."""
+    new transfer behavior can appear deeper), or None.
+
+    found holds each profile's least word and the entry its visit
+    returned. witnesses is built on its first read: where the sweep gave
+    a completion, it runs on every entry then. check_semi_open's
+    searches each Proved profile's witness cylinder (see
+    _interior_cylinder), so a table no caller reads runs no window
+    search, and a kept table keeps its sweep's space. The search spends
+    no budget, so a table whose sweep stopped early, Refuted or out of
+    budget, completes its entries all the same."""
 
     entries: tuple
-    witnesses: dict
+    found: dict
     uniform: object
     saturation_level: object
+    complete: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def witnesses(self):
+        complete = self.complete or (lambda word, entry: entry)
+        return {key: complete(word, entry)
+                for key, (word, entry) in self.found.items()}
 
     def to_json(self):
         return {
@@ -512,27 +535,31 @@ class LiftingTable:
         }
 
 
-def _level_sweep(code, budget, l_max, visit):
+def _level_sweep(code, budget, l_max, visit, complete=None):
     """Visit the profiles of levels 0..l_max in order of least zone word.
 
     visit(space, level, prof, word) gets the code's SweepSpace, the
     profile and its least word at this level, whether the profile is new
     or met at an earlier level; it returns the profile's witness entry,
     which carries its half-length "k", or a Decision that ends the sweep
-    with the table of the levels visited. A level that brings no new
-    profile proves saturation. A budget running out anywhere, in the
-    space or in a visit, ends the check Inconclusive. A negative l_max
-    raises InvariantViolation. Returns (decision, table).
+    with the table of the levels visited. complete(space, word, entry),
+    when given, builds each entry's witness data on the table's first
+    read (see LiftingTable). A level that brings no new profile proves
+    saturation. A budget running out anywhere, in the space or in a
+    visit, ends the check Inconclusive. A negative l_max raises
+    InvariantViolation. Returns (decision, table).
     """
     if l_max < 0:
         raise InvariantViolation("l_max must be >= 0", l_max)
     entries = []
-    witnesses = {}
+    found = {}
+    space = None
 
-    def stop(dec):
-        return dec, LiftingTable(tuple(entries), witnesses, None, None)
-
-    def sweep(space):
+    def table(uniform=None, saturation_level=None):
+        return LiftingTable(tuple(entries), found, uniform, saturation_level,
+                            complete and partial(complete, space))
+    try:
+        space = SweepSpace(code, budget)
         seen = set()
         saturation_level = None
         for level, profiles in zip(range(l_max + 1), _profile_levels(space)):
@@ -541,32 +568,28 @@ def _level_sweep(code, budget, l_max, visit):
             for prof, word in profiles.items():
                 entry = visit(space, level, prof, word)
                 if isinstance(entry, Decision):
-                    return stop(entry)
+                    return entry, table()
                 grew |= prof not in seen
                 seen.add(prof)
-                witnesses[",".join(word)] = entry
+                found[",".join(word)] = word, entry
                 k_level = max(k_level, entry["k"])
             entries.append((level, k_level))
             if level > 0 and not grew:
                 saturation_level = level
                 break
-        uniform = max((k - l for l, k in entries), default=0)
-        table = LiftingTable(tuple(entries), witnesses, uniform,
-                             saturation_level)
-        if saturation_level is None:
-            return inconclusive({
-                "reason": "level profiles did not saturate",
-                "levels_checked": l_max + 1,
-            }), table
-        return proved({
-            "levels": len(entries),
-            "saturation_level": saturation_level,
-            "uniform_offset": uniform,
-        }), table
-    try:
-        return sweep(SweepSpace(code, budget))
     except BudgetExceeded as exc:
-        return stop(out_of_budget(exc))
+        return out_of_budget(exc), table()
+    uniform = max((k - l for l, k in entries), default=0)
+    if saturation_level is None:
+        return inconclusive({
+            "reason": "level profiles did not saturate",
+            "levels_checked": l_max + 1,
+        }), table(uniform)
+    return proved({
+        "levels": len(entries),
+        "saturation_level": saturation_level,
+        "uniform_offset": uniform,
+    }), table(uniform, saturation_level)
 
 
 def check_semi_open(code, l_max=4, *, budget=None):
@@ -577,22 +600,32 @@ def check_semi_open(code, l_max=4, *, budget=None):
     inconclusive otherwise. No bound on the witness half-length applies:
     each profile's least offset is decided exactly.
 
-    Every level profile, new or met again, is decided by
-    interior_nonempty on its least word at that level. The decision's
-    layers, reached ids and distances are kept on the space for the whole
-    sweep, and an id's action on a scan mask is one apply_mask that
-    spends nothing, so a profile met again spends no budget and only its
-    window search runs.
+    Every level profile, new or met again, is decided as
+    interior_nonempty decides its least word at that level. The
+    decision's layers, reached ids and distances are kept on the space
+    for the whole sweep, and an id's action on a scan mask is one
+    apply_mask that spends nothing, so a profile met again spends no
+    budget and runs no search. A Proved profile's entry holds its
+    half-length k = c + m; its witness cylinder, the one
+    interior_nonempty writes, is searched only when the table's
+    witnesses are read (see LiftingTable). A refuted profile's escape is
+    searched at once, since it spends budget and the decision carries
+    it.
     """
     def visit(space, level, prof, word):
-        dec = interior_nonempty(space, CenteredWord.central(word),
-                                profile=prof[0])
-        if dec.is_refuted:
+        m = _interior_offset(space, prof[0])
+        if m is None:
             return refuted({"zone": list(word), "level": level,
-                            "interior": dec.payload})
-        return {"k": dec.payload["k"], "cylinder": dec.payload["cylinder"]}
+                            "interior": _escape_window(
+                                space, CenteredWord.central(word))})
+        return {"k": level + m}
 
-    return _level_sweep(code, budget, l_max, visit)
+    def complete(space, word, entry):
+        u = CenteredWord.central(word)
+        return {**entry, "cylinder": _interior_cylinder(
+            space, u, entry["k"] - u.center)}
+
+    return _level_sweep(code, budget, l_max, visit, complete)
 
 
 # -- openness ------------------------------------------------------------

@@ -514,6 +514,69 @@ def test_semi_open_profile_sweep_matches_per_word_sweep():
     assert verdicts == {"Proved", "Refuted", "Inconclusive"}
 
 
+def test_semi_open_witness_windows_wait_for_a_table_read(monkeypatch):
+    calls = []  # the offset m of each window search
+    search = openness._least_window
+
+    def spy(space, u, m, goal, start=None):
+        calls.append(m)
+        return search(space, u, m, goal, start)
+    monkeypatch.setattr(openness, "_least_window", spy)
+    # a Refuted sweep searches its escape, at offset 0, and nothing else
+    dec, table = check_semi_open(fixtures.fig1_code())
+    assert dec.is_refuted and calls == [0]
+    calls.clear()
+    dec, table = check_semi_open(fixtures.golden_cover())
+    assert dec.is_proved and calls == []
+    # the first read searches one window per entry, the second none
+    witnesses = table.witnesses
+    assert len(calls) == len(witnesses) == 21
+    assert table.witnesses is witnesses
+    assert table.to_json()["witnesses"] == witnesses
+    assert len(calls) == 21
+    assert all("cylinder" in entry for entry in witnesses.values())
+
+
+def test_stopped_sweep_tables_build_their_witnesses_afterwards():
+    """A table returned with a Refuted or out-of-budget decision builds
+    its witness cylinders after the sweep has stopped, at a budget spent
+    past its limit, and they are the eager per-word reference's."""
+    stopped = Counter()
+    for code in _small_codes(60):
+        full = Budget(10**9)
+        check_semi_open(code, l_max=2, budget=full)
+        # half the spend stops the sweep; the whole of it lets a Refuted
+        # sweep reach its refutation
+        tables = []
+        for limit in (full.used // 2, full.used):
+            budget = Budget(limit)
+            dec, table = check_semi_open(code, l_max=2, budget=budget)
+            reason = dec.payload.get("reason", dec.verdict)
+            if reason in ("budget", "Refuted") and table.found:
+                tables.append(table)
+                stopped[reason] += 1
+            if reason == "budget":
+                assert budget.used > budget.limit
+        if not tables:
+            continue
+        space = SweepSpace(code)
+
+        def verdict(level, word, prof):
+            got = interior_nonempty(space, CenteredWord.central(word))
+            if got.is_refuted:
+                return got, None
+            return {key: got.payload[key] for key in ("k", "cylinder")}, None
+
+        levels = max(min(len(t.entries), 2) for t in tables)
+        witnesses = _per_word_sweep(space, levels, verdict)[2]
+        for table in tables:
+            assert table.witnesses
+            for key, entry in table.witnesses.items():
+                assert entry == witnesses[key]
+    assert stopped.keys() == {"budget", "Refuted"}
+    assert stopped["budget"] >= 40
+
+
 def test_open_profile_sweep_matches_per_word_sweep():
     outcomes = set()
     for code in _small_codes(60):

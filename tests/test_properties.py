@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from shiftlab import properties
+from shiftlab import openness, properties
 from shiftlab.decision import refuted
 from shiftlab.errors import GenerationExhausted, InvariantViolation
 from shiftlab.graph import is_irreducible, is_right_resolving
@@ -95,3 +95,15 @@ def test_mutant_harness_is_caught_and_replays(monkeypatch):
     assert report["failures"]
     for failure in report["failures"]:
         assert replay(failure)["status"] == "forbidden"
+
+
+def test_suite_sweeps_still_check_every_proved_offset_has_a_window(
+        monkeypatch):
+    # the suite reads the witness tables of a fixed subset of its sweeps,
+    # so a window search that fails at a decided offset reaches proptest;
+    # no finite-cover sweep is Refuted, so only those reads search
+    def no_window(space, u, m, goal, start=None):
+        raise InvariantViolation("window at the decided offset", u.word)
+    monkeypatch.setattr(openness, "_least_window", no_window)
+    with pytest.raises(InvariantViolation):
+        proptest(TrialConfig("finite-cover-semi-open"))
