@@ -283,9 +283,19 @@ def disjoint_union(graphs):
 # -- subset construction -------------------------------------------------
 
 
-def _mask_name(g, mask):
-    names = g.names_of(mask)
-    return names[0] if len(names) == 1 else "+".join(names)
+# Names joined into one string (subset names here, table keys in io,
+# witness keys in openness) are joined with the first candidate separator
+# that occurs in no name, so each join splits back into its names.
+SEPARATORS = (",", ";", "|", "/", " ")
+
+
+def separator(names, first=","):
+    """The first of first, then SEPARATORS, that occurs in no name;
+    ParseError when each occurs in some name."""
+    for sep in (first,) + SEPARATORS:
+        if not any(sep in name for name in names):
+            return sep
+    raise ParseError("every separator occurs in a name", field="separator")
 
 
 def determinize(g, budget=None):
@@ -293,7 +303,8 @@ def determinize(g, budget=None):
 
     Starts from the full vertex set of the trimmed graph, so the subset
     automaton accepts exactly the language; the result is trimmed again
-    because subset states can fail to be bi-extendable.
+    because subset states can fail to be bi-extendable. A subset is named
+    by its vertices' names joined with separator(names, "+").
 
     The result is memoized on the trimmed graph through automata.memoized,
     on the caller's budget or a fresh Budget(where="determinize"). The
@@ -317,15 +328,20 @@ def _subset_construction(t, budget):
             if m2:
                 yield m2
 
+    sep = separator(t.vertices, "+")
+
+    def name(mask):
+        return sep.join(t.names_of(mask))
+
     seen = bfs_closure([t.full_mask], expand, budget)
-    vertices = [_mask_name(t, m) for m in seen]
+    vertices = [name(m) for m in seen]
     edges = []
     for mask in seen:
-        src = _mask_name(t, mask)
+        src = name(mask)
         for s, table in fwd.items():
             m2 = apply_mask(table, mask)
             if m2:
-                edges.append(Edge(f"{src}>{s}", src, _mask_name(t, m2), s))
+                edges.append(Edge(f"{src}>{s}", src, name(m2), s))
     return trim(LabeledGraph.make(t.symbols, vertices, edges))
 
 

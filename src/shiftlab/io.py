@@ -13,11 +13,8 @@ import json
 
 from .codes import SlidingBlockCode
 from .errors import ParseError
-from .graph import LabeledGraph
+from .graph import LabeledGraph, separator
 from .shifts import SoficShift
-
-# table key separators, the first one that occurs in no domain symbol
-SEPARATORS = (",", ";", "|", "/", " ")
 
 
 def _check_fields(obj, what, required, optional=()):
@@ -90,28 +87,22 @@ def shift_from_json(obj):
 
 
 # -- codes -----------------------------------------------------------------
-# Table keys concatenate the window's symbols; a separator is declared
-# whenever some domain symbol is longer than one character, otherwise
-# each character is one symbol.
+# Table keys concatenate the window's symbols; a separator (graph.separator
+# of the domain alphabet) is declared whenever some domain symbol is longer
+# than one character, otherwise each character is one symbol.
 
 
 def code_to_json(code, embed_domain=False):
     alphabet = code.domain.alphabet
-    separator = None
-    if any(len(s) > 1 for s in alphabet):
-        separator = next((sep for sep in SEPARATORS
-                          if not any(sep in s for s in alphabet)), None)
-        if separator is None:
-            raise ParseError("every table key separator occurs in a domain "
-                             "symbol", field="separator")
-    join = separator or ""
+    sep = separator(alphabet) if any(len(s) > 1 for s in alphabet) else None
     out = {
         "memory": code.memory,
         "anticipation": code.anticipation,
-        "table": {join.join(k): v for k, v in sorted(code.table.items())},
+        "table": {(sep or "").join(k): v
+                  for k, v in sorted(code.table.items())},
     }
-    if separator is not None:
-        out["separator"] = separator
+    if sep is not None:
+        out["separator"] = sep
     if tuple(code.codomain_alphabet) != tuple(sorted(set(code.table.values()))):
         out["codomain_alphabet"] = list(code.codomain_alphabet)
     if embed_domain:
@@ -131,10 +122,10 @@ def code_from_json(obj, domain=None):
         if not isinstance(obj[name], int) or isinstance(obj[name], bool):
             raise ParseError("expected an integer", field=name)
     table = _string_table(obj["table"], "table")
-    separator = obj.get("separator")
-    if separator is not None and (not isinstance(separator, str) or not separator):
+    sep = obj.get("separator")
+    if sep is not None and (not isinstance(sep, str) or not sep):
         raise ParseError("expected a nonempty string", field="separator")
-    table = {tuple(key.split(separator)) if separator else tuple(key): value
+    table = {tuple(key.split(sep)) if sep else tuple(key): value
              for key, value in table.items()}
     codomain = obj.get("codomain_alphabet")
     if codomain is not None:

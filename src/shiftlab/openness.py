@@ -282,7 +282,7 @@ class SweepSpace:
 # -- interior of a cylinder image ---------------------------------------------
 
 
-def interior_nonempty(space, u, *, profile=None):
+def interior_nonempty(space, u):
     """Exact decision: does the image of the central cylinder of u
     contain a nonempty central cylinder of the image shift?
 
@@ -293,12 +293,12 @@ def interior_nonempty(space, u, *, profile=None):
     profile maps it across the zone, and the rest reaches no doomed pair
     exactly when the state lies in G_m = {distance <= m}. So the least
     offset is the least m at which an id of the profile maps F_m into
-    G_m. profile is u's set of ids in the space's monoid; when it is not
-    given, u is checked admissible and its profile composed. The memos
-    stay on the space, so a profile decided again spends no budget but a
-    refuted word's escape search. Proved payloads carry the least witness
-    cylinder (see _interior_cylinder), searched here, and k = c + m;
-    refuted payloads carry one escape (see _escape_window).
+    G_m. u is checked admissible and its profile, its set of ids in the
+    space's monoid, composed. The memos stay on the space, so a profile
+    decided again spends no budget but a refuted word's escape search.
+    Proved payloads carry the least witness cylinder (see
+    _interior_cylinder), searched here, and k = c + m; refuted payloads
+    carry one escape (see _escape_window).
     """
     if not isinstance(u, CenteredWord):
         u = CenteredWord.central(u)
@@ -307,11 +307,9 @@ def interior_nonempty(space, u, *, profile=None):
     if length != 2 * c + 1:
         raise InvariantViolation("central zone word",
                                  f"length {length} center {c}")
-    if profile is None:
-        if not space.code.domain.accepts(u.word):
-            raise WordNotAdmissible(u.word)
-        profile = space.profile(u.word)
-    m = _interior_offset(space, profile)
+    if not space.code.domain.accepts(u.word):
+        raise WordNotAdmissible(u.word)
+    m = _interior_offset(space, space.profile(u.word))
     if m is None:
         return refuted(_escape_window(space, u))
     return proved({
@@ -502,8 +500,9 @@ def _profile_levels(space):
 class LiftingTable:
     """Per-level summary of a sweep: the uniform witness half-length at
     each zone level, witness data per level profile keyed by its least
-    zone word, and the level at which the level profiles saturated (no
-    new transfer behavior can appear deeper), or None.
+    zone word (joined with graph.separator of the domain alphabet), and
+    the level at which the level profiles saturated (no new transfer
+    behavior can appear deeper), or None.
 
     found holds each profile's least word and the entry its visit
     returned. witnesses is built on its first read: where the sweep gave
@@ -560,6 +559,7 @@ def _level_sweep(code, budget, l_max, visit, complete=None):
                             complete and partial(complete, space))
     try:
         space = SweepSpace(code, budget)
+        sep = gr.separator(code.domain.alphabet)
         seen = set()
         saturation_level = None
         for level, profiles in zip(range(l_max + 1), _profile_levels(space)):
@@ -571,7 +571,7 @@ def _level_sweep(code, budget, l_max, visit, complete=None):
                     return entry, table()
                 grew |= prof not in seen
                 seen.add(prof)
-                found[",".join(word)] = word, entry
+                found[sep.join(word)] = word, entry
                 k_level = max(k_level, entry["k"])
             entries.append((level, k_level))
             if level > 0 and not grew:

@@ -76,46 +76,45 @@ class TrialConfig:
 # -- generators --------------------------------------------------------------
 
 
-def gen_labeled_graph(rng, max_vertices, max_alphabet, accept=None):
-    """One random trimmed nonempty graph, rejection-sampled until accept
-    passes; deterministic given the generator state."""
+def _sample_graph(rng, max_vertices, max_alphabet, accept, draw_edges):
+    """A graph on vertices v0.. and symbols 0.. with the edges
+    draw_edges(alphabet, vertices), trimmed, and rejection-sampled until
+    it is nonempty and accept passes."""
     for _ in range(ATTEMPT_CAP):
         n = rng.randint(1, max_vertices)
         k = rng.randint(1, max_alphabet)
         alphabet = [str(i) for i in range(k)]
         vertices = [f"v{i}" for i in range(n)]
-        m = rng.randint(n, 2 * n + 1)
-        edges = [
-            (f"e{j}", rng.choice(vertices), rng.choice(vertices),
-             rng.choice(alphabet))
-            for j in range(m)
-        ]
-        g = gr.trim(LabeledGraph.make(alphabet, vertices, edges))
+        g = gr.trim(LabeledGraph.make(alphabet, vertices,
+                                      draw_edges(alphabet, vertices)))
         if g.n == 0:
             continue
         if accept is None or accept(g):
             return g
     raise GenerationExhausted(ATTEMPT_CAP)
+
+
+def gen_labeled_graph(rng, max_vertices, max_alphabet, accept=None):
+    """One random trimmed nonempty graph, rejection-sampled until accept
+    passes; deterministic given the generator state."""
+    def draw_edges(alphabet, vertices):
+        n = len(vertices)
+        return [(f"e{j}", rng.choice(vertices), rng.choice(vertices),
+                 rng.choice(alphabet))
+                for j in range(rng.randint(n, 2 * n + 1))]
+    return _sample_graph(rng, max_vertices, max_alphabet, accept, draw_edges)
 
 
 def gen_right_resolving_graph(rng, max_vertices, max_alphabet, accept=None):
     """Right-resolving by construction: out-edges at a vertex get distinct
     labels, so only the accept predicate is rejection-sampled."""
-    for _ in range(ATTEMPT_CAP):
-        n = rng.randint(1, max_vertices)
-        k = rng.randint(1, max_alphabet)
-        alphabet = [str(i) for i in range(k)]
-        vertices = [f"v{i}" for i in range(n)]
+    def draw_edges(alphabet, vertices):
         edges = []
         for v in vertices:
-            for s in rng.sample(alphabet, rng.randint(1, k)):
+            for s in rng.sample(alphabet, rng.randint(1, len(alphabet))):
                 edges.append((f"e{len(edges)}", v, rng.choice(vertices), s))
-        g = gr.trim(LabeledGraph.make(alphabet, vertices, edges))
-        if g.n == 0:
-            continue
-        if accept is None or accept(g):
-            return g
-    raise GenerationExhausted(ATTEMPT_CAP)
+        return edges
+    return _sample_graph(rng, max_vertices, max_alphabet, accept, draw_edges)
 
 
 def _gen_irreducible(rng, cfg):
@@ -156,6 +155,19 @@ def _sweep(code):
     return dec, table
 
 
+def _semi_open_outcome(code, context=dict):
+    """Sweep code: FORBIDDEN with the semi-open verdict when it is Refuted;
+    otherwise run the certificates on context() and the verdict, whose
+    audit raises ConsistencyFault on a clash, and report INCONCLUSIVE or
+    SATISFIED by the verdict. context is called only past the Refuted
+    test."""
+    semi, _ = _sweep(code)
+    if semi.is_refuted:
+        return {"status": FORBIDDEN, "detail": {"semi_open": semi.to_json()}}
+    certificates(code, dict(context(), semi_open=semi))
+    return {"status": INCONCLUSIVE if semi.is_inconclusive else SATISFIED}
+
+
 def _classify_hypotheses(decisions):
     """None when all Proved; SKIPPED on any Refuted (vacuous implication);
     INCONCLUSIVE when undecided hypotheses block classification."""
@@ -175,13 +187,8 @@ def _a_generate(rng, cfg):
 
 def _a_check(instance):
     code = cover_code(io.graph_from_json(instance["graph"]))
-    dec, _ = _sweep(code)
-    if dec.is_refuted:
-        return {"status": FORBIDDEN, "detail": {"semi_open": dec.to_json()}}
-    # route through the certificate audit; a clash raises ConsistencyFault
-    retract = check_right_continuing_retract(code, 1, "right")
-    certificates(code, {"semi_open": dec, "retract": retract})
-    return {"status": INCONCLUSIVE if dec.is_inconclusive else SATISFIED}
+    return _semi_open_outcome(code, lambda: {
+        "retract": check_right_continuing_retract(code, 1, "right")})
 
 
 # -- property (b): one-block factor codes from irreducible sofic --------------
@@ -192,12 +199,7 @@ def _b_generate(rng, cfg):
 
 
 def _b_check(instance):
-    code = _one_block_code(instance)
-    dec, _ = _sweep(code)
-    if dec.is_refuted:
-        return {"status": FORBIDDEN, "detail": {"semi_open": dec.to_json()}}
-    certificates(code, {"semi_open": dec})
-    return {"status": INCONCLUSIVE if dec.is_inconclusive else SATISFIED}
+    return _semi_open_outcome(_one_block_code(instance))
 
 
 # -- property (c): right-closing semi-open onto an irreducible SFT ------------
@@ -340,10 +342,6 @@ def _f_check(instance):
 # -- property (g): semi-openness descends from the lifted cover code ----------
 
 
-def _g_generate(rng, cfg):
-    return _gen_one_block_instance(rng, cfg)
-
-
 def _g_check(instance):
     code = _one_block_code(instance)
     x2 = image_presentation(code)
@@ -356,12 +354,8 @@ def _g_check(instance):
         return {"status": SKIPPED}
     if cover_semi.is_inconclusive:
         return {"status": INCONCLUSIVE}
-    semi, _ = _sweep(code)
-    if semi.is_refuted:
-        return {"status": FORBIDDEN, "detail": {"semi_open": semi.to_json()}}
-    certificates(code, {"semi_open": semi,
-                        "lift": {"cover_semi_open": cover_semi}})
-    return {"status": INCONCLUSIVE if semi.is_inconclusive else SATISFIED}
+    return _semi_open_outcome(code, lambda: {
+        "lift": {"cover_semi_open": cover_semi}})
 
 
 @dataclass(frozen=True)
@@ -380,7 +374,7 @@ PROPERTIES = {name: Property(name, generate, check, keys)
     ("semi-ae-constant", _d_generate, _d_check, ("graph", "table")),
     ("magic-witness", _e_generate, _e_check, ("graph", "path")),
     ("fiber-transfer", _f_generate, _f_check, ("graph1", "graph2")),
-    ("lift-consistency", _g_generate, _g_check, ("graph", "table")))}
+    ("lift-consistency", _b_generate, _g_check, ("graph", "table")))}
 
 
 def proptest(cfg):

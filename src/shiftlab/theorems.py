@@ -39,8 +39,8 @@ DOUBLY_TRANSITIVE = "doubly transitive points correspond under the map"
 IRREDUCIBLE_MAP = "irreducible map (proper closed subsets have proper images)"
 
 
-def _bool_dec(flag, payload=None):
-    return proved(payload) if flag else refuted(payload)
+def _bool_dec(flag):
+    return proved() if flag else refuted()
 
 
 class _Facts:
@@ -64,8 +64,9 @@ class _Facts:
         return self._memo[key]
 
     def _decide(self, key, check):
-        """_get for a Decision-valued hypothesis."""
-        return self._get(key, inconclusive_on_budget(check))
+        """_get for a Decision-valued hypothesis; the budget wrapper is
+        built only when the memo misses."""
+        return self._get(key, lambda: inconclusive_on_budget(check)())
 
     @property
     def domain(self):
@@ -324,19 +325,6 @@ def _cert_liftt(f):
     )
 
 
-def _cert_circ(f):
-    # certifies the outer map of a composition of surjections
-    comp = f.ctx.get("composition")
-    if not comp:
-        return None
-    return _emit(
-        "LemmaCirc", SEMI_OPEN,
-        ("composite semi-open", lambda: comp["composite_semi_open"]),
-        ("inner code onto", lambda: comp["inner_onto"]),
-        ("this code onto", f.onto),
-    )
-
-
 _BUILDERS = (
     _cert_corollary_new,
     _cert_finite_cover,
@@ -352,7 +340,6 @@ _BUILDERS = (
     _cert_fischer,
     _cert_fiber,
     _cert_liftt,
-    _cert_circ,
 )
 
 
@@ -369,8 +356,6 @@ def certificates(code, context=None):
                    when this code is a leg of a fiber product
       lift         dict with cover_semi_open when this code lives between
                    synchronized systems and lifts to their covers
-      composition  dict with composite_semi_open, inner_onto when this
-                   code is the outer factor of a composition
 
     After collection every conclusion is audited against the matching
     direct computation when one exists; a Proved certificate over a

@@ -241,6 +241,23 @@ def test_determinize_preserves_language():
         assert words_of_length(d, n) == words_of_length(g, n)
 
 
+def test_determinize_names_subsets_apart_from_vertex_names():
+    """A subset's name joins its vertices' names with the first separator
+    that occurs in no vertex name, "+" unless a name holds one, so no
+    subset takes an existing vertex's name, also on determinized input."""
+    g = LabeledGraph.make(["0", "1"], ["a", "b", "a+b"], [
+        ("e0", "a", "a", "0"), ("e1", "a", "b", "0"), ("e2", "b", "a", "1"),
+        ("e3", "b", "a+b", "1"), ("e4", "a+b", "a", "0"),
+        ("e5", "a+b", "a+b", "1")])
+    d = determinize(g)
+    assert len(set(d.vertices)) == len(d.vertices)
+    assert "a,a+b" in d.vertices and shift_equal(d, g)
+    rng = random.Random(5)
+    for _ in range(3000):
+        g = gen_labeled_graph(rng, 5, 2)
+        assert shift_equal(determinize(determinize(g)), g)
+
+
 def test_sublanguage_and_shift_equality():
     golden = fixtures.golden_graph()
     full2 = fixtures.full_graph(2)

@@ -4,7 +4,8 @@ under src, tests, bench and demos: a name in a docstring or a comment does
 not count. Exempt are dunder methods, which Python calls, and
 methods that override an attribute of a base class, which the base class
 calls (for example an argparse parser's error). Every method and
-property is also read as an attribute outside the tests. And no module but
+property is also read as an attribute outside the tests. Every parameter
+with a default is set at some call site. And no module but
 __init__ imports a name it never uses, so a deletion leaves no stale
 import behind. Every absolute import names a standard-library module, so
 the package has no runtime dependency."""
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import math
 import re
 import sys
 from collections import Counter
@@ -94,6 +96,61 @@ def test_every_member_is_read_as_an_attribute():
                        and node.name not in read
                        and not _exempt(path.stem, cls.name, node.name)]
     assert not unread, "never read as an attribute: " + ", ".join(unread)
+
+
+def _defaulted_parameters(node, owner=None):
+    """(function, parameter, callee, position) of every parameter with a
+    default under node. The callee is the name a call site uses: the class
+    for __init__, else the function. position counts the positional
+    arguments a call passes before it, bound self or cls excluded, and is
+    None for a keyword-only parameter."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            callee = owner if child.name == "__init__" else child.name
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield child.name, arg.arg, callee, i - (owner is not None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield child.name, arg.arg, callee, None
+            yield from _defaulted_parameters(child)
+        else:
+            yield from _defaulted_parameters(
+                child, child.name if isinstance(child, ast.ClassDef)
+                else owner)
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    """Every parameter with a default, of a function or method under
+    src/shiftlab, is set at some call of its name in the Python files
+    under src, tests, bench and demos: by keyword, or by enough positional
+    arguments. A call that spreads *args or **kwargs counts as setting
+    every parameter of its kind. Calls match by name alone, so a name
+    shared by two functions can hide one unused default; none is exempt."""
+    keywords = {}
+    positional = Counter()
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                keywords.setdefault(name, set()).update(
+                    kw.arg for kw in node.keywords)
+                spread = any(isinstance(a, ast.Starred) for a in node.args)
+                positional[name] = max(positional[name], math.inf if spread
+                                       else len(node.args))
+    unset = [f"{path.stem}.{function}({parameter})"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for function, parameter, callee, position
+             in _defaulted_parameters(ast.parse(path.read_text()))
+             if not ({parameter, None} & keywords.get(callee, set())
+                     or position is not None
+                     and positional[callee] > position)]
+    assert not unset, "defaults no call site sets: " + ", ".join(unset)
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -537,6 +537,26 @@ def test_semi_open_witness_windows_wait_for_a_table_read(monkeypatch):
     assert all("cylinder" in entry for entry in witnesses.values())
 
 
+def test_witness_keys_keep_every_profile_when_a_symbol_holds_a_comma():
+    """Keys join a zone word with the first separator that occurs in no
+    domain symbol, so the level-0 word ("x,y,z",) and the level-1 word
+    ("x", "y", "z") keep one entry each: every visited profile does."""
+    g = LabeledGraph.make(["x", "x,y,z", "y", "z"], ["v0", "v1"], [
+        ("e0", "v1", "v1", "x"), ("e1", "v0", "v1", "z"),
+        ("e2", "v0", "v0", "x"), ("e3", "v1", "v0", "y"),
+        ("e4", "v0", "v0", "x,y,z")])
+    table = {("x",): "2", ("x,y,z",): "0", ("y",): "0", ("z",): "2"}
+    code = SlidingBlockCode.make(SoficShift.from_graph(g), 0, 0, table)
+    dec, table = check_semi_open(code, l_max=2)
+    assert dec.is_proved
+    levels = itertools.islice(openness._profile_levels(SweepSpace(code)),
+                              dec.payload["levels"])
+    words = [word for level in levels for word in level.values()]
+    assert len(words) == 18 and ("x", "y", "z") in words
+    assert sorted(word for word, _ in table.found.values()) == sorted(words)
+    assert len(table.witnesses) == 18 and "x;y;z" in table.witnesses
+
+
 def test_stopped_sweep_tables_build_their_witnesses_afterwards():
     """A table returned with a Refuted or out-of-budget decision builds
     its witness cylinders after the sweep has stopped, at a budget spent

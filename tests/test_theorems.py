@@ -98,15 +98,6 @@ def test_lift_context_certificates():
     assert "ThmLiftt" in {c.tag for c in certs}
 
 
-def test_composition_context_certificates():
-    code = fixtures.even_cover()
-    semi, _ = check_semi_open(code)
-    ctx = {"composition": {"composite_semi_open": semi,
-                           "inner_onto": proved({"checked": "fixture"})}}
-    tags = {c.tag for c in certificates(code, ctx)}
-    assert "LemmaCirc" in tags
-
-
 def test_certificates_on_exhausted_budget_rest_on_proved_hypotheses(
         monkeypatch):
     # determinize, the semi-open sweep and the SFT check all run out at
